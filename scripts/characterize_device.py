@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Full numerical characterization of a device config.
 
-For every qubit: flux tuning curve (closed form + exact diagonalization),
+For every qubit: flux tuning curve (closed form + exact levels),
 time-averaged frequency vs modulation amplitude with the oracle
 cross-check, and the pi-pulse leakage crosstalk budget.  Writes CSV/JSON
 under out/ (or the directory given as the second argument).
@@ -21,7 +21,7 @@ from fluxline.cli import fmt
 from fluxline.config import load_config
 from fluxline.modulation import FluxDrive, avg_frequency, time_average_oracle
 from fluxline.signal_chain import LineBudget, chain_total, spurious_shift_report
-from fluxline.transmon import FluxPoint, diagonalize, f01_asymptotic
+from fluxline.transmon import f01_asymptotic, levels
 
 import numpy as np
 
@@ -39,15 +39,12 @@ def main() -> int:
 
     summary = {}
     for q in cfg.qubits:
-        rows = ["phi,f01_asymptotic_mhz,f01_diag_mhz,anharmonicity_mhz"]
-        for phi in np.linspace(-0.5, 0.5, 201):
-            spec = diagonalize(q.params, FluxPoint(phi=float(phi)))
-            rows.append(
-                ",".join(
-                    fmt(v)
-                    for v in (phi, f01_asymptotic(q.params, float(phi)), spec.f01, spec.anharmonicity)
-                )
-            )
+        phi = np.linspace(-0.5, 0.5, 201)
+        f01, f12, _ = levels(q.params, phi)
+        rows = ["phi,f01_asymptotic_mhz,f01_diag_mhz,anharmonicity_mhz"] + [
+            ",".join(fmt(v) for v in row)
+            for row in zip(phi, f01_asymptotic(q.params, phi), f01, f12 - f01)
+        ]
         (out_dir / f"{q.name}_spectrum.csv").write_text("\n".join(rows) + "\n")
 
         rows = ["phi_ac,f_avg_series_mhz,f_avg_oracle_mhz"]
@@ -67,12 +64,11 @@ def main() -> int:
 
         budget = LineBudget(gamma_db=85.0, v_p=0.3, m_fH=q.m_fH)
         report = spurious_shift_report(q.params, budget)
-        top = diagonalize(q.params, FluxPoint(phi=0.0))
-        bottom = diagonalize(q.params, FluxPoint(phi=0.5))
+        (f_max, f_min), (f12_top, _), _ = levels(q.params, np.array([0.0, 0.5]))
         summary[q.name] = {
-            "f_max_mhz": float(fmt(top.f01)),
-            "f_min_mhz": float(fmt(bottom.f01)),
-            "anharmonicity_mhz": float(fmt(top.anharmonicity)),
+            "f_max_mhz": float(fmt(f_max)),
+            "f_min_mhz": float(fmt(f_min)),
+            "anharmonicity_mhz": float(fmt(f12_top - f_max)),
             "pi_pulse_phi_ac": float(fmt(report.phi_ac)),
             "pi_pulse_shift_hz": float(fmt(report.delta_f_hz)),
             "shift_detectable": report.detectable,

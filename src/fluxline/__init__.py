@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-transmon      flux-dependent spectrum, exact charge-basis diagonalization
+transmon      flux-dependent spectrum: Mathieu levels, charge-basis oracle
 modulation    time-averaged frequency under RF flux modulation
 signal_chain  attenuation/crosstalk budgets
 rf_network    lumped-element filters and the cryogenic diplexer model
@@ -18,6 +18,7 @@ from .transmon import (
     diagonalize,
     effective_ej,
     f01_asymptotic,
+    levels,
 )
 from .modulation import (
     FluxDrive,
@@ -56,6 +57,7 @@ __all__ = [
     "DeviceConfig",
     "effective_ej",
     "f01_asymptotic",
+    "levels",
     "diagonalize",
     "avg_frequency",
     "harmonic_series",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical
-non-convergence.  All numeric output is formatted with 12 significant
+non-convergence (fit or series).  JSON output is strict: non-finite values
+are written as null.  All numeric output is formatted with 12 significant
 digits and '.' decimals so repeated runs are byte-identical.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -29,13 +31,13 @@ from .fitting import (
 from .modulation import (
     DEFAULT_ORDER,
     FluxDrive,
-    SymmetricSquidError,
     avg_frequency,
     second_order_shift,
     time_average_oracle,
 )
 from .signal_chain import LineBudget, spurious_shift_report
-from .transmon import FluxPoint, diagonalize, f01_asymptotic
+from .specfun import ConvergenceError
+from .transmon import f01_asymptotic, levels
 
 CONFIG_ENV = "FLUXLINE_CONFIG"
 
@@ -67,8 +69,17 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
         Path(path).write_text(text)
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    return json.dumps(_finite(obj), indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _emit_json(path: str | None, obj) -> None:
@@ -100,31 +111,26 @@ def cmd_spectrum(args) -> int:
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
     grid = np.linspace(args.phi_min, args.phi_max, args.points)
-    rows = []
-    for phi in grid:
-        spec = diagonalize(q.params, FluxPoint(phi=float(phi)))
-        rows.append(
-            (phi, f01_asymptotic(q.params, float(phi)), spec.f01, spec.anharmonicity)
-        )
+    f01, f12, _ = levels(q.params, grid)
     _write_csv(
         args.out,
         ["phi", "f01_asymptotic_mhz", "f01_diag_mhz", "anharmonicity_mhz"],
-        rows,
+        zip(grid, f01_asymptotic(q.params, grid), f01, f12 - f01),
     )
-    top = diagonalize(q.params, FluxPoint(phi=0.0))
-    bottom = diagonalize(q.params, FluxPoint(phi=0.5))
+    (f_max, f_min), (f12_top, _), _ = levels(q.params, np.array([0.0, 0.5]))
+    eta = f12_top - f_max
     _summary(
         args,
         [
-            f"qubit {q.name}: f_max = {fmt(top.f01)} MHz at phi=0",
-            f"qubit {q.name}: f_min = {fmt(bottom.f01)} MHz at phi=0.5",
-            f"qubit {q.name}: anharmonicity = {fmt(top.anharmonicity)} MHz",
+            f"qubit {q.name}: f_max = {fmt(f_max)} MHz at phi=0",
+            f"qubit {q.name}: f_min = {fmt(f_min)} MHz at phi=0.5",
+            f"qubit {q.name}: anharmonicity = {fmt(eta)} MHz",
         ],
         {
             "qubit": q.name,
-            "f_max_mhz": float(fmt(top.f01)),
-            "f_min_mhz": float(fmt(bottom.f01)),
-            "anharmonicity_mhz": float(fmt(top.anharmonicity)),
+            "f_max_mhz": float(fmt(f_max)),
+            "f_min_mhz": float(fmt(f_min)),
+            "anharmonicity_mhz": float(fmt(eta)),
         },
     )
     return 0
@@ -290,10 +296,7 @@ def cmd_fit(args) -> int:
     payload = {"kind": args.kind}
     payload.update(result.to_dict())
     payload["params"] = {k: float(fmt(v)) for k, v in payload["params"].items()}
-    payload["std_errors"] = {
-        k: float(fmt(v)) if np.isfinite(v) else None
-        for k, v in payload["std_errors"].items()
-    }
+    payload["std_errors"] = {k: float(fmt(v)) for k, v in payload["std_errors"].items()}
     payload["residual_norm"] = float(fmt(payload["residual_norm"]))
     _emit_json(args.out, payload)
 
@@ -390,14 +393,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except SymmetricSquidError as exc:
-        sys.stderr.write(
-            f"error: {exc}\nhint: rerun with --with-oracle for symmetric SQUIDs\n"
-        )
-        return 2
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except ConvergenceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

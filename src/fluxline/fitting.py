@@ -18,7 +18,7 @@ import scipy.optimize
 
 from .modulation import DEFAULT_ORDER, harmonic_series
 from .specfun import bessel_j0, bessel_j1
-from .transmon import FluxPoint, TransmonParams, diagonalize
+from .transmon import TransmonParams, levels
 
 __all__ = [
     "DataSeries",
@@ -328,13 +328,17 @@ def fit_rb(data: DataSeries) -> FitResult:
 
 # --- flux tuning curve -------------------------------------------------------
 
-def _tuning_fn_factory(fixed_e_c: float | None):
+def _tuning_theta(th, fixed_e_c: float | None):
+    """(e_j1, e_j2, e_c, amps_per_phi0, phi_offset) from a parameter vector."""
+    if fixed_e_c is None:
+        return tuple(th)
+    ej1, ej2, amps_per_phi0, off = th
+    return ej1, ej2, fixed_e_c, amps_per_phi0, off
+
+
+def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
     def fn(current, th):
-        if fixed_e_c is None:
-            ej1, ej2, ec, amps_per_phi0, off = th
-        else:
-            ej1, ej2, amps_per_phi0, off = th
-            ec = fixed_e_c
+        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
         phi = current / amps_per_phi0 + off
         ej_sq = ej1**2 + ej2**2 + 2.0 * ej1 * ej2 * np.cos(2.0 * np.pi * phi)
         ej = np.sqrt(np.maximum(ej_sq, 1e-12))
@@ -342,11 +346,7 @@ def _tuning_fn_factory(fixed_e_c: float | None):
         return np.sqrt(np.maximum(8.0 * ec * ej, 1e-12)) - ec
 
     def jac(current, th):
-        if fixed_e_c is None:
-            ej1, ej2, ec, amps_per_phi0, off = th
-        else:
-            ej1, ej2, amps_per_phi0, off = th
-            ec = fixed_e_c
+        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
         phi = current / amps_per_phi0 + off
         c2 = np.cos(2.0 * np.pi * phi)
         s2 = np.sin(2.0 * np.pi * phi)
@@ -367,8 +367,25 @@ def _tuning_fn_factory(fixed_e_c: float | None):
     return Model(names=names, fn=fn, jac=jac)
 
 
-def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
-    return _tuning_fn_factory(fixed_e_c)
+def _normalize_tuning(params: dict, errs: dict) -> tuple[dict, dict]:
+    """Canonical form of a tuning-curve solution.
+
+    The model depends on the junction energies only through
+    E_J1^2 + E_J2^2 and E_J1 E_J2, so the optimizer may land on the mirror
+    solution with both negated: take magnitudes, order e_j1 <= e_j2 (their
+    standard errors follow), make the current-to-flux scale positive and
+    fold the flux offset into (-0.5, 0.5].
+    """
+    params, errs = dict(params), dict(errs)
+    params["e_j1"], params["e_j2"] = abs(params["e_j1"]), abs(params["e_j2"])
+    if params["e_j1"] > params["e_j2"]:
+        params["e_j1"], params["e_j2"] = params["e_j2"], params["e_j1"]
+        errs["e_j1"], errs["e_j2"] = errs["e_j2"], errs["e_j1"]
+    if params["amps_per_phi0"] < 0:
+        params["amps_per_phi0"] = -params["amps_per_phi0"]
+        params["phi_offset"] = -params["phi_offset"]
+    params["phi_offset"] -= round(params["phi_offset"])
+    return params, errs
 
 
 def fit_tuning_curve(
@@ -380,7 +397,7 @@ def fit_tuning_curve(
 
     The closed-form transmon frequency is used for the main optimization;
     with use_diagonalization=True a refinement pass replaces it by the
-    exact charge-basis f01.
+    exact f01 of :func:`transmon.levels`.
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
@@ -423,36 +440,16 @@ def fit_tuning_curve(
 
     if use_diagonalization:
         def diag_fn(current, th):
-            if fixed_e_c is None:
-                ej1, ej2, ec, amps_per_phi0, off = th
-            else:
-                ej1, ej2, amps_per_phi0, off = th
-                ec = fixed_e_c
+            ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
             params = TransmonParams(e_c=ec, e_j1=abs(ej1), e_j2=abs(ej2))
-            return np.array(
-                [
-                    diagonalize(params, FluxPoint(phi=c / amps_per_phi0 + off)).f01
-                    for c in current
-                ]
-            )
+            return levels(params, current / amps_per_phi0 + off)[0]
 
         refine = Model(names=model.names, fn=diag_fn, jac=None)
         result = least_squares(
             refine, data, [result.params[n] for n in model.names]
         )
 
-    # normalize the junction ordering and fold the flux offset into (-0.5, 0.5]
-    params = dict(result.params)
-    if params["e_j1"] > params["e_j2"]:
-        params["e_j1"], params["e_j2"] = params["e_j2"], params["e_j1"]
-        errs = dict(result.std_errors)
-        errs["e_j1"], errs["e_j2"] = errs["e_j2"], errs["e_j1"]
-    else:
-        errs = dict(result.std_errors)
-    if params["amps_per_phi0"] < 0:
-        params["amps_per_phi0"] = -params["amps_per_phi0"]
-        params["phi_offset"] = -params["phi_offset"]
-    params["phi_offset"] -= round(params["phi_offset"])
+    params, errs = _normalize_tuning(result.params, result.std_errors)
     return FitResult(
         params=params,
         std_errors=errs,
@@ -468,27 +465,19 @@ def fit_tuning_curve(
 def beta_model(params: TransmonParams, phi_dc: float, p: int = DEFAULT_ORDER) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta."""
     series = harmonic_series(params, p)
+    wn = 2.0 * np.pi * np.arange(p + 1)
+    cn = np.array(series.s) * np.cos(wn * phi_dc)
 
+    # rows are the harmonics n, columns the samples; the sums over axis 0
+    # add the harmonics in order, one row at a time
     def fn(amp, th):
-        beta = abs(th[0])
-        out = np.zeros_like(amp, dtype=float)
-        for n, sn in enumerate(series.s):
-            cn = sn * math.cos(2.0 * math.pi * n * phi_dc)
-            out += cn * np.array([bessel_j0(2.0 * math.pi * n * beta * a) for a in amp])
-        return out
+        arg = (wn * abs(th[0]))[:, None] * amp
+        return (cn[:, None] * bessel_j0(arg)).sum(axis=0)
 
     def jac(amp, th):
-        beta = abs(th[0])
         sign = 1.0 if th[0] >= 0 else -1.0
-        col = np.zeros_like(amp, dtype=float)
-        for n, sn in enumerate(series.s):
-            if n == 0:
-                continue
-            cn = sn * math.cos(2.0 * math.pi * n * phi_dc)
-            wn = 2.0 * math.pi * n
-            col += cn * np.array(
-                [-bessel_j1(wn * beta * a) * wn * a for a in amp]
-            )
+        arg = (wn[1:] * abs(th[0]))[:, None] * amp
+        col = (cn[1:, None] * (-bessel_j1(arg) * wn[1:, None] * amp)).sum(axis=0)
         return (sign * col)[:, None]
 
     return Model(names=("beta",), fn=fn, jac=jac)

@@ -1,16 +1,20 @@
-"""Scalar special functions for the modulation-series machinery.
+"""Special functions for the modulation-series machinery.
 
 Self-contained implementations (no scipy.special) so that domain handling
 matches what the harmonic-series code needs: strictly positive Gamma
 arguments, hypergeometric arguments restricted to [0, 1), and an explicit
-convergence failure instead of a silent NaN.  Accuracy target is 1e-10
-relative (absolute near Bessel zeros), checked in the test suite against
-integral definitions and classical identities.
+convergence failure instead of a silent NaN.  The Bessel functions work
+elementwise on arrays (a scalar argument gives a float); the others are
+scalar.  Accuracy target is 1e-10 relative (absolute near Bessel zeros),
+checked in the test suite against integral definitions and classical
+identities.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "gamma_fn",
@@ -84,59 +88,66 @@ def rising_factorial(x: float, n: int) -> float:
 _BESSEL_CROSSOVER = 12.0
 
 
-def _bessel_series(x: float, nu: int) -> float:
+def _bessel_series(x, nu: int):
+    # ascending series, one row of terms per element, taken in blocks of 32
+    # terms (|x| <= 12 needs at most ~32); cumprod and cumsum run in term
+    # order and each row stops at its own first negligible term, so every
+    # value is the one the term-by-term scalar loop gives
     q = 0.25 * x * x
-    if nu == 0:
-        term = 1.0
-    else:
-        term = 0.5 * x
+    term = np.ones_like(x) if nu == 0 else 0.5 * x
     total = term
-    for k in range(1, 200):
-        term *= -q / (k * (k + nu))
-        total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-            return total
-    raise ConvergenceError(f"Bessel series did not converge for x={x}")
+    out = np.empty_like(x)
+    rows = np.arange(x.size)
+    for k0 in range(1, 200, 32):
+        k = np.arange(k0, min(k0 + 32, 200))
+        terms = np.cumprod(np.column_stack([term, -q[:, None] / (k * (k + nu))]), axis=1)[:, 1:]
+        totals = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
+        done = np.abs(terms) <= 1e-17 * (np.abs(totals) + 1e-300)
+        hit = done.any(axis=1)
+        out[rows[hit]] = totals[hit, done[hit].argmax(axis=1)]
+        rows, q, term, total = rows[~hit], q[~hit], terms[~hit, -1], totals[~hit, -1]
+        if not rows.size:
+            return out
+    raise ConvergenceError(f"Bessel series did not converge for x={x[rows[0]]}")
 
 
-def _bessel_asymptotic(x: float, nu: int) -> float:
+def _bessel_asymptotic(x, nu: int):
     # Hankel expansion: J_nu(x) = sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
-    # chi = x - (nu/2 + 1/4) pi, truncated at the smallest term.
-    mu = 4.0 * nu * nu
-    w = 1.0
-    p = 1.0
-    q = 0.0
-    prev = math.inf
-    for k in range(1, 40):
-        w *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(w) >= prev:
-            break
-        prev = abs(w)
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 1:
-            q += sign * w
-        else:
-            p += sign * w
+    # chi = x - (nu/2 + 1/4) pi, truncated in each row before the first
+    # term that is not smaller than the one before it
+    k = np.arange(1, 40)
+    w = np.cumprod((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x[:, None]), axis=1)
+    growing = np.abs(w) >= np.column_stack([np.full_like(x, math.inf), np.abs(w[:, :-1])])
+    kept = np.where(np.cumsum(growing, axis=1) == 0, np.where((k // 2) % 2, -w, w), 0.0)
+    p = np.cumsum(np.column_stack([np.ones_like(x), np.where(k % 2 == 0, kept, 0.0)]), axis=1)[:, -1]
+    q = np.cumsum(np.where(k % 2 == 1, kept, 0.0), axis=1)[:, -1]
     chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero."""
-    ax = abs(x)
-    if ax <= _BESSEL_CROSSOVER:
-        return _bessel_series(ax, 0)
-    return _bessel_asymptotic(ax, 0)
+def _bessel(x, nu: int):
+    # series up to the crossover, Hankel beyond; a scalar in, a float out
+    xs = np.asarray(x, dtype=float)
+    ax = np.abs(xs.ravel())
+    out = np.empty_like(ax)
+    small = ax <= _BESSEL_CROSSOVER
+    if small.any():
+        out[small] = _bessel_series(ax[small], nu)
+    if not small.all():
+        out[~small] = _bessel_asymptotic(ax[~small], nu)
+    if nu == 1:
+        out = np.where(xs.ravel() < 0.0, -out, out)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order one (odd in x)."""
-    ax = abs(x)
-    if ax <= _BESSEL_CROSSOVER:
-        val = _bessel_series(ax, 1)
-    else:
-        val = _bessel_asymptotic(ax, 1)
-    return -val if x < 0.0 else val
+def bessel_j0(x):
+    """Bessel function of the first kind, order zero, elementwise."""
+    return _bessel(x, 0)
+
+
+def bessel_j1(x):
+    """Bessel function of the first kind, order one (odd in x), elementwise."""
+    return _bessel(x, 1)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float, max_terms: int = 100000) -> float:

@@ -3,19 +3,20 @@
 All energies are stored as frequency equivalents E/h in MHz and all fluxes
 in units of the flux quantum, matching the usual device datasheets.  The
 module provides the closed-form flux dependence of the Josephson energy,
-the standard transmon asymptotic frequency, and an exact charge-basis
-diagonalization that serves as the numerical oracle for everything built
-on top.
+the standard transmon asymptotic frequency, and the exact f01/f12 on flux
+arrays: Mathieu characteristic values at n_g = 0 (Koch et al., PRA 76,
+042319 (2007)), and the charge-basis diagonalization, which serves as the
+numerical oracle for everything built on top.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import mathieu_a, mathieu_b
 
 __all__ = [
     "TransmonParams",
@@ -24,10 +25,15 @@ __all__ = [
     "TransmonRegimeError",
     "effective_ej",
     "f01_asymptotic",
+    "levels",
     "diagonalize",
 ]
 
 DEFAULT_BASIS_SIZE = 41
+
+# scipy's Mathieu values hold up to here (checked against a 241-state
+# charge-basis solve); at q = 2980 its a_2 is off by 434 E_C
+MATHIEU_Q_MAX = 1000.0
 
 # |f01(N) - f01(N-4)| below this marks the diagonalization as converged
 CONVERGENCE_TOL_MHZ = 1e-3
@@ -92,31 +98,31 @@ class SpectrumResult:
     f01: float
     f12: float
     anharmonicity: float
-    basis_size: int
+    basis_size: int | None  # None: the default path of :func:`levels`
     converged: bool
 
 
-def effective_ej(params: TransmonParams, phi: float) -> float:
+def effective_ej(params: TransmonParams, phi):
     """Flux-dependent Josephson energy of the asymmetric SQUID (MHz).
 
     E_J(phi) = E_Jsum sqrt(cos^2(pi phi) + d^2 sin^2(pi phi)); 1-periodic
-    and even in phi, maximal at phi = 0, minimal at phi = 0.5.
+    and even in phi, maximal at phi = 0, minimal at phi = 0.5; elementwise.
     """
     d = params.asymmetry
-    c = math.cos(math.pi * phi)
-    s = math.sin(math.pi * phi)
-    return params.e_j_sum * math.sqrt(c * c + d * d * s * s)
+    c = np.cos(np.pi * phi)
+    s = np.sin(np.pi * phi)
+    return params.e_j_sum * np.sqrt(c * c + d * d * s * s)
 
 
-def f01_asymptotic(params: TransmonParams, phi: float) -> float:
-    """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (MHz)."""
+def f01_asymptotic(params: TransmonParams, phi):
+    """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (MHz), elementwise."""
     ej = effective_ej(params, phi)
-    if ej <= params.e_c / 8.0:
+    if np.min(ej) <= params.e_c / 8.0:
         raise TransmonRegimeError(
-            f"effective E_J = {ej:.3g} MHz at phi = {phi} is outside the "
-            "transmon regime (degenerate SQUID near half flux?)"
+            f"effective E_J = {np.min(ej):.3g} MHz at phi = {np.ravel(phi)[np.argmin(ej)]} is "
+            "outside the transmon regime (degenerate SQUID near half flux?)"
         )
-    return math.sqrt(8.0 * ej * params.e_c) - params.e_c
+    return np.sqrt(8.0 * ej * params.e_c) - params.e_c
 
 
 def _charge_basis_levels(e_c: float, ej: float, n_g: float, basis_size: int) -> np.ndarray:
@@ -128,29 +134,34 @@ def _charge_basis_levels(e_c: float, ej: float, n_g: float, basis_size: int) -> 
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[0]
 
 
-def diagonalize(
-    params: TransmonParams,
-    point: FluxPoint,
-    basis_size: int = DEFAULT_BASIS_SIZE,
-) -> SpectrumResult:
-    """Exact spectrum of the charge-basis Hamiltonian at a flux point.
+def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None = None):
+    """Exact f01, f12 (MHz) and a convergence flag, arrays of the shape of phi.
 
-    Returns the two lowest transitions; convergence is assessed by
-    re-diagonalizing with four fewer charge states.  Non-convergence is
-    flagged in the result, not raised.
+    At n_g = 0 with no basis size given these are Mathieu values,
+    f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2) at q = E_J/(2 E_C).
+    Points with q > MATHIEU_Q_MAX, and every point when n_g != 0 or a basis
+    size is given, are diagonalized in the charge basis (DEFAULT_BASIS_SIZE
+    states unless given) and flagged unconverged when f01 moves by
+    CONVERGENCE_TOL_MHZ with four fewer states; that is flagged, not raised.
     """
-    if basis_size < 11 or basis_size % 2 == 0:
+    if basis_size is not None and (basis_size < 11 or basis_size % 2 == 0):
         raise ValueError(f"basis_size must be odd and >= 11, got {basis_size}")
-    ej = effective_ej(params, point.phi)
-    levels = _charge_basis_levels(params.e_c, ej, point.n_g, basis_size)
-    f01 = levels[1] - levels[0]
-    f12 = levels[2] - levels[1]
-    smaller = _charge_basis_levels(params.e_c, ej, point.n_g, basis_size - 4)
-    converged = abs(f01 - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ
-    return SpectrumResult(
-        f01=f01,
-        f12=f12,
-        anharmonicity=f12 - f01,
-        basis_size=basis_size,
-        converged=converged,
-    )
+    ej = np.ravel(effective_ej(params, np.asarray(phi, dtype=float)))
+    q = ej / (2.0 * params.e_c)
+    exact = (q <= MATHIEU_Q_MAX) & (n_g == 0.0 and basis_size is None)
+    e0, e1, e2 = mathieu_a(0, q[exact]), mathieu_b(2, q[exact]), mathieu_a(2, q[exact])
+    f01, f12, converged = np.empty_like(q), np.empty_like(q), exact.copy()
+    f01[exact], f12[exact] = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
+    size = basis_size or DEFAULT_BASIS_SIZE
+    for i in np.flatnonzero(~exact):
+        lv = _charge_basis_levels(params.e_c, ej[i], n_g, size)
+        smaller = _charge_basis_levels(params.e_c, ej[i], n_g, size - 4)
+        f01[i], f12[i] = lv[1] - lv[0], lv[2] - lv[1]
+        converged[i] = abs(f01[i] - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ
+    return tuple(a.reshape(np.shape(phi)) for a in (f01, f12, converged))
+
+
+def diagonalize(params: TransmonParams, point: FluxPoint, basis_size: int | None = None) -> SpectrumResult:
+    """The two lowest transitions at one flux point, as :func:`levels` gives them."""
+    f01, f12, converged = levels(params, point.phi, point.n_g, basis_size)
+    return SpectrumResult(float(f01), float(f12), float(f12 - f01), basis_size, bool(converged))

@@ -1,13 +1,16 @@
 """Config validation and the command-line surface, including determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from fluxline.cli import main
 from fluxline.config import ConfigError, load_config
 
-from conftest import EXAMPLE_CONFIG, FIXTURES
+from conftest import EXAMPLE_CONFIG, FIXTURES, REPO
 
 
 def run_cli(*argv) -> int:
@@ -151,6 +154,23 @@ class TestModulateCommand:
         assert "symmetric" in err and "oracle" in err
 
 
+    def test_series_nonconvergence_exits_3_without_traceback(self, tmp_path):
+        # E_J1/E_J2 = 0.99: the cold series' hyp2f1 does not converge at
+        # z ~ 0.9999, with or without --with-oracle
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["qubits"][0].update(e_j1_mhz=5600, e_j2_mhz=5656)
+        cfg = tmp_path / "near_sym.json"
+        cfg.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxline.cli", "modulate", str(cfg), "--qubit", "q0",
+             "--amp-max", "0.1", "--points", "3", "--out", str(tmp_path / "m.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 class TestCrosstalkCommand:
     def test_report_values(self, capsys):
         code = run_cli(
@@ -193,6 +213,22 @@ class TestDiplexerCommand:
         assert doc["passed"] is True
         header = out.read_text().splitlines()[0]
         assert header == "frequency_mhz,s31_db,s32_db,s12_db"
+
+    def test_report_is_strict_json(self, tmp_path):
+        # two grid points find no band-edge crossing: check_spec reports NaN
+        # and -inf, which the report writes as null
+        rep = tmp_path / "report.json"
+        code = run_cli(
+            "diplexer", str(EXAMPLE_CONFIG), "--points", "2",
+            "--out", str(tmp_path / "r.csv"), "--report-out", str(rep),
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(rep.read_text(), parse_constant=reject)
+        assert any(v is None for item in doc["items"] for v in item.values())
 
     def test_first_order_fails_but_exits_0(self, tmp_path):
         cfgdoc = json.loads(EXAMPLE_CONFIG.read_text())

@@ -20,7 +20,10 @@ from fluxline.fitting import (
     fit_tuning_curve,
     least_squares,
     tuning_curve_model,
+    _normalize_tuning,
 )
+from fluxline.modulation import harmonic_series
+from fluxline.specfun import bessel_j0, bessel_j1
 from fluxline.transmon import TransmonParams
 
 SEED = 20210901
@@ -331,3 +334,36 @@ class TestBeta:
     def test_zero_axis_rejected(self, q0):
         with pytest.raises(ValueError, match="amplitude"):
             fit_beta(DataSeries(x=np.zeros(5), y=np.ones(5)), q0)
+
+
+class TestTuningNormalization:
+    def test_mirror_solution_made_positive_and_ordered(self):
+        # the model sees the junction energies only through E_J1^2 + E_J2^2
+        # and E_J1 E_J2, so (-6195.96, -4956.81) fits as well as the truth
+        params = {"e_j1": -6195.96, "e_j2": -4956.81, "e_c": 180.0,
+                  "amps_per_phi0": -1.2e-3, "phi_offset": 0.7}
+        errs = {"e_j1": 3.0, "e_j2": 2.0, "e_c": 1.0, "amps_per_phi0": 1e-6, "phi_offset": 1e-3}
+        p, e = _normalize_tuning(params, errs)
+        assert (p["e_j1"], p["e_j2"]) == (4956.81, 6195.96)
+        assert (e["e_j1"], e["e_j2"]) == (2.0, 3.0)
+        assert p["amps_per_phi0"] == 1.2e-3 and p["phi_offset"] == pytest.approx(0.3)
+        assert params["e_j1"] == -6195.96  # inputs left alone
+
+
+class TestBetaModelArrays:
+    def test_equals_per_sample_harmonic_loop(self, q0):
+        # the scalar loop the array model replaced, as the reference
+        s = harmonic_series(q0, 8).s
+        amps = np.linspace(0.0, 1.4, 29)
+        for phi_dc, beta in [(0.0, 0.51), (0.2, -0.3)]:
+            model = beta_model(q0, phi_dc)
+            fn, jac = np.zeros_like(amps), np.zeros_like(amps)
+            for n, sn in enumerate(s):
+                cn = sn * math.cos(2.0 * math.pi * n * phi_dc)
+                wn = 2.0 * math.pi * n
+                fn += cn * np.array([bessel_j0(wn * abs(beta) * a) for a in amps])
+                jac += cn * np.array([-bessel_j1(wn * abs(beta) * a) * wn * a for a in amps])
+            np.testing.assert_allclose(model.fn(amps, np.array([beta])), fn, rtol=1e-14)
+            np.testing.assert_allclose(
+                model.jac(amps, np.array([beta]))[:, 0], np.sign(beta) * jac, rtol=1e-14, atol=1e-12
+            )

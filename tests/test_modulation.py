@@ -18,6 +18,7 @@ from fluxline.modulation import (
     second_order_shift,
     time_average_oracle,
 )
+from fluxline.specfun import bessel_j0
 from fluxline.transmon import FluxPoint, TransmonParams, diagonalize
 
 
@@ -92,6 +93,18 @@ class TestAvgFrequency:
         assert (shifted - ref) * 1e6 == pytest.approx(-79.0, abs=2.0)
 
 
+    def test_equals_harmonic_loop(self, q0):
+        # the scalar loop the one-call form replaced, as the reference
+        s = harmonic_series(q0, 8).s
+        for phi_dc, phi_ac in [(0.0, 0.1), (0.3, 0.25), (0.5, 0.0)]:
+            total = 0.0
+            for n, sn in enumerate(s):
+                total += sn * math.cos(2.0 * math.pi * n * phi_dc) * bessel_j0(
+                    2.0 * math.pi * n * phi_ac
+                )
+            got = avg_frequency(q0, FluxDrive(phi_dc, phi_ac), 8)
+            assert got == pytest.approx(total, rel=1e-14)
+
 class TestSecondOrderShift:
     def test_headline_value(self, q0):
         assert second_order_shift(q0, 1.6e-4) == pytest.approx(-79.0, abs=1.0)
@@ -147,6 +160,19 @@ class TestOracle:
         with pytest.raises(ValueError):
             time_average_oracle(q0, FluxDrive(0.0, 0.1), 128)
 
+    @pytest.mark.parametrize("phi_dc,phi_ac", [(0.0, 0.1), (0.2, 0.3), (0.5, 0.05)])
+    def test_reproducible_and_matches_charge_basis_loop(self, q0, phi_dc, phi_ac):
+        drive = FluxDrive(phi_dc, phi_ac)
+        a = time_average_oracle(q0, drive)
+        assert time_average_oracle(q0, drive) == a  # bit-identical
+        # reference: the per-point charge-basis loop the oracle replaced
+        total = 0.0
+        for th in 2.0 * np.pi * np.arange(512) / 512:
+            phi = phi_dc + phi_ac * math.cos(th)
+            total += diagonalize(q0, FluxPoint(phi=phi), basis_size=41).f01
+        assert abs(a - total / 512) < 1e-9
+        assert abs(time_average_oracle(q0, drive, basis_size=41) - total / 512) < 1e-9
+
 
 class TestSeriesVsOracle:
     def test_oracle_equivalence_q0(self, q0):
@@ -175,3 +201,4 @@ class TestSeriesVsOracle:
             series = avg_frequency(q0, drive, 8)
             oracle = time_average_oracle(q0, drive, 512)
             assert series == pytest.approx(oracle, abs=1.0)
+

@@ -1,20 +1,23 @@
 """Transmon spectrum module: closed forms against the exact diagonalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
 from fluxline.transmon import (
+    MATHIEU_Q_MAX,
     FluxPoint,
     TransmonParams,
     TransmonRegimeError,
     diagonalize,
     effective_ej,
     f01_asymptotic,
+    levels,
 )
 
 from conftest import DEVICE_TABLE
@@ -116,12 +119,14 @@ class TestDiagonalize:
         # independent oracle: at n_g = 0 the exact levels are Mathieu
         # characteristic values, E_0 = E_C a_0(q), E_1 = E_C b_2(q),
         # E_2 = E_C a_2(q) with q = E_J/(2 E_C) (Koch et al., PRA 76, 042319
-        # (2007)); E_J at the sweet spots is taken straight from the table
+        # (2007)); E_J at the sweet spots is taken straight from the table.
+        # The default path of levels() is these Mathieu values, so the
+        # charge basis is asked for explicitly to keep the check independent
         e_c, e_j1, e_j2, *_ = DEVICE_TABLE[name]
         e_j = e_j1 + e_j2 if phi == 0.0 else e_j2 - e_j1
         q = e_j / (2.0 * e_c)
         e0, e1, e2 = e_c * mathieu_a(0, q), e_c * mathieu_b(2, q), e_c * mathieu_a(2, q)
-        res = diagonalize(device_params[name], FluxPoint(phi=phi))
+        res = diagonalize(device_params[name], FluxPoint(phi=phi), basis_size=41)
         assert abs(res.f01 - (e1 - e0)) < 1e-6
         assert abs(res.f12 - (e2 - e1)) < 1e-6
 
@@ -170,3 +175,57 @@ class TestDiagonalize:
         a = diagonalize(p, FluxPoint(phi=phi)).f01
         b = diagonalize(p, FluxPoint(phi=phi + 1.0)).f01
         assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestLevels:
+    @settings(deadline=None, max_examples=60)
+    @example(math.log(2000.0), 400.0, 1.0, [0.0, 0.5])  # q = MATHIEU_Q_MAX
+    @given(
+        st.floats(min_value=math.log(0.05), max_value=math.log(2000.0)),
+        st.floats(min_value=50.0, max_value=400.0),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=8),
+    )
+    def test_mathieu_path_matches_charge_basis(self, log_ratio, e_c, r, phis):
+        # E_Jsum/E_C log-uniform over [0.05, 2000], i.e. q up to 1000 at
+        # phi = 0.  The reference has 61 charge states: at q = 1000 the
+        # 41-state basis is itself off by 1.2e-6 E_C in f12, while 61
+        # states agree with a 241-state solve to 1e-11 E_C there
+        e_sum = e_c * math.exp(log_ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
+        phi = np.array(phis)
+        f01, f12, converged = levels(p, phi)
+        ref01, ref12, ref_conv = levels(p, phi, basis_size=61)
+        assert converged.all() and ref_conv.all()
+        np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
+
+    def test_fallback_above_mathieu_limit(self):
+        # q = E_J/(2 E_C) = 3000 at phi = 0 and 2853 at phi = 0.1, where
+        # scipy's a_2 is not reliable; at phi = 0.45, q = 469 is in range
+        p = TransmonParams(e_c=100.0, e_j1=3.0e5, e_j2=3.0e5)
+        phi = np.array([0.0, 0.1, 0.45])
+        q = effective_ej(p, phi) / (2.0 * p.e_c)
+        assert (q[:2] > MATHIEU_Q_MAX).all() and q[2] < MATHIEU_Q_MAX
+        f01, f12, converged = levels(p, phi)
+        for i in (0, 1):
+            ref = diagonalize(p, FluxPoint(phi=float(phi[i])), basis_size=41)
+            assert (f01[i], f12[i], converged[i]) == (ref.f01, ref.f12, ref.converged)
+        b2, a0, a2 = mathieu_b(2, q[2]), mathieu_a(0, q[2]), mathieu_a(2, q[2])
+        assert f01[2] == p.e_c * (b2 - a0) and f12[2] == p.e_c * (a2 - b2)
+
+    def test_shapes_and_scalar_wrapper(self, q0):
+        phi = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
+        f01, f12, converged = levels(q0, phi)
+        assert f01.shape == f12.shape == converged.shape == (2, 3)
+        res = diagonalize(q0, FluxPoint(phi=float(phi[1, 2])))
+        assert (res.f01, res.f12) == (f01[1, 2], f12[1, 2])
+        assert res.converged and res.basis_size is None
+
+    def test_offset_charge_uses_charge_basis(self, q0):
+        f01, f12, _ = levels(q0, np.array([0.0, 0.3]), n_g=0.25)
+        for i, phi in enumerate((0.0, 0.3)):
+            ref = diagonalize(q0, FluxPoint(phi=phi, n_g=0.25), basis_size=41)
+            assert (f01[i], f12[i]) == (ref.f01, ref.f12)
