@@ -21,6 +21,7 @@ from . import rf_network as rf
 from .config import ConfigError, DeviceConfig, load_config
 from .fitting import (
     DataSeries,
+    FitError,
     FitResult,
     fit_beta,
     fit_rb,
@@ -396,7 +397,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, FitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

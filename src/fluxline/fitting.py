@@ -163,6 +163,13 @@ def least_squares(
     )
 
 
+def _require_spread(data: DataSeries) -> None:
+    # the start guesses regress on x or divide by its spacing, and no
+    # model here is identifiable from a single abscissa
+    if np.ptp(data.x) == 0.0:
+        raise ValueError(f"{data.x_unit or 'x'} column is constant: the fit needs distinct values")
+
+
 def _degenerate(y: np.ndarray) -> bool:
     return float(np.ptp(y)) <= 1e-12 * max(1.0, float(np.abs(y).max()))
 
@@ -248,6 +255,7 @@ LINEAR_MODEL = Model(
 
 def fit_t1(data: DataSeries) -> FitResult:
     """Relaxation fit; time axis in microseconds."""
+    _require_spread(data)
     if _degenerate(data.y):
         return _degenerate_result(T1_MODEL, [0.0, 1.0, float(np.mean(data.y))], data, "degenerate data: constant signal")
     order = np.argsort(data.x)
@@ -264,6 +272,7 @@ def fit_t1(data: DataSeries) -> FitResult:
 
 def fit_ramsey(data: DataSeries) -> FitResult:
     """Decaying-cosine fit; time in microseconds, delta_f in MHz."""
+    _require_spread(data)
     if _degenerate(data.y):
         return _degenerate_result(
             RAMSEY_MODEL, [0.0, 1.0, 0.0, 0.0, float(np.mean(data.y))], data, "degenerate data: constant signal"
@@ -290,6 +299,7 @@ def fit_rb(data: DataSeries) -> FitResult:
     The decay parameter maps to a single-qubit average fidelity
     F = 1 - (1-p)/2 with its standard error propagated from p.
     """
+    _require_spread(data)
     if not ((data.y >= 0.0).all() and (data.y <= 1.05).all()):
         raise ValueError("benchmarking data must lie in [0, 1.05]")
     if _degenerate(data.y):
@@ -401,6 +411,7 @@ def fit_tuning_curve(
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
+    _require_spread(data)
     model = tuning_curve_model(fixed_e_c)
     order = np.argsort(data.x)
     cur, f = data.x[order], data.y[order]

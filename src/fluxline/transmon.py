@@ -11,6 +11,7 @@ numerical oracle for everything built on top.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +31,10 @@ __all__ = [
 ]
 
 DEFAULT_BASIS_SIZE = 41
+
+# the low levels spread over ~q^(1/4) charge states; half-widths of 4.3 to
+# 4.6 q^(1/4) (q = 300 to 1e5) reach 1e-8 MHz, so 6 q^(1/4) has margin
+BASIS_HALF_WIDTH_PER_Q4 = 6.0
 
 # scipy's Mathieu values hold up to here (checked against a 241-state
 # charge-basis solve); at q = 2980 its a_2 is off by 434 E_C
@@ -140,9 +145,11 @@ def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None
     At n_g = 0 with no basis size given these are Mathieu values,
     f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2) at q = E_J/(2 E_C).
     Points with q > MATHIEU_Q_MAX, and every point when n_g != 0 or a basis
-    size is given, are diagonalized in the charge basis (DEFAULT_BASIS_SIZE
-    states unless given) and flagged unconverged when f01 moves by
-    CONVERGENCE_TOL_MHZ with four fewer states; that is flagged, not raised.
+    size is given, are diagonalized in the charge basis and flagged
+    unconverged when f01 moves by CONVERGENCE_TOL_MHZ with four fewer
+    states; that is flagged, not raised.  Unless given, the basis has
+    2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1 states, and at least
+    DEFAULT_BASIS_SIZE.
     """
     if basis_size is not None and (basis_size < 11 or basis_size % 2 == 0):
         raise ValueError(f"basis_size must be odd and >= 11, got {basis_size}")
@@ -152,8 +159,8 @@ def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None
     e0, e1, e2 = mathieu_a(0, q[exact]), mathieu_b(2, q[exact]), mathieu_a(2, q[exact])
     f01, f12, converged = np.empty_like(q), np.empty_like(q), exact.copy()
     f01[exact], f12[exact] = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
-    size = basis_size or DEFAULT_BASIS_SIZE
     for i in np.flatnonzero(~exact):
+        size = basis_size or max(DEFAULT_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
         lv = _charge_basis_levels(params.e_c, ej[i], n_g, size)
         smaller = _charge_basis_levels(params.e_c, ej[i], n_g, size - 4)
         f01[i], f12[i] = lv[1] - lv[0], lv[2] - lv[1]

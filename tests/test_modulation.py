@@ -1,6 +1,7 @@
 """Harmonic series for the time-averaged frequency, against the exact oracle."""
 
 import math
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from fluxline.modulation import (
     FluxDrive,
+    _harmonic_tuple,
     SymmetricSquidError,
     avg_frequency,
     c_vector,
@@ -66,6 +68,18 @@ class TestHarmonicCoefficients:
         sym = TransmonParams(e_c=182.0, e_j1=5000.0, e_j2=5000.0)
         with pytest.raises(SymmetricSquidError, match="oracle"):
             s_coeff(sym, 0)
+
+    @pytest.mark.parametrize("ratio", [0.99, 0.999])
+    def test_near_symmetric_series_is_cheap_cold(self, ratio):
+        # z = 0.9999 and 0.999999: the 1 - z connection formulas of hyp2f1
+        # keep a cold series at a few ms (the power series took seconds,
+        # or raised ConvergenceError, from ratio 0.985 on)
+        p = TransmonParams(e_c=185.0, e_j1=11300.0 * ratio / (1.0 + ratio), e_j2=11300.0 / (1.0 + ratio))
+        _harmonic_tuple.cache_clear()
+        t0 = perf_counter()
+        s = harmonic_series(p, 8).s
+        assert perf_counter() - t0 < 0.05
+        assert all(math.isfinite(v) for v in s)
 
     def test_order_validation(self, q0):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,19 @@ from scipy.integrate import quad
 from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
-from fluxline.specfun import bessel_j0, bessel_j1, gamma_fn, hyp2f1, rising_factorial
+from fluxline.specfun import (
+    HYP2F1_MAX_CANCELLATION,
+    HYP2F1_NEAR_INTEGER,
+    ConvergenceError,
+    _digamma,
+    _hyp2f1_connection,
+    _rgamma,
+    bessel_j0,
+    bessel_j1,
+    gamma_fn,
+    hyp2f1,
+    rising_factorial,
+)
 
 # first positive zero of J0, frozen from a bisection root-find on the
 # ascending series (see test_first_zero_from_series)
@@ -37,6 +50,20 @@ class TestGamma:
         assert rising_factorial(x, n) == pytest.approx(
             gamma_fn(x + n) / gamma_fn(x), rel=1e-9
         )
+
+    def test_reciprocal_gamma_against_mpmath(self):
+        x = np.concatenate([np.linspace(-6.9, 12.0, 380), [1e-3, -1e-3, -1.0 + 1e-5, -4.0 - 1e-9]])
+        for v in x:
+            assert _rgamma(float(v)) == pytest.approx(float(mpmath.rgamma(v)), rel=1e-12, abs=0.0)
+        # exact zeros at the poles of Gamma
+        assert [_rgamma(-float(n)) for n in range(6)] == [0.0] * 6
+
+    def test_digamma_against_mpmath(self):
+        x = np.concatenate([np.linspace(-6.95, 40.0, 470), [1e-4, 1.4616321449683622, -0.5, -2.0 + 1e-6]])
+        for v in x:
+            assert _digamma(float(v)) == pytest.approx(float(mpmath.digamma(v)), rel=1e-12, abs=1e-14)
+        with pytest.raises(ValueError):
+            _digamma(-3.0)
 
     def test_rising_factorial_at_poles(self):
         # Gamma-ratio limit at the pole of the denominator
@@ -218,3 +245,81 @@ class TestHyp2f1:
 
         with pytest.raises(ConvergenceError, match="terms"):
             hyp2f1(1.125, 0.625, 1.0, 0.9, max_terms=5)
+
+
+def mp_hyp2f1(a, b, c, z):
+    with mpmath.workdps(40):
+        return float(mpmath.hyp2f1(a, b, c, z))
+
+
+# z from the branch point of the connection formulas to 1 - 1e-10
+Z_NEAR_ONE = [0.7500001, 0.76, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-10]
+
+
+class TestHyp2f1NearOne:
+    """The 1 - z connection formulas (DLMF 15.8.4, 15.8.10) against mpmath."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_modulation_series_arguments(self, n):
+        # every (a, b, c) that s_coeff passes up to MAX_ORDER = 12:
+        # c - a - b runs over 3/4, 1/2, ..., -5/4, integers 0 and -1 included
+        for k in range(9):
+            if n and k == 1:
+                continue  # (0)_n = 0: s_coeff skips the term
+            a = 0.5 * n + (k - 1) / 8.0
+            for z in Z_NEAR_ONE:
+                want = mp_hyp2f1(a, a + 0.5, n + 1.0, z)
+                assert hyp2f1(a, a + 0.5, n + 1.0, z) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [-2, -1, 0, 1, 2])
+    def test_integer_c_minus_a_minus_b(self, m):
+        # the logarithmic case; dyadic a, b so that c - a - b is exactly m
+        for a, b in [(0.3125, 0.5), (1.75, -0.40625), (-2.5625, 4.125), (6.375, 5.0625), (1.0, 2.0)]:
+            c = a + b + m
+            assert c - a - b == m
+            for z in Z_NEAR_ONE:
+                assert hyp2f1(a, b, c, z) == pytest.approx(mp_hyp2f1(a, b, c, z), rel=1e-10)
+
+    def test_integer_up_to_rounding(self):
+        # 1.3 - 0.1 - 0.2 is 1 + 2e-16 in floats: taken as the integer case
+        for z in (0.9, 1 - 1e-6, 1 - 1e-10):
+            assert hyp2f1(0.1, 0.2, 1.3, z) == pytest.approx(mp_hyp2f1(0.1, 0.2, 1.3, z), rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, -2.0, -3.0, -6.0])
+    def test_terminating(self, a):
+        # b and c generic, c - b a non-positive integer (a zero at z = 1),
+        # and b - c + a + 1 a non-positive integer (the plain series)
+        for b, c in [(0.7, 1.9), (7.3, 5.2), (-2.25, 0.5), (3.3125, 1.3125), (2.5, 4.5 + a)]:
+            if c <= 0 and c == int(c):
+                continue
+            for z in Z_NEAR_ONE:
+                want = mp_hyp2f1(a, b, c, z)
+                scale = max(abs(want), 1e-300)
+                assert abs(hyp2f1(a, b, c, z) - want) <= 1e-10 * scale
+                assert abs(hyp2f1(b, a, c, z) - want) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("offset", [-1.5e-3, 1.5e-3, -5e-4, 1e-6, 1e-12])
+    def test_near_integer_c_minus_a_minus_b(self, offset):
+        # outside delta the connection formula is used; inside, the
+        # Euler-transformed power series, which either meets the target or
+        # raises ConvergenceError when z is too close to 1
+        fallback = abs(offset) < HYP2F1_NEAR_INTEGER
+        for a, b, m in [(0.625, 1.25, 0), (2.4, 1.7, 2), (-1.3, 0.45, -1)]:
+            c = a + b + m + offset
+            for z in Z_NEAR_ONE:
+                try:
+                    got = hyp2f1(a, b, c, z)
+                except ConvergenceError:
+                    assert fallback and z > 0.99
+                    continue
+                assert got == pytest.approx(mp_hyp2f1(a, b, c, z), rel=1e-10)
+        if fallback:
+            with pytest.raises(ConvergenceError):
+                hyp2f1(0.625, 1.25, 1.875 + offset, 1 - 1e-10)
+
+    def test_cancellation_takes_the_power_series(self):
+        # large a and b at moderate z: the connection terms cancel by more
+        # than HYP2F1_MAX_CANCELLATION and the Euler series is summed
+        a, b, c, z = 6.875, 7.375, 13.0, 0.8
+        assert _hyp2f1_connection(a, b, c, c - a - b, 1 - z, 1000)[1] > HYP2F1_MAX_CANCELLATION
+        assert hyp2f1(a, b, c, z) == pytest.approx(mp_hyp2f1(a, b, c, z), rel=1e-12)

@@ -204,15 +204,22 @@ class TestLevels:
 
     def test_fallback_above_mathieu_limit(self):
         # q = E_J/(2 E_C) = 3000 at phi = 0 and 2853 at phi = 0.1, where
-        # scipy's a_2 is not reliable; at phi = 0.45, q = 469 is in range
+        # scipy's a_2 is not reliable; at phi = 0.45, q = 469 is in range.
+        # The fallback basis is sized from q: the fixed 41 states were off
+        # by 0.31 MHz in f01 here and flagged unconverged
         p = TransmonParams(e_c=100.0, e_j1=3.0e5, e_j2=3.0e5)
         phi = np.array([0.0, 0.1, 0.45])
         q = effective_ej(p, phi) / (2.0 * p.e_c)
         assert (q[:2] > MATHIEU_Q_MAX).all() and q[2] < MATHIEU_Q_MAX
         f01, f12, converged = levels(p, phi)
-        for i in (0, 1):
-            ref = diagonalize(p, FluxPoint(phi=float(phi[i])), basis_size=41)
-            assert (f01[i], f12[i], converged[i]) == (ref.f01, ref.f12, ref.converged)
+        ref01, ref12, ref_conv = levels(p, phi[:2], basis_size=121)
+        assert converged.all() and ref_conv.all()
+        np.testing.assert_allclose(f01[:2], ref01, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(f12[:2], ref12, rtol=0.0, atol=1e-6)
+        # an explicit basis size is taken as given
+        small = diagonalize(p, FluxPoint(phi=0.0), basis_size=41)
+        assert small.basis_size == 41 and not small.converged
+        assert abs(small.f01 - f01[0]) > 0.1
         b2, a0, a2 = mathieu_b(2, q[2]), mathieu_a(0, q[2]), mathieu_a(2, q[2])
         assert f01[2] == p.e_c * (b2 - a0) and f12[2] == p.e_c * (a2 - b2)
 
