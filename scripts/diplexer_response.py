@@ -16,10 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
 import fluxline.rf_network as rf
-from fluxline.cli import fmt
+from fluxline.cli import _write_csv
 from fluxline.config import load_config
 
 
@@ -40,11 +38,9 @@ def main() -> int:
     (out_dir / "bandpass_branch.csv").write_text(rf.two_port_sweep_csv(bp, grid))
 
     resp = rf.diplexer_eval(lp, bp, dpx.z0, grid)
-    db = lambda s: 20.0 * np.log10(np.abs(s) + 1e-300)
-    rows = ["frequency_mhz,s31_db,s32_db,s12_db"]
-    for f, a, b, c in zip(resp.frequencies_mhz, db(resp.s31), db(resp.s32), db(resp.s12)):
-        rows.append(",".join(fmt(v) for v in (f, a, b, c)))
-    (out_dir / "diplexer_response.csv").write_text("\n".join(rows) + "\n")
+    rows = zip(resp.frequencies_mhz, rf._db(resp.s31), rf._db(resp.s32), rf._db(resp.s12))
+    header = ["frequency_mhz", "s31_db", "s32_db", "s12_db"]
+    _write_csv(str(out_dir / "diplexer_response.csv"), header, rows)
 
     check = rf.check_spec(resp, dpx.spec)
     doc = {

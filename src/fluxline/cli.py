@@ -196,10 +196,9 @@ def cmd_diplexer(args) -> int:
     bp = rf.synth_bandpass(dpx.bp_order, dpx.spec.bp_low_mhz, dpx.spec.bp_high_mhz, dpx.z0)
     grid = rf.default_frequency_grid(args.points)
     resp = rf.diplexer_eval(lp, bp, dpx.z0, grid)
-    db = lambda s: 20.0 * np.log10(np.abs(s) + 1e-300)
-    rows = zip(resp.frequencies_mhz, db(resp.s31), db(resp.s32), db(resp.s12))
+    report = rf.check_spec(resp, dpx.spec)  # may raise: check before writing anything
+    rows = zip(resp.frequencies_mhz, rf._db(resp.s31), rf._db(resp.s32), rf._db(resp.s12))
     _write_csv(args.out, ["frequency_mhz", "s31_db", "s32_db", "s12_db"], rows)
-    report = rf.check_spec(resp, dpx.spec)
     payload = {
         "passed": report.passed,
         "items": [

@@ -6,14 +6,19 @@ first, so odd-order designs face the diplexer junction with a series branch
 each branch near-open in the other branch's passband, which is what makes
 the common-junction diplexer work.
 
-Frequencies are in MHz at the interfaces; element values are SI (H, F, Ohm).
+Every response comes from one evaluator, ``_abcd_stack``, which takes each
+element's impedance once over the whole frequency array and multiplies the
+(F, 2, 2) factor stacks with ``@``, identity and input first (``cascade``).
+
+Frequencies are in MHz at the interfaces (finite and > 0); element values
+are SI (H, F, Ohm).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +63,8 @@ class Element:
         if not self.value > 0:
             raise ValueError(f"element value must be > 0, got {self.value}")
 
-    def impedance(self, f_mhz: float) -> complex:
+    def impedance(self, f_mhz):
+        """Impedance at f_mhz (a float or an array; an R stays a scalar)."""
         w = 2.0 * math.pi * f_mhz * 1e6
         if self.component == "L":
             return 1j * w * self.value
@@ -88,10 +94,12 @@ class TwoPortResponse:
     abcd: np.ndarray
     s11: complex
     s21: complex
-    # determinant accumulated from the element factors; the naive A*D - B*C
-    # of the cascaded product cancels catastrophically once the entries
-    # reach ~1e6, far from band centers
-    det: complex = field(default=1.0 + 0j)
+
+    @property
+    def det(self) -> complex:
+        """A·D − B·C of the cascade, 1 if reciprocal, to ~eps·(|A·D| + |B·C|)."""
+        m = self.abcd
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)
@@ -146,48 +154,62 @@ def butterworth_g(n: int) -> list[float]:
     return [2.0 * math.sin((2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1)]
 
 
-def element_abcd(element: Element, f_mhz: float) -> np.ndarray:
-    if f_mhz <= 0:
-        raise ValueError(f"frequency must be > 0, got {f_mhz} MHz")
-    z = element.impedance(f_mhz)
-    if element.kind == "series":
-        return np.array([[1.0, z], [0.0, 1.0]], dtype=complex)
-    return np.array([[1.0, 0.0], [1.0 / z, 1.0]], dtype=complex)
+def _stack(shape: tuple, a, b, c, d) -> np.ndarray:
+    """Contiguous (*shape, 2, 2) stack of [[a, b], [c, d]], so that ``@`` takes
+    the BLAS kernel of a single 2 x 2 product and matches it bit for bit."""
+    out = np.empty(shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
+def _abcd_stack(net: LadderNetwork, f_mhz) -> np.ndarray:
+    """ABCD of the ladder at every frequency: shape f_mhz.shape + (2, 2)."""
+    f = np.asarray(f_mhz, dtype=float)
+    ok = (f > 0) & (f < math.inf)
+    if not np.all(ok):
+        raise ValueError(f"frequency must be finite and > 0, got {f[~ok][0]} MHz")
+
+    def factor(el: Element) -> np.ndarray:
+        z = el.impedance(f)
+        if el.kind == "series":
+            return _stack(f.shape, 1.0, z, 0.0, 1.0)
+        return _stack(f.shape, 1.0, 0.0, 1.0 / z, 1.0)
+
+    return cascade(*map(factor, net.elements))
+
+
+def element_abcd(element: Element, f_mhz) -> np.ndarray:
+    return _abcd_stack(LadderNetwork((element,)), f_mhz)
 
 
 def cascade(*abcds: np.ndarray) -> np.ndarray:
-    """Product of ABCD matrices in port order (input first)."""
+    """Product of ABCD matrices (or (..., 2, 2) stacks) in port order, input first."""
     out = np.eye(2, dtype=complex)
     for m in abcds:
         out = out @ m
     return out
 
 
-def to_s_params(abcd: np.ndarray, z0: float) -> tuple[complex, complex]:
-    """(s11, s21) for equal real port impedances."""
+def to_s_params(abcd: np.ndarray, z0: float):
+    """(s11, s21) for equal real port impedances, per matrix of a stack."""
     if z0 <= 0:
         raise ValueError(f"z0 must be > 0, got {z0}")
-    a, b, c, d = abcd[0, 0], abcd[0, 1], abcd[1, 0], abcd[1, 1]
+    a, b, c, d = abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
     den = a + b / z0 + c * z0 + d
-    if den == 0:
+    if np.any(den == 0):
         raise ValueError("non-physical network: singular ABCD->S conversion")
-    s11 = (a + b / z0 - c * z0 - d) / den
-    s21 = 2.0 / den
-    return s11, s21
+    return (a + b / z0 - c * z0 - d) / den, 2.0 / den
 
 
-def network_abcd(net: LadderNetwork, f_mhz: float) -> np.ndarray:
-    return cascade(*(element_abcd(el, f_mhz) for el in net.elements))
+def network_abcd(net: LadderNetwork, f_mhz) -> np.ndarray:
+    return _abcd_stack(net, f_mhz)
 
 
-def network_response(net: LadderNetwork, f_mhz: float) -> TwoPortResponse:
-    abcd = network_abcd(net, f_mhz)
+def network_response(net: LadderNetwork, f_mhz) -> TwoPortResponse:
+    """Response at a frequency, or at an array of them (fields take its shape)."""
+    abcd = _abcd_stack(net, f_mhz)
     s11, s21 = to_s_params(abcd, net.z0)
-    det = complex(1.0)
-    for el in net.elements:
-        m = element_abcd(el, f_mhz)
-        det *= m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return TwoPortResponse(frequency_mhz=f_mhz, abcd=abcd, s11=s11, s21=s21, det=det)
+    return TwoPortResponse(frequency_mhz=f_mhz, abcd=abcd, s11=s11, s21=s21)
 
 
 def synth_lowpass(n: int, f_cutoff_mhz: float, z0: float = 50.0) -> LadderNetwork:
@@ -229,26 +251,17 @@ def synth_bandpass(n: int, f_low_mhz: float, f_high_mhz: float, z0: float = 50.0
 
 def _reverse_abcd(abcd: np.ndarray) -> np.ndarray:
     # port swap for a reciprocal (det = 1) two-port
-    return np.array([[abcd[1, 1], abcd[0, 1]], [abcd[1, 0], abcd[0, 0]]], dtype=complex)
+    return _stack(abcd.shape[:-2], abcd[..., 1, 1], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 0, 0])
 
 
-def _input_admittance_from_junction(abcd: np.ndarray, z_load: complex) -> complex:
+def _input_admittance_from_junction(abcd: np.ndarray, z_load: float):
     """Admittance looking into a branch from its junction side.
 
     The branch ABCD is defined input-port -> junction; seen from the
     junction the ports swap, and the input port is terminated in z_load.
     """
-    rev = _reverse_abcd(abcd)
-    zin = (rev[0, 0] * z_load + rev[0, 1]) / (rev[1, 0] * z_load + rev[1, 1])
-    return 1.0 / zin
-
-
-def _shunt_abcd(y: complex) -> np.ndarray:
-    return np.array([[1.0, 0.0], [y, 1.0]], dtype=complex)
-
-
-def _series_abcd(z: complex) -> np.ndarray:
-    return np.array([[1.0, z], [0.0, 1.0]], dtype=complex)
+    a, b, c, d = abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
+    return 1.0 / ((d * z_load + b) / (c * z_load + a))
 
 
 def diplexer_eval(
@@ -272,27 +285,17 @@ def diplexer_eval(
     freqs = np.asarray(frequencies_mhz, dtype=float)
     if freqs.size == 0:
         raise ValueError("empty frequency grid")
-    s31 = np.empty(freqs.size, dtype=complex)
-    s32 = np.empty(freqs.size, dtype=complex)
-    s12 = np.empty(freqs.size, dtype=complex)
-    for i, f in enumerate(freqs):
-        m_bp = network_abcd(bp, f)
-        m_lp = network_abcd(lp, f)
-        y_lp = _input_admittance_from_junction(m_lp, z0)
-        y_bp = _input_admittance_from_junction(m_bp, z0)
-        r_out = eccosorb_ohm_per_ghz * f / 1000.0
-        if r_out > 0.0:
-            out = _series_abcd(complex(r_out))
-            y_port3 = 1.0 / (z0 + r_out)
-            _, s31[i] = to_s_params(cascade(m_bp, _shunt_abcd(y_lp), out), z0)
-            _, s32[i] = to_s_params(cascade(m_lp, _shunt_abcd(y_bp), out), z0)
-        else:
-            y_port3 = 1.0 / z0
-            _, s31[i] = to_s_params(cascade(m_bp, _shunt_abcd(y_lp)), z0)
-            _, s32[i] = to_s_params(cascade(m_lp, _shunt_abcd(y_bp)), z0)
-        _, s12[i] = to_s_params(
-            cascade(m_lp, _shunt_abcd(y_port3), _reverse_abcd(m_bp)), z0
-        )
+    m_bp, m_lp = _abcd_stack(bp, freqs), _abcd_stack(lp, freqs)
+    shunt = lambda y: _stack(freqs.shape, 1.0, 0.0, y, 1.0)
+    if eccosorb_ohm_per_ghz > 0.0:
+        r_out = eccosorb_ohm_per_ghz * freqs / 1000.0
+        out = (_stack(freqs.shape, 1.0, r_out, 0.0, 1.0),)
+        y_port3 = 1.0 / (z0 + r_out)
+    else:
+        out, y_port3 = (), 1.0 / z0
+    _, s31 = to_s_params(cascade(m_bp, shunt(_input_admittance_from_junction(m_lp, z0)), *out), z0)
+    _, s32 = to_s_params(cascade(m_lp, shunt(_input_admittance_from_junction(m_bp, z0)), *out), z0)
+    _, s12 = to_s_params(cascade(m_lp, shunt(y_port3), _reverse_abcd(m_bp)), z0)
     return DiplexerResponse(frequencies_mhz=freqs, s31=s31, s32=s32, s12=s12)
 
 
@@ -306,14 +309,14 @@ def _db(x: np.ndarray) -> np.ndarray:
 
 
 def _crossing(freqs: np.ndarray, vals_db: np.ndarray, level: float, rising: bool) -> float | None:
-    """Log-interpolated frequency where vals_db crosses level."""
-    for i in range(len(freqs) - 1):
-        a, b = vals_db[i], vals_db[i + 1]
-        hit = (a < level <= b) if rising else (a >= level > b)
-        if hit:
-            t = (level - a) / (b - a)
-            return freqs[i] * (freqs[i + 1] / freqs[i]) ** t
-    return None
+    """Log-interpolated frequency where vals_db first crosses level."""
+    a, b = vals_db[:-1], vals_db[1:]
+    hits = np.flatnonzero((a < level) & (level <= b) if rising else (a >= level) & (level > b))
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    t = (level - a[i]) / (b[i] - a[i])
+    return freqs[i] * (freqs[i + 1] / freqs[i]) ** t
 
 
 def check_spec(
@@ -392,12 +395,14 @@ def check_spec(
 
 def two_port_sweep_csv(net: LadderNetwork, frequencies_mhz: np.ndarray) -> str:
     """CSV text (frequency_mhz, s21_db, s11_db) for plotting a two-port."""
+    freqs = np.asarray(frequencies_mhz, dtype=float)
+    s11, s21 = to_s_params(_abcd_stack(net, freqs), net.z0)
+    # per-cell scalar abs and math.log10: np.abs and np.log10 differ from
+    # them in the last ulp, which the 12-digit cells can show
+    db = lambda s: 20.0 * math.log10(abs(s) + 1e-300)
     lines = ["frequency_mhz,s21_db,s11_db"]
-    for f in np.asarray(frequencies_mhz, dtype=float):
-        r = network_response(net, float(f))
-        s21_db = 20.0 * math.log10(abs(r.s21) + 1e-300)
-        s11_db = 20.0 * math.log10(abs(r.s11) + 1e-300)
-        lines.append(f"{f:.12g},{s21_db:.12g},{s11_db:.12g}")
+    for f, a, b in zip(freqs.tolist(), s11.tolist(), s21.tolist()):
+        lines.append(f"{f:.12g},{db(b):.12g},{db(a):.12g}")
     return "\n".join(lines) + "\n"
 
 

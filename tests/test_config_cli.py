@@ -253,6 +253,16 @@ class TestDiplexerCommand:
         doc = json.loads(rep.read_text(), parse_constant=reject)
         assert any(v is None for item in doc["items"] for v in item.values())
 
+    def test_failed_spec_check_writes_nothing(self, tmp_path, capsys):
+        # one point is too few for the spec check: exit 2 before any CSV row
+        out = tmp_path / "r.csv"
+        assert run_cli("diplexer", str(EXAMPLE_CONFIG), "--points", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too small" in captured.err
+        assert run_cli("diplexer", str(EXAMPLE_CONFIG), "--points", "1", "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_first_order_fails_but_exits_0(self, tmp_path):
         cfgdoc = json.loads(EXAMPLE_CONFIG.read_text())
         cfgdoc["diplexer"]["lp_order"] = 1
