@@ -9,67 +9,57 @@ rf_network    lumped-element filters and the cryogenic diplexer model
 fitting       Levenberg-Marquardt engine and characterization fit models
 config        device configuration documents
 cli           command-line front end
+
+The names below are re-exported lazily (PEP 562): ``import fluxline``
+loads no submodule, and the first access to a name imports the submodule
+that defines it, so scipy is loaded only by the parts that need it.
 """
 
-from .transmon import (
-    FluxPoint,
-    SpectrumResult,
-    TransmonParams,
-    diagonalize,
-    effective_ej,
-    f01_asymptotic,
-    levels,
-)
-from .modulation import (
-    FluxDrive,
-    HarmonicSeries,
-    ModulationConstants,
-    avg_frequency,
-    harmonic_series,
-    second_order_shift,
-    time_average_oracle,
-)
-from .signal_chain import AttenuationChain, LineBudget, chain_total, spurious_shift_report
-from .fitting import (
-    DataSeries,
-    FitResult,
-    fit_beta,
-    fit_rb,
-    fit_ramsey,
-    fit_t1,
-    fit_tuning_curve,
-)
-from .config import DeviceConfig, load_config
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TransmonParams",
-    "FluxPoint",
-    "SpectrumResult",
-    "FluxDrive",
-    "HarmonicSeries",
-    "ModulationConstants",
-    "LineBudget",
-    "AttenuationChain",
-    "DataSeries",
-    "FitResult",
-    "DeviceConfig",
-    "effective_ej",
-    "f01_asymptotic",
-    "levels",
-    "diagonalize",
-    "avg_frequency",
-    "harmonic_series",
-    "second_order_shift",
-    "time_average_oracle",
-    "spurious_shift_report",
-    "chain_total",
-    "fit_t1",
-    "fit_ramsey",
-    "fit_rb",
-    "fit_tuning_curve",
-    "fit_beta",
-    "load_config",
-    "__version__",
-]
+# re-exported name -> defining submodule
+_EXPORTS = {
+    "TransmonParams": "transmon",
+    "FluxPoint": "transmon",
+    "SpectrumResult": "transmon",
+    "FluxDrive": "modulation",
+    "HarmonicSeries": "modulation",
+    "ModulationConstants": "modulation",
+    "LineBudget": "signal_chain",
+    "AttenuationChain": "signal_chain",
+    "DataSeries": "fitting",
+    "FitResult": "fitting",
+    "DeviceConfig": "config",
+    "effective_ej": "transmon",
+    "f01_asymptotic": "transmon",
+    "levels": "transmon",
+    "diagonalize": "transmon",
+    "avg_frequency": "modulation",
+    "harmonic_series": "modulation",
+    "second_order_shift": "modulation",
+    "time_average_oracle": "modulation",
+    "spurious_shift_report": "signal_chain",
+    "chain_total": "signal_chain",
+    "fit_t1": "fitting",
+    "fit_ramsey": "fitting",
+    "fit_rb": "fitting",
+    "fit_tuning_curve": "fitting",
+    "fit_beta": "fitting",
+    "load_config": "config",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_EXPORTS])

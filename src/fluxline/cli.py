@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 input/validation error, 3 numerical
 non-convergence (fit or series).  JSON output is strict: non-finite values
 are written as null.  All numeric output is formatted with 12 significant
 digits and '.' decimals so repeated runs are byte-identical.
+
+Imports are per subcommand: the module itself loads numpy only.
+``spectrum`` and ``modulate --with-oracle`` load scipy.special on their
+first level, ``fit`` loads scipy.optimize with :mod:`fluxline.fitting`,
+and ``crosstalk``, ``diplexer`` and ``modulate`` load no scipy at all.
 """
 
 from __future__ import annotations
@@ -14,21 +19,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rf_network as rf
 from .config import ConfigError, DeviceConfig, load_config
-from .fitting import (
-    DataSeries,
-    FitError,
-    FitResult,
-    fit_beta,
-    fit_rb,
-    fit_ramsey,
-    fit_t1,
-    fit_tuning_curve,
-)
 from .modulation import (
     DEFAULT_ORDER,
     FluxDrive,
@@ -39,6 +35,9 @@ from .modulation import (
 from .signal_chain import LineBudget, spurious_shift_report
 from .specfun import ConvergenceError
 from .transmon import f01_asymptotic, levels
+
+if TYPE_CHECKING:
+    from .fitting import DataSeries, FitResult
 
 CONFIG_ENV = "FLUXLINE_CONFIG"
 
@@ -91,6 +90,11 @@ def _emit_json(path: str | None, obj) -> None:
         Path(path).write_text(text)
 
 
+def _error(exc: Exception, code: int) -> int:
+    sys.stderr.write(f"error: {exc}\n")
+    return code
+
+
 def _load(args) -> DeviceConfig:
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
@@ -111,6 +115,8 @@ def _summary(args, human_lines: list[str], payload: dict) -> None:
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     grid = np.linspace(args.phi_min, args.phi_max, args.points)
     f01, f12, _ = levels(q.params, grid)
     _write_csv(
@@ -218,6 +224,8 @@ def cmd_diplexer(args) -> int:
 
 
 def _load_fit_csv(path: str, kind: str) -> DataSeries:
+    from .fitting import DataSeries
+
     expected = FIT_COLUMNS[kind]
     try:
         text = Path(path).read_text()
@@ -276,22 +284,27 @@ def _model_curve(kind: str, result: FitResult, data: DataSeries, extra) -> np.nd
 
 
 def cmd_fit(args) -> int:
+    from . import fitting
+
     data = _load_fit_csv(args.data, args.kind)
     extra: dict = {}
-    if args.kind == "t1":
-        result = fit_t1(data)
-    elif args.kind == "ramsey":
-        result = fit_ramsey(data)
-    elif args.kind == "rb":
-        result = fit_rb(data)
-    elif args.kind == "tuning":
-        extra["fixed_e_c"] = args.fixed_ec
-        result = fit_tuning_curve(data, fixed_e_c=args.fixed_ec)
-    else:  # beta
-        cfg = _load(args)
-        q = cfg.qubit(args.qubit)
-        extra.update({"params": q.params, "phi_dc": args.phi_dc})
-        result = fit_beta(data, q.params, phi_dc=args.phi_dc)
+    try:
+        if args.kind == "t1":
+            result = fitting.fit_t1(data)
+        elif args.kind == "ramsey":
+            result = fitting.fit_ramsey(data)
+        elif args.kind == "rb":
+            result = fitting.fit_rb(data)
+        elif args.kind == "tuning":
+            extra["fixed_e_c"] = args.fixed_ec
+            result = fitting.fit_tuning_curve(data, fixed_e_c=args.fixed_ec)
+        else:  # beta
+            cfg = _load(args)
+            q = cfg.qubit(args.qubit)
+            extra.update({"params": q.params, "phi_dc": args.phi_dc})
+            result = fitting.fit_beta(data, q.params, phi_dc=args.phi_dc)
+    except fitting.FitError as exc:
+        return _error(exc, 3)
 
     payload = {"kind": args.kind}
     payload.update(result.to_dict())
@@ -394,11 +407,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ConvergenceError, FitError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
+        return _error(exc, 2)
+    except ConvergenceError as exc:
+        return _error(exc, 3)
 
 
 if __name__ == "__main__":

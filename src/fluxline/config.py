@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,12 +97,12 @@ def _parse_chain(doc: dict, where: str) -> AttenuationChain:
     for i, seg in enumerate(raw):
         label = _require(seg, "label", str, f"{where}.segments[{i}]")
         db = _require(seg, "db", (int, float), f"{where}.segments[{i}]")
-        if db < 0:
-            raise ConfigError(f"{where}.segments[{i}].db: must be >= 0, got {db}")
+        if not (math.isfinite(db) and db >= 0):
+            raise ConfigError(f"{where}.segments[{i}].db: must be finite and >= 0, got {db}")
         segments.append((label, float(db)))
     ref = doc.get("reference_frequency_mhz", 0.0)
-    if not isinstance(ref, (int, float)) or ref < 0:
-        raise ConfigError(f"{where}.reference_frequency_mhz: must be a number >= 0")
+    if not isinstance(ref, (int, float)) or not (math.isfinite(ref) and ref >= 0):
+        raise ConfigError(f"{where}.reference_frequency_mhz: must be a finite number >= 0")
     return AttenuationChain(segments=tuple(segments), reference_frequency_mhz=float(ref))
 
 

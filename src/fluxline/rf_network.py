@@ -278,10 +278,12 @@ def diplexer_eval(
     admittance at the node (terminated in z0 at its own input); for the
     1 -> 2 leakage the port-3 termination loads the node instead.  An
     optional series resistance R = k f[GHz] between node and port 3 models
-    an absorptive output filter.
+    an absorptive output filter; k must be finite and >= 0.
     """
     if lp.z0 != z0 or bp.z0 != z0:
         raise ValueError("both branches must be synthesized for the junction z0")
+    if not (math.isfinite(eccosorb_ohm_per_ghz) and eccosorb_ohm_per_ghz >= 0.0):
+        raise ValueError(f"eccosorb_ohm_per_ghz must be finite and >= 0, got {eccosorb_ohm_per_ghz}")
     freqs = np.asarray(frequencies_mhz, dtype=float)
     if freqs.size == 0:
         raise ValueError("empty frequency grid")

@@ -8,6 +8,7 @@ shift.  Peak (not RMS) amplitude convention throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .modulation import second_order_shift
@@ -42,6 +43,10 @@ class LineBudget:
     m_fH: float = 500.0
 
     def __post_init__(self):
+        for name in ("gamma_db", "v_p", "r_ohm", "m_fH"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma_db < 0:
             raise ValueError(f"gamma_db must be >= 0, got {self.gamma_db}")
         if self.r_ohm <= 0:
@@ -59,8 +64,8 @@ class AttenuationChain:
 
     def __post_init__(self):
         for label, db in self.segments:
-            if db < 0:
-                raise ValueError(f"segment {label!r}: attenuation {db} dB < 0")
+            if not (math.isfinite(db) and db >= 0):
+                raise ValueError(f"segment {label!r}: attenuation {db} dB must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ class SpuriousShiftReport:
 
 def attenuation_factor(gamma_db: float) -> float:
     """Voltage attenuation alpha = 10^(-gamma/20)."""
-    if gamma_db < 0:
-        raise ValueError(f"gamma_db must be >= 0, got {gamma_db}")
+    if not (math.isfinite(gamma_db) and gamma_db >= 0):
+        raise ValueError(f"gamma_db must be finite and >= 0, got {gamma_db}")
     return 10.0 ** (-gamma_db / 20.0)
 
 
@@ -95,8 +100,8 @@ def drive_current(budget: LineBudget) -> float:
 
 def flux_from_current(m_fH: float, i_amp: float) -> float:
     """SQUID flux in units of Phi0 from a current through the line."""
-    if m_fH <= 0:
-        raise ValueError(f"m_fH must be > 0, got {m_fH}")
+    if not (math.isfinite(m_fH) and m_fH > 0):
+        raise ValueError(f"m_fH must be finite and > 0, got {m_fH}")
     return m_fH * 1e-15 * i_amp / PHI0_WB
 
 
@@ -106,6 +111,8 @@ def spurious_shift_report(
     linewidth_hz: float = DEFAULT_LINEWIDTH_HZ,
 ) -> SpuriousShiftReport:
     """Full budget: RT amplitude -> current -> flux -> frequency shift."""
+    if not (math.isfinite(linewidth_hz) and linewidth_hz > 0):
+        raise ValueError(f"linewidth_hz must be finite and > 0, got {linewidth_hz}")
     phi_ac = flux_from_current(budget.m_fH, drive_current(budget))
     delta_f = second_order_shift(params, phi_ac)
     return SpuriousShiftReport(

@@ -11,13 +11,12 @@ numerical oracle for everything built on top.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import mathieu_a, mathieu_b
 
 __all__ = [
     "TransmonParams",
@@ -42,6 +41,23 @@ MATHIEU_Q_MAX = 1000.0
 
 # |f01(N) - f01(N-4)| below this marks the diagonalization as converged
 CONVERGENCE_TOL_MHZ = 1e-3
+
+
+# scipy.special and scipy.linalg are imported on first use (about 0.4 and
+# 0.06 s), so the parts of the package that never need a level do not pay
+# for them; the caches keep that import off the per-call path of levels
+@functools.cache
+def _mathieu():
+    from scipy.special import mathieu_a, mathieu_b
+
+    return mathieu_a, mathieu_b
+
+
+@functools.cache
+def _eigh_tridiagonal():
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal
 
 
 class TransmonRegimeError(ValueError):
@@ -136,7 +152,7 @@ def _charge_basis_levels(e_c: float, ej: float, n_g: float, basis_size: int) -> 
     n = np.arange(-half, half + 1, dtype=float)
     diag = 4.0 * e_c * (n - n_g) ** 2
     off = np.full(basis_size - 1, -0.5 * ej)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[0]
+    return _eigh_tridiagonal()(diag, off, select="i", select_range=(0, 2))[0]
 
 
 def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None = None):
@@ -149,17 +165,20 @@ def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None
     unconverged when f01 moves by CONVERGENCE_TOL_MHZ with four fewer
     states; that is flagged, not raised.  Unless given, the basis has
     2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1 states, and at least
-    DEFAULT_BASIS_SIZE.
+    DEFAULT_BASIS_SIZE.  A non-finite flux raises ValueError.
     """
     if basis_size is not None and (basis_size < 11 or basis_size % 2 == 0):
         raise ValueError(f"basis_size must be odd and >= 11, got {basis_size}")
     ej = np.ravel(effective_ej(params, np.asarray(phi, dtype=float)))
     q = ej / (2.0 * params.e_c)
     exact = (q <= MATHIEU_Q_MAX) & (n_g == 0.0 and basis_size is None)
+    mathieu_a, mathieu_b = _mathieu()
     e0, e1, e2 = mathieu_a(0, q[exact]), mathieu_b(2, q[exact]), mathieu_a(2, q[exact])
     f01, f12, converged = np.empty_like(q), np.empty_like(q), exact.copy()
     f01[exact], f12[exact] = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
     for i in np.flatnonzero(~exact):
+        if not math.isfinite(q[i]):
+            raise ValueError(f"flux must be finite, got phi = {np.ravel(phi)[i]}")
         size = basis_size or max(DEFAULT_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
         lv = _charge_basis_levels(params.e_c, ej[i], n_g, size)
         smaller = _charge_basis_levels(params.e_c, ej[i], n_g, size - 4)

@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             load_config(path)
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda c: c["segments"][0].update(db=float("nan")), "segments[0].db"),
+        (lambda c: c["segments"][1].update(db=float("inf")), "segments[1].db"),
+        (lambda c: c.update(reference_frequency_mhz=float("nan")), "reference_frequency_mhz"),
+    ])
+    def test_nonfinite_chain_values_rejected(self, tmp_path, mutate, field):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        mutate(doc["chains"]["xy"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"config.chains['xy'].{field}: must be")
+        assert "finite" in str(info.value)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
@@ -107,6 +122,17 @@ class TestSpectrumCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["qubit"] == "q0"
         assert doc["f_max_mhz"] == pytest.approx(3843.23, abs=0.01)
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_exits_2(self, capsys, points):
+        code = run_cli("spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", points)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --points must be >= 1, got {points}\n")
+
+    def test_nonfinite_flux_exits_2(self, capsys):
+        code = run_cli("spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--phi-min", "nan")
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: flux must be finite, got phi = nan\n")
 
 
 class TestModulateCommand:
@@ -221,6 +247,23 @@ class TestCrosstalkCommand:
             "--gamma-db", "-5", "--v-p", "0.3",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma-db", "nan", "gamma_db must be finite"),
+        ("--gamma-db", "inf", "gamma_db must be finite"),
+        ("--v-p", "nan", "v_p must be finite"),
+        ("--r-ohm", "nan", "r_ohm must be finite"),
+        ("--linewidth-hz", "-5", "linewidth_hz must be finite and > 0"),
+        ("--linewidth-hz", "0", "linewidth_hz must be finite and > 0"),
+        ("--linewidth-hz", "nan", "linewidth_hz must be finite and > 0"),
+    ])
+    def test_nonfinite_or_bad_linewidth_exits_2(self, capsys, flag, value, message):
+        # a repeated flag takes its last value
+        code = run_cli("crosstalk", str(EXAMPLE_CONFIG), "--qubit", "q0",
+                       "--gamma-db", "85", "--v-p", "0.3", flag, value)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestDiplexerCommand:
@@ -371,13 +414,31 @@ class TestFitCommand:
         code = (
             "import sys; from fluxline import cli, fitting\n"
             "def fail(data): raise fitting.FitError('singular Jacobian at the optimum')\n"
-            "cli.fit_t1 = fail\n"
+            "fitting.fit_t1 = fail\n"
             f"sys.exit(cli.main(['fit', 't1', {str(FIXTURES / 't1_53us.csv')!r}]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 3
         assert proc.stderr == "error: singular Jacobian at the optimum\n"
+
+    @pytest.mark.parametrize("kind,source,fit", [
+        ("t1", "t1_53us.csv", "fit_t1"),
+        ("ramsey", "ramsey_10us.csv", "fit_ramsey"),
+        ("rb", "rb_decay.csv", "fit_rb"),
+        ("tuning", "tuning_q0.csv", "fit_tuning_curve"),
+        ("beta", "beta_q0.csv", "fit_beta"),
+    ])
+    def test_fit_error_exits_3_for_every_kind(self, monkeypatch, capsys, kind, source, fit):
+        from fluxline import fitting
+
+        def fail(*args, **kwargs):
+            raise fitting.FitError("singular Jacobian at the optimum")
+
+        monkeypatch.setattr(fitting, fit, fail)
+        code = run_cli("fit", kind, str(FIXTURES / source), str(EXAMPLE_CONFIG), "--qubit", "q0")
+        assert code == 3
+        assert capsys.readouterr() == ("", "error: singular Jacobian at the optimum\n")
 
     @pytest.mark.parametrize("kind,source,column", [
         ("t1", "t1_53us.csv", "time_us"),

@@ -1,0 +1,94 @@
+"""Import budget: each part of the package loads only what it uses.
+
+Every check runs in a fresh interpreter, since the test process itself
+has long loaded scipy.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import fluxline
+from conftest import EXAMPLE_CONFIG, FIXTURES, REPO
+
+
+def _fresh(code: str, tmp_path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def scipy_loaded_by(code: str, tmp_path) -> set:
+    """The scipy modules a fresh interpreter holds after running code."""
+    probe = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    return set(json.loads(_fresh(probe, tmp_path).stdout.splitlines()[-1]))
+
+
+def cli_run(*argv) -> str:
+    return f"from fluxline import cli\nassert cli.main({list(argv)!r}) == 0\n"
+
+
+CONFIG = str(EXAMPLE_CONFIG)
+
+
+def test_package_and_config_load_no_scipy(tmp_path):
+    code = f"import fluxline\nfluxline.load_config({CONFIG!r})\n"
+    assert scipy_loaded_by(code, tmp_path) == set()
+
+
+def test_cli_module_loads_no_scipy(tmp_path):
+    assert scipy_loaded_by("import fluxline.cli\n", tmp_path) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("crosstalk", CONFIG, "--qubit", "q0", "--gamma-db", "85", "--v-p", "0.3", "--out", "x.json"),
+    ("diplexer", CONFIG, "--out", "d.csv", "--report-out", "d.json"),
+    ("modulate", CONFIG, "--qubit", "q0", "--points", "3", "--out", "m.csv"),
+], ids=lambda argv: argv[0])
+def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
+    assert scipy_loaded_by(cli_run(*argv), tmp_path) == set()
+
+
+def test_spectrum_loads_no_optimizer(tmp_path):
+    argv = ("spectrum", CONFIG, "--qubit", "q0", "--points", "5", "--out", "s.csv")
+    loaded = scipy_loaded_by(cli_run(*argv), tmp_path)
+    assert "scipy.special" in loaded  # the Mathieu levels
+    assert not {m for m in loaded if m.startswith("scipy.optimize")}
+
+
+def test_fit_loads_the_optimizer(tmp_path):
+    # the probe sees scipy where it is loaded
+    argv = ("fit", "t1", str(FIXTURES / "t1_53us.csv"), "--out", "f.json")
+    assert "scipy.optimize" in scipy_loaded_by(cli_run(*argv), tmp_path)
+
+
+def test_every_exported_name_resolves(tmp_path):
+    code = (
+        "import fluxline\n"
+        "from fluxline import *\n"
+        "missing = [n for n in fluxline.__all__ if n not in globals()]\n"
+        "assert not missing, missing\n"
+        "assert set(fluxline.__all__) <= set(dir(fluxline))\n"
+    )
+    _fresh(code, tmp_path)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        fluxline.nope
+
+
+def test_readme_library_snippet_runs(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    snippet = re.search(r"## Library\s+```python\n(.*?)```", readme, re.S).group(1)
+    assert "from fluxline import" in snippet
+    _fresh(snippet, tmp_path)

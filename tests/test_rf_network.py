@@ -254,6 +254,13 @@ class TestDiplexer:
         with pytest.raises(ValueError, match="empty"):
             rf.diplexer_eval(lp, bp, 50.0, np.array([]))
 
+    @pytest.mark.parametrize("k", [-2.0, -1e-12, float("nan"), float("inf")])
+    def test_bad_eccosorb_rejected(self, k):
+        lp = rf.synth_lowpass(5, 1500.0)
+        bp = rf.synth_bandpass(5, 3000.0, 7000.0)
+        with pytest.raises(ValueError, match="eccosorb_ohm_per_ghz"):
+            rf.diplexer_eval(lp, bp, 50.0, np.array([5000.0]), eccosorb_ohm_per_ghz=k)
+
     def test_eccosorb_knob_adds_loss(self):
         lp = rf.synth_lowpass(5, 1500.0)
         bp = rf.synth_bandpass(5, 3000.0, 7000.0)

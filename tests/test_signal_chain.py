@@ -36,6 +36,11 @@ class TestAttenuation:
         with pytest.raises(ValueError):
             attenuation_factor(-1.0)
 
+    @pytest.mark.parametrize("db", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, db):
+        with pytest.raises(ValueError, match="finite"):
+            attenuation_factor(db)
+
 
 class TestDriveCurrent:
     def test_no_attenuation(self):
@@ -57,10 +62,25 @@ class TestDriveCurrent:
         )
 
 
+class TestLineBudget:
+    @pytest.mark.parametrize("name", ["gamma_db", "v_p", "r_ohm", "m_fH"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected(self, name, value):
+        fields = dict(gamma_db=85.0, v_p=0.3, r_ohm=50.0, m_fH=500.0)
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LineBudget(**fields)
+
+
 class TestFluxFromCurrent:
     def test_pi_pulse_flux(self):
         phi = flux_from_current(500.0, 6.748095902284189e-7)
         assert phi == pytest.approx(1.6e-4, rel=0.03)
+
+    @pytest.mark.parametrize("m_fh", [float("nan"), float("inf"), 0.0])
+    def test_bad_mutual_rejected(self, m_fh):
+        with pytest.raises(ValueError, match="m_fH"):
+            flux_from_current(m_fh, 1e-6)
 
     def test_zero(self):
         assert flux_from_current(500.0, 0.0) == 0.0
@@ -87,6 +107,11 @@ class TestSpuriousShiftReport:
         report = spurious_shift_report(q0, LineBudget(gamma_db=85.0, v_p=0.0))
         assert report.delta_f_hz == 0.0
         assert not report.detectable
+
+    @pytest.mark.parametrize("linewidth", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_linewidth_rejected(self, q0, linewidth):
+        with pytest.raises(ValueError, match="linewidth_hz must be finite and > 0"):
+            spurious_shift_report(q0, LineBudget(gamma_db=85.0, v_p=0.3), linewidth_hz=linewidth)
 
     def test_alpha_squared_scaling(self, q0):
         weak = spurious_shift_report(q0, LineBudget(gamma_db=85.0, v_p=0.3))
@@ -126,6 +151,11 @@ class TestChainTotal:
     def test_negative_segment_rejected(self):
         with pytest.raises(ValueError):
             AttenuationChain(segments=(("bad", -3.0),))
+
+    @pytest.mark.parametrize("db", [float("nan"), float("inf")])
+    def test_nonfinite_segment_rejected(self, db):
+        with pytest.raises(ValueError, match="'bad'.*finite"):
+            AttenuationChain(segments=(("ok", 10.0), ("bad", db)))
 
     def test_breakdown_is_cumulative(self):
         chain = AttenuationChain(segments=(("a", 10.0), ("b", 6.0), ("c", 20.0)))

@@ -223,6 +223,13 @@ class TestLevels:
         b2, a0, a2 = mathieu_b(2, q[2]), mathieu_a(0, q[2]), mathieu_a(2, q[2])
         assert f01[2] == p.e_c * (b2 - a0) and f12[2] == p.e_c * (a2 - b2)
 
+    @pytest.mark.parametrize("phi", [float("nan"), [0.1, float("nan")], [0.0, float("inf")]])
+    def test_nonfinite_flux_rejected(self, q0, phi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # cos(inf)
+            with pytest.raises(ValueError, match="flux must be finite, got phi = (nan|inf)"):
+                levels(q0, phi)
+
     def test_shapes_and_scalar_wrapper(self, q0):
         phi = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
         f01, f12, converged = levels(q0, phi)
