@@ -7,8 +7,9 @@ digits and '.' decimals so repeated runs are byte-identical.
 
 Imports are per subcommand: the module itself loads numpy only.
 ``spectrum`` and ``modulate --with-oracle`` load scipy.special on their
-first level, ``fit`` loads scipy.optimize with :mod:`fluxline.fitting`,
-and ``crosstalk``, ``diplexer`` and ``modulate`` load no scipy at all.
+first level; ``fit`` (its own numpy Levenberg-Marquardt engine in
+:mod:`fluxline.fitting`), ``crosstalk``, ``diplexer`` and ``modulate``
+load no scipy at all.
 """
 
 from __future__ import annotations
@@ -146,6 +147,10 @@ def cmd_spectrum(args) -> int:
 def cmd_modulate(args) -> int:
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
+    for amp in (args.amp_min, args.amp_max):
+        FluxDrive(args.phi_dc, amp)  # checks the end points before linspace spreads them
     amps = np.linspace(args.amp_min, args.amp_max, args.points)
     f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0), args.order)
     header = ["phi_ac", "f_avg_series_mhz"]

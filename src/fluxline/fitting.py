@@ -1,10 +1,23 @@
 """Nonlinear least-squares engine and the standard characterization fits.
 
-Levenberg-Marquardt (MINPACK via scipy) behind a small deterministic
-wrapper: fixed iteration cap, gradient tolerance 1e-10, covariance from the
-Jacobian at the optimum, no randomized restarts.  Every model ships an
-analytic Jacobian; the test suite cross-checks them against finite
-differences.
+A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
+2004) behind a deterministic wrapper, with no randomized restarts:
+
+- damped normal equations (J^T J + lam D^2) step = -J^T r, with D the
+  running maximum of the Jacobian column norms (MINPACK's mode 1) and the
+  gain-ratio damping update of Nielsen;
+- MINPACK's three stopping tests: relative drop in cost, actual and
+  predicted, within FUNCTION_TOL = 1e-12; scaled step within STEP_TOL =
+  1e-12 of the scaled point; every cosine between the residual and a
+  Jacobian column within GRADIENT_TOL = 1e-10;
+- at most MAX_ITERATIONS * (n_par + 1) residual evaluations, after which
+  the fit reports converged=False;
+- covariance from the Jacobian at the optimum.
+
+Every model ships an analytic Jacobian (the test suite cross-checks them
+against finite differences) except the tuning refinement on exact
+levels, which takes forward differences.  The engine loads no scipy; the
+test suite checks it against MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .modulation import DEFAULT_ORDER, harmonic_series
 from .specfun import bessel_j0, bessel_j1
@@ -41,6 +53,13 @@ __all__ = [
 
 MAX_ITERATIONS = 200
 GRADIENT_TOL = 1e-10
+FUNCTION_TOL = 1e-12
+STEP_TOL = 1e-12
+# initial damping relative to D^2, whose diagonal is that of J^T J at the
+# start: Madsen et al.'s value for a start believed close, as every fit
+# here starts from a data-driven guess
+_DAMPING_0 = 1e-6
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class FitError(RuntimeError):
@@ -104,6 +123,75 @@ class Model:
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
+def _forward_jacobian(residuals, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian with step sqrt(eps)*|theta_j| (sqrt(eps) at 0)."""
+    cols = []
+    for j in range(theta.size):
+        shifted = theta.copy()
+        shifted[j] += _SQRT_EPS * abs(theta[j]) or _SQRT_EPS
+        # the step as represented, so the quotient is exact in its denominator
+        cols.append((residuals(shifted) - r) / (shifted[j] - theta[j]))
+    return np.column_stack(cols)
+
+
+def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
+    """Minimize |residuals(theta)|^2; returns (theta, r, J, nfev, converged).
+
+    The method and its tests are in the module docstring (Nielsen's update:
+    Madsen, Nielsen & Tingleff 2004, sec. 3.2).  A trial point is taken
+    when it achieves more than 1e-4 of the predicted drop, as in MINPACK.
+    J is returned at the final point.
+    """
+    r = residuals(theta)
+    if not np.isfinite(r).all():
+        raise ValueError("residuals are not finite at the initial guess")
+    nfev = 1
+    cost = float(r @ r)
+    jac = jacobian(theta, r)
+    scale = np.zeros(theta.size)
+    lam, nu = _DAMPING_0, 2.0
+    while True:
+        jtj = jac.T @ jac
+        col_norm = np.sqrt(np.diag(jtj))
+        neg_grad = -(jac.T @ r)
+        if (np.abs(neg_grad) <= GRADIENT_TOL * math.sqrt(cost) * col_norm).all():
+            return theta, r, jac, nfev, True
+        scale = np.maximum(scale, col_norm)
+        scale[scale == 0.0] = 1.0
+        d2 = scale * scale
+        damping = np.diag(d2)
+        while True:
+            step = np.linalg.solve(jtj + lam * damping, neg_grad)
+            trial = theta + step
+            r_trial = residuals(trial)
+            nfev += 1
+            cost_trial = float(r_trial @ r_trial)
+            # relative drops in cost, as MINPACK's lmder forms them; a trial
+            # 10x the residual norm away (or non-finite) counts as a rise
+            actual = 1.0 - cost_trial / cost if cost_trial < 100.0 * cost else -1.0
+            jstep = jac @ step
+            step_sq = float(d2 @ (step * step))
+            predicted = (float(jstep @ jstep) + 2.0 * lam * step_sq) / cost
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            accepted = ratio > 1e-4
+            if accepted:
+                theta, r, cost = trial, r_trial, cost_trial
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                nu = 2.0
+            else:
+                lam *= nu
+                nu *= 2.0
+            done = (
+                abs(actual) <= FUNCTION_TOL and predicted <= FUNCTION_TOL and ratio <= 2.0
+            ) or step_sq <= STEP_TOL**2 * float(d2 @ (theta * theta))
+            if accepted:
+                jac = jacobian(theta, r)
+            if done or nfev >= max_nfev:
+                return theta, r, jac, nfev, done
+            if accepted:
+                break
+
+
 def least_squares(
     model: Model,
     data: DataSeries,
@@ -125,23 +213,15 @@ def least_squares(
         return (model.fn(data.x, theta) - data.y) / sig
 
     if model.jac is not None:
-        jac = lambda theta: model.jac(data.x, theta) / sig[:, None]
+        jacobian = lambda theta, r: model.jac(data.x, theta) / sig[:, None]
     else:
-        jac = "2-point"
+        jacobian = lambda theta, r: _forward_jacobian(residuals, theta, r)
 
-    res = scipy.optimize.least_squares(
-        residuals,
-        theta0,
-        jac=jac,
-        method="lm",
-        gtol=GRADIENT_TOL,
-        xtol=1e-12,
-        ftol=1e-12,
-        max_nfev=MAX_ITERATIONS * (n_par + 1),
+    theta, r, jac, nfev, converged = _levenberg_marquardt(
+        residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
     )
-    converged = res.status > 0
 
-    jtj = res.jac.T @ res.jac
+    jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError as exc:
@@ -150,15 +230,15 @@ def least_squares(
         raise FitError("singular Jacobian at the optimum")
     if data.sigma is None:
         dof = max(data.x.size - n_par, 1)
-        cov = cov * (2.0 * res.cost / dof)
+        cov = cov * (float(r @ r) / dof)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     return FitResult(
-        params=dict(zip(model.names, (float(v) for v in res.x))),
+        params=dict(zip(model.names, (float(v) for v in theta))),
         std_errors=dict(zip(model.names, (float(e) for e in errs))),
-        residual_norm=float(np.linalg.norm(res.fun)),
+        residual_norm=float(np.linalg.norm(r)),
         converged=converged,
-        iterations=int(res.nfev),
+        iterations=nfev,
         flags=flags,
     )
 
@@ -411,6 +491,8 @@ def fit_tuning_curve(
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
+    if fixed_e_c is not None and not (math.isfinite(fixed_e_c) and fixed_e_c > 0):
+        raise ValueError(f"fixed_e_c must be finite and > 0, got {fixed_e_c}")
     _require_spread(data)
     model = tuning_curve_model(fixed_e_c)
     order = np.argsort(data.x)
@@ -501,6 +583,8 @@ def fit_beta(
     p: int = DEFAULT_ORDER,
 ) -> FitResult:
     """Calibrate phi_ac = beta * A_p against measured average frequencies."""
+    if not math.isfinite(phi_dc):
+        raise ValueError(f"phi_dc must be finite, got {phi_dc}")
     model = beta_model(params, phi_dc, p)
     amp_max = float(np.abs(data.x).max())
     if amp_max == 0:

@@ -58,6 +58,10 @@ class FluxDrive:
     f_d: float = 100.0
 
     def __post_init__(self):
+        for name in ("phi_dc", "phi_ac", "f_d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.phi_ac < 0:
             raise ValueError(f"phi_ac must be >= 0, got {self.phi_ac}")
         if self.f_d <= 0:

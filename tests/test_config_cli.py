@@ -209,6 +209,23 @@ class TestModulateCommand:
         assert rows[2, 0] == 0.1
         assert abs(rows[2, 1] - rows[2, 2]) <= 0.005 * (f_max - f_min)
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--phi-dc", "nan", "phi_dc must be finite, got nan"),
+        ("--amp-max", "inf", "phi_ac must be finite, got inf"),
+        ("--points", "0", "--points must be >= 1, got 0"),
+    ])
+    def test_bad_drive_exits_2_with_one_line(self, tmp_path, option, value, message):
+        # a subprocess, so numpy warnings on stderr would show
+        out = tmp_path / "m.csv"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxline.cli", "modulate", str(EXAMPLE_CONFIG), "--qubit", "q0",
+             "--points", "3", option, value, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_series_convergence_error_exits_3(self, monkeypatch, capsys):
         def not_converged(*args):
             raise ConvergenceError("hyp2f1(1.125, 0.625; 1.0; 0.9999) not converged after 5 terms")
@@ -453,6 +470,18 @@ class TestFitCommand:
         proc = self._run(kind, str(data))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {column} column is constant: the fit needs distinct values\n"
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_nonpositive_or_nonfinite_fixed_ec_exits_2(self, value):
+        proc = self._run("tuning", str(FIXTURES / "tuning_q0.csv"), f"--fixed-ec={value}")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: fixed_e_c must be finite and > 0, got {float(value)}\n"
+
+    def test_nonfinite_beta_phi_dc_exits_2(self):
+        proc = self._run("beta", str(FIXTURES / "beta_q0.csv"), str(EXAMPLE_CONFIG),
+                         "--qubit", "q0", "--phi-dc", "nan")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: phi_dc must be finite, got nan\n"
 
     def test_beta_without_qubit_exits_2(self):
         assert run_cli("fit", "beta", str(FIXTURES / "beta_q0.csv")) == 2

@@ -69,6 +69,36 @@ class TestEngine:
         with pytest.raises(ValueError, match="initial guess"):
             least_squares(LINEAR_MODEL, DataSeries(x=x, y=x), [1.0])
 
+    def test_evaluation_cap_is_not_converged(self, monkeypatch):
+        from fluxline import fitting
+
+        x = np.linspace(1.0, 200.0, 31)
+        data = DataSeries(x=x, y=T1_MODEL.fn(x, np.array([0.9, 47.0, 0.07])))
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+        res = least_squares(T1_MODEL, data, [0.2, 5.0, 0.5])
+        assert not res.converged
+        assert res.iterations == 4  # MAX_ITERATIONS * (n_par + 1)
+        monkeypatch.undo()
+        assert least_squares(T1_MODEL, data, [0.2, 5.0, 0.5]).converged
+
+    def test_finite_difference_path_matches_analytic(self):
+        rng = np.random.default_rng(SEED)
+        x = np.linspace(1.0, 200.0, 53)
+        data = DataSeries(x=x, y=noisy(T1_MODEL.fn(x, np.array([0.9, 47.0, 0.07])), rng))
+        numeric = Model(names=T1_MODEL.names, fn=T1_MODEL.fn, jac=None)
+        a = least_squares(T1_MODEL, data, [0.8, 40.0, 0.0])
+        b = least_squares(numeric, data, [0.8, 40.0, 0.0])
+        assert a.converged and b.converged
+        for name in T1_MODEL.names:
+            assert b.params[name] == pytest.approx(a.params[name], rel=1e-8, abs=1e-10)
+            assert b.std_errors[name] == pytest.approx(a.std_errors[name], rel=1e-6)
+        assert b.residual_norm == pytest.approx(a.residual_norm, rel=1e-12)
+
+    def test_nonfinite_initial_residuals_rejected(self):
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="not finite at the initial guess"):
+            least_squares(LINEAR_MODEL, DataSeries(x=x, y=x), [math.nan, 0.0])
+
     def test_sigma_validation(self):
         x = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="sigma"):
@@ -285,6 +315,11 @@ class TestTuningCurve:
         assert res.params["e_j2"] == pytest.approx(9040.0, rel=0.15)
         assert res.residual_norm / math.sqrt(data.x.size) < 5.0
 
+    @pytest.mark.parametrize("fixed_e_c", [0.0, -5.0, math.nan, math.inf])
+    def test_fixed_ec_must_be_finite_and_positive(self, fixed_e_c):
+        with pytest.raises(ValueError, match="fixed_e_c must be finite and > 0"):
+            fit_tuning_curve(self.make_data(n=24), fixed_e_c=fixed_e_c)
+
     def test_minimum_points(self):
         cur = np.linspace(-1e-3, 1e-3, 5)
         with pytest.raises(ValueError, match="6 points"):
@@ -330,6 +365,11 @@ class TestBeta:
         res = fit_beta(rescaled, q0)
         assert res.params["beta"] == pytest.approx(1.02, rel=0.01)
         assert any("beta*A_p" in f for f in res.flags)
+
+    @pytest.mark.parametrize("phi_dc", [math.nan, math.inf])
+    def test_nonfinite_phi_dc_rejected(self, q0, phi_dc):
+        with pytest.raises(ValueError, match="phi_dc must be finite"):
+            fit_beta(self.make_data(q0), q0, phi_dc=phi_dc)
 
     def test_zero_axis_rejected(self, q0):
         with pytest.raises(ValueError, match="amplitude"):

@@ -65,10 +65,24 @@ def test_spectrum_loads_no_optimizer(tmp_path):
     assert not {m for m in loaded if m.startswith("scipy.optimize")}
 
 
-def test_fit_loads_the_optimizer(tmp_path):
-    # the probe sees scipy where it is loaded
-    argv = ("fit", "t1", str(FIXTURES / "t1_53us.csv"), "--out", "f.json")
-    assert "scipy.optimize" in scipy_loaded_by(cli_run(*argv), tmp_path)
+def test_fitting_module_loads_no_scipy(tmp_path):
+    assert scipy_loaded_by("import fluxline.fitting\n", tmp_path) == set()
+
+
+FIT_FIXTURES = {
+    "t1": "t1_53us.csv",
+    "ramsey": "ramsey_10us.csv",
+    "rb": "rb_decay.csv",
+    "tuning": "tuning_q0.csv",
+    "beta": "beta_q0.csv",
+}
+
+
+@pytest.mark.parametrize("kind", FIT_FIXTURES)
+def test_fit_loads_no_scipy(tmp_path, kind):
+    # the tuning fit runs without the diagonalization refinement, as the CLI does
+    argv = ("fit", kind, str(FIXTURES / FIT_FIXTURES[kind]), CONFIG, "--qubit", "q0", "--out", "f.json")
+    assert scipy_loaded_by(cli_run(*argv), tmp_path) == set()
 
 
 def test_every_exported_name_resolves(tmp_path):

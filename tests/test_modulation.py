@@ -88,6 +88,17 @@ class TestHarmonicCoefficients:
             avg_frequency(q0, FluxDrive(0.0, 0.0), 13)
 
 
+class TestFluxDrive:
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"phi_dc": math.nan, "phi_ac": 0.1}, "phi_dc"),
+        ({"phi_dc": 0.0, "phi_ac": math.inf}, "phi_ac"),
+        ({"phi_dc": 0.0, "phi_ac": 0.1, "f_d": math.nan}, "f_d"),
+    ], ids=["phi_dc", "phi_ac", "f_d"])
+    def test_nonfinite_values_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FluxDrive(**kwargs)
+
+
 class TestAvgFrequency:
     def test_zero_drive_matches_diagonalization(self, device_params):
         for p in device_params.values():
