@@ -15,7 +15,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fluxline.cli import fmt
 from fluxline.fitting import RAMSEY_MODEL, RB_MODEL, T1_MODEL, beta_model, tuning_curve_model
 from fluxline.transmon import TransmonParams
 
@@ -26,7 +25,7 @@ Q0 = TransmonParams(e_c=182.0, e_j1=2140.0, e_j2=9040.0)
 
 def write(name: str, header: tuple[str, str], x, y):
     lines = [",".join(header)]
-    lines += [f"{fmt(a)},{fmt(b)}" for a, b in zip(x, y)]
+    lines += [f"{a:.12g},{b:.12g}" for a, b in zip(x, y)]
     (OUT / name).write_text("\n".join(lines) + "\n")
     print(f"wrote {OUT / name} ({len(x)} rows)")
 

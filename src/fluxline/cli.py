@@ -38,7 +38,7 @@ from .specfun import ConvergenceError
 from .transmon import f01_asymptotic, levels
 
 if TYPE_CHECKING:
-    from .fitting import DataSeries, FitResult
+    from .fitting import DataSeries
 
 CONFIG_ENV = "FLUXLINE_CONFIG"
 
@@ -59,15 +59,17 @@ def fmt(x: float) -> str:
     return format(v, ".12g")
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write(path: str | None, text: str) -> None:
+    """text to the file at path, or to stdout for no path or '-'."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _finite(obj):
@@ -84,11 +86,7 @@ def _json_dump(obj) -> str:
 
 
 def _emit_json(path: str | None, obj) -> None:
-    text = _json_dump(obj)
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write(path, _json_dump(obj))
 
 
 def _error(exc: Exception, code: int) -> int:
@@ -107,7 +105,7 @@ def _load(args) -> DeviceConfig:
 
 def _summary(args, human_lines: list[str], payload: dict) -> None:
     if args.json:
-        sys.stdout.write(_json_dump(payload))
+        _emit_json(None, payload)
     else:
         for line in human_lines:
             sys.stdout.write(line + "\n")
@@ -118,6 +116,9 @@ def cmd_spectrum(args) -> int:
     q = cfg.qubit(args.qubit)
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    for end in (args.phi_min, args.phi_max):
+        if not math.isfinite(end):  # checked before linspace spreads it into nan
+            raise ValueError(f"flux must be finite, got phi = {end}")
     grid = np.linspace(args.phi_min, args.phi_max, args.points)
     f01, f12, _ = levels(q.params, grid)
     _write_csv(
@@ -152,27 +153,21 @@ def cmd_modulate(args) -> int:
     for amp in (args.amp_min, args.amp_max):
         FluxDrive(args.phi_dc, amp)  # checks the end points before linspace spreads them
     amps = np.linspace(args.amp_min, args.amp_max, args.points)
+    drive = FluxDrive(args.phi_dc, amps)
     f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0), args.order)
-    header = ["phi_ac", "f_avg_series_mhz"]
+    f_series = avg_frequency(q.params, drive, args.order)
+    header, columns = ["phi_ac", "f_avg_series_mhz"], [amps, f_series]
     if args.with_oracle:
+        f_oracle = time_average_oracle(q.params, drive, args.oracle_steps)
         header.append("f_avg_oracle_mhz")
+        columns.append(f_oracle)
     header += ["shift_series_hz", "shift_2nd_order_hz"]
-    rows = []
-    worst = 0.0
-    for amp in amps:
-        drive = FluxDrive(args.phi_dc, float(amp))
-        f_series = avg_frequency(q.params, drive, args.order)
-        row = [amp, f_series]
-        if args.with_oracle:
-            f_oracle = time_average_oracle(q.params, drive, args.oracle_steps)
-            row.append(f_oracle)
-            worst = max(worst, abs(f_series - f_oracle))
-        row += [(f_series - f_ref) * 1e6, second_order_shift(q.params, float(amp))]
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+    columns += [(f_series - f_ref) * 1e6, second_order_shift(q.params, amps)]
+    _write_csv(args.out, header, zip(*columns))
     lines = [f"qubit {q.name}: f_avg at zero drive = {fmt(f_ref)} MHz"]
     payload = {"qubit": q.name, "f_ref_mhz": float(fmt(f_ref))}
     if args.with_oracle:
+        worst = np.max(np.abs(f_series - f_oracle))
         lines.append(f"max |series - oracle| = {fmt(worst)} MHz")
         payload["max_series_oracle_dev_mhz"] = float(fmt(worst))
     _summary(args, lines, payload)
@@ -268,31 +263,10 @@ def _load_fit_csv(path: str, kind: str) -> DataSeries:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _model_curve(kind: str, result: FitResult, data: DataSeries, extra) -> np.ndarray:
-    from . import fitting
-
-    if kind == "t1":
-        theta = [result.params[k] for k in fitting.T1_MODEL.names]
-        return fitting.T1_MODEL.fn(data.x, np.array(theta))
-    if kind == "ramsey":
-        theta = [result.params[k] for k in fitting.RAMSEY_MODEL.names]
-        return fitting.RAMSEY_MODEL.fn(data.x, np.array(theta))
-    if kind == "rb":
-        theta = [result.params[k] for k in fitting.RB_MODEL.names]
-        return fitting.RB_MODEL.fn(data.x, np.array(theta))
-    if kind == "tuning":
-        model = fitting.tuning_curve_model(extra.get("fixed_e_c"))
-        theta = [result.params[k] for k in model.names]
-        return model.fn(data.x, np.array(theta))
-    model = fitting.beta_model(extra["params"], extra["phi_dc"])
-    return model.fn(data.x, np.array([result.params["beta"]]))
-
-
 def cmd_fit(args) -> int:
     from . import fitting
 
     data = _load_fit_csv(args.data, args.kind)
-    extra: dict = {}
     try:
         if args.kind == "t1":
             result = fitting.fit_t1(data)
@@ -301,12 +275,9 @@ def cmd_fit(args) -> int:
         elif args.kind == "rb":
             result = fitting.fit_rb(data)
         elif args.kind == "tuning":
-            extra["fixed_e_c"] = args.fixed_ec
             result = fitting.fit_tuning_curve(data, fixed_e_c=args.fixed_ec)
         else:  # beta
-            cfg = _load(args)
-            q = cfg.qubit(args.qubit)
-            extra.update({"params": q.params, "phi_dc": args.phi_dc})
+            q = _load(args).qubit(args.qubit)
             result = fitting.fit_beta(data, q.params, phi_dc=args.phi_dc)
     except fitting.FitError as exc:
         return _error(exc, 3)
@@ -319,7 +290,7 @@ def cmd_fit(args) -> int:
     _emit_json(args.out, payload)
 
     if args.residuals_out:
-        curve = _model_curve(args.kind, result, data, extra)
+        curve = result.curve(data.x)
         rows = zip(data.x, data.y, curve, data.y - curve)
         _write_csv(args.residuals_out, [data.x_unit, data.y_unit, "model", "residual"], rows)
 

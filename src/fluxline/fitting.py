@@ -23,7 +23,7 @@ test suite checks it against MINPACK's lmder through scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -96,12 +96,21 @@ class DataSeries:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's parameters and diagnostics, with the model that produced them."""
+
     params: dict[str, float]
     std_errors: dict[str, float]
     residual_norm: float
     converged: bool
     iterations: int
     flags: tuple[str, ...] = field(default=())
+    # every fit_* result has one; None only for a result built by hand
+    model: Model | None = field(default=None, compare=False, repr=False)
+
+    def curve(self, x) -> np.ndarray:
+        """The fitted model at the abscissae x."""
+        theta = np.array([self.params[name] for name in self.model.names])
+        return self.model.fn(np.asarray(x, dtype=float), theta)
 
     def to_dict(self) -> dict:
         return {
@@ -240,6 +249,7 @@ def least_squares(
         converged=converged,
         iterations=nfev,
         flags=flags,
+        model=model,
     )
 
 
@@ -263,6 +273,7 @@ def _degenerate_result(model: Model, theta0, data: DataSeries, flag: str) -> Fit
         converged=False,
         iterations=0,
         flags=(flag,),
+        model=model,
     )
 
 
@@ -406,14 +417,7 @@ def fit_rb(data: DataSeries) -> FitResult:
     errs = dict(result.std_errors)
     params["fidelity"] = 1.0 - (1.0 - p) / 2.0
     errs["fidelity"] = errs["p"] / 2.0
-    return FitResult(
-        params=params,
-        std_errors=errs,
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        flags=flags,
-    )
+    return replace(result, params=params, std_errors=errs, flags=flags)
 
 
 # --- flux tuning curve -------------------------------------------------------
@@ -487,7 +491,8 @@ def fit_tuning_curve(
 
     The closed-form transmon frequency is used for the main optimization;
     with use_diagonalization=True a refinement pass replaces it by the
-    exact f01 of :func:`transmon.levels`.
+    exact f01 of :func:`transmon.levels`, and the result carries that
+    refinement's model.
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
@@ -543,14 +548,7 @@ def fit_tuning_curve(
         )
 
     params, errs = _normalize_tuning(result.params, result.std_errors)
-    return FitResult(
-        params=params,
-        std_errors=errs,
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        flags=flags,
-    )
+    return replace(result, params=params, std_errors=errs, flags=flags)
 
 
 # --- flux-pulse amplitude calibration ----------------------------------------
@@ -602,11 +600,4 @@ def fit_beta(
     flags = result.flags + (
         f"only the product beta*A_p is constrained; max |phi_ac| covered = {beta * amp_max:.4g} Phi0",
     )
-    return FitResult(
-        params={"beta": beta},
-        std_errors=dict(result.std_errors),
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-        flags=flags,
-    )
+    return replace(result, params={"beta": beta}, flags=flags)

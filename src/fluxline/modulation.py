@@ -50,22 +50,37 @@ class FluxDrive:
 
     The time-domain flux is phi(t) = phi_dc + phi_ac cos(2 pi f_d t); the
     drive frequency f_d (MHz) only sets the oracle's averaging period and
-    drops out of every result.
+    drops out of every result.  phi_dc and phi_ac may be arrays (held as
+    float arrays); every result is then elementwise over their broadcast.
+    Only a scalar drive compares and hashes by value.
     """
 
-    phi_dc: float
-    phi_ac: float
+    phi_dc: float | np.ndarray
+    phi_ac: float | np.ndarray
     f_d: float = 100.0
 
     def __post_init__(self):
         for name in ("phi_dc", "phi_ac", "f_d"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.phi_ac < 0:
-            raise ValueError(f"phi_ac must be >= 0, got {self.phi_ac}")
-        if self.f_d <= 0:
-            raise ValueError(f"f_d must be > 0, got {self.f_d}")
+            if np.ndim(value):
+                value = np.asarray(value, dtype=float)
+                object.__setattr__(self, name, value)
+            _require(name, value, np.isfinite, "must be finite")
+        _require("phi_ac", self.phi_ac, lambda v: v >= 0, "must be >= 0")
+        _require("f_d", self.f_d, lambda v: v > 0, "must be > 0")
+
+
+def _require(name: str, value, ok, requirement: str) -> None:
+    """ValueError naming the first entry of a scalar or array value that fails ok."""
+    value = np.asarray(value, dtype=float)
+    bad = ~ok(value)
+    if bad.any():
+        raise ValueError(f"{name} {requirement}, got {float(value[bad].flat[0])}")
+
+
+def _float_or_array(a):
+    # a scalar drive gets a float, an array drive an array of its shape
+    return float(a) if np.ndim(a) == 0 else a
 
 
 @dataclass(frozen=True)
@@ -153,26 +168,35 @@ def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> Harmo
     return HarmonicSeries(s=_harmonic_tuple(params, order), order=order)
 
 
-def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORDER) -> float:
-    """Time-averaged qubit frequency (MHz) from the truncated series."""
+def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORDER) -> float | np.ndarray:
+    """Time-averaged qubit frequency (MHz) from the truncated series.
+
+    Elementwise over the drive's phi_dc and phi_ac; a scalar drive gives a
+    float.
+    """
     s = np.array(harmonic_series(params, p).s)
-    wn = 2.0 * np.pi * np.arange(p + 1)
-    terms = s * np.cos(wn * drive.phi_dc) * bessel_j0(wn * drive.phi_ac)
-    return float(np.cumsum(terms)[-1])  # the harmonics added in order
+    phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
+    # harmonics along the first axis; the cumulative sum adds them in order
+    # at every shape, where a sum over a short axis would pair them up
+    column = (-1,) + (1,) * phi_dc.ndim
+    wn = (2.0 * np.pi * np.arange(p + 1)).reshape(column)
+    terms = s.reshape(column) * np.cos(wn * phi_dc) * bessel_j0(wn * phi_ac)
+    return _float_or_array(np.cumsum(terms, axis=0)[-1])
 
 
-def second_order_shift(params: TransmonParams, phi_ac: float) -> float:
+def second_order_shift(params: TransmonParams, phi_ac) -> float | np.ndarray:
     """Small-amplitude frequency shift in Hz, quadratic in phi_ac.
 
     delta_f = -pi^2 r / (2 (1+r)^2) sqrt(8 E_Jsum E_C) phi_ac^2 with
-    r = E_J1/E_J2; invariant under r -> 1/r, always <= 0.
+    r = E_J1/E_J2; invariant under r -> 1/r, always <= 0.  Elementwise
+    over an array phi_ac; a scalar gives a float.
     """
-    if phi_ac < 0:
-        raise ValueError(f"phi_ac must be >= 0, got {phi_ac}")
+    _require("phi_ac", phi_ac, lambda v: ~(v < 0), "must be >= 0")  # a NaN gives a NaN shift
+    phi_ac = np.asarray(phi_ac, dtype=float)
     r = params.e_j1 / params.e_j2
     scale = math.sqrt(8.0 * params.e_j_sum * params.e_c)
-    shift_mhz = -(math.pi**2 * r / (2.0 * (1.0 + r) ** 2)) * scale * phi_ac**2
-    return shift_mhz * 1e6
+    shift_mhz = -(math.pi**2 * r / (2.0 * (1.0 + r) ** 2)) * scale * (phi_ac * phi_ac)
+    return _float_or_array(shift_mhz * 1e6)
 
 
 def time_average_oracle(
@@ -180,17 +204,21 @@ def time_average_oracle(
     drive: FluxDrive,
     n_steps: int = 512,
     basis_size: int | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Average of the exact f01 over one modulation period (MHz).
 
     Uniform sampling in drive phase (the periodic trapezoidal rule, which
     is spectrally accurate here); by construction independent of f_d.
-    All samples come from one :func:`levels` call and are summed by one
-    ``np.sum`` over the array, a fixed summation order, so results are
-    bit-reproducible.
+    All samples of every drive come from one :func:`levels` call, with the
+    drive phase along the last axis, and each drive's samples are summed
+    by ``np.sum`` over that axis, a fixed summation order, so results are
+    bit-reproducible.  Elementwise over the drive's phi_dc and phi_ac; a
+    scalar drive gives a float.
     """
     if n_steps < 256:
         raise ValueError(f"n_steps must be >= 256, got {n_steps}")
     theta = 2.0 * np.pi * np.arange(n_steps) / n_steps
-    phi = drive.phi_dc + drive.phi_ac * np.cos(theta)
-    return float(np.sum(levels(params, phi, basis_size=basis_size)[0])) / n_steps
+    phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
+    phi = phi_dc[..., None] + phi_ac[..., None] * np.cos(theta)
+    f01 = levels(params, phi, basis_size=basis_size)[0]
+    return _float_or_array(np.sum(f01, axis=-1) / n_steps)

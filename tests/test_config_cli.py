@@ -134,6 +134,22 @@ class TestSpectrumCommand:
         assert code == 2
         assert capsys.readouterr() == ("", "error: flux must be finite, got phi = nan\n")
 
+    @pytest.mark.parametrize("option,value", [
+        ("--phi-max", "inf"), ("--phi-min", "-inf"), ("--phi-max", "nan"),
+    ])
+    def test_nonfinite_end_point_exits_2_with_one_line(self, tmp_path, option, value):
+        # a subprocess, so numpy warnings on stderr would show
+        out = tmp_path / "spec.csv"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxline.cli", "spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0",
+             "--points", "2", f"{option}={value}", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: flux must be finite, got phi = {value}\n"
+        assert not out.exists()
+
 
 class TestModulateCommand:
     def test_zero_drive_row_and_bounds(self, tmp_path, capsys):
@@ -384,16 +400,42 @@ class TestFitCommand:
         assert doc["params"]["e_j1"] == pytest.approx(2140.0, rel=0.05)
         assert doc["params"]["e_j2"] == pytest.approx(9040.0, rel=0.05)
 
-    def test_residuals_csv(self, tmp_path):
-        res = tmp_path / "residuals.csv"
+    @pytest.mark.parametrize("kind,source,options", [
+        ("t1", "t1_53us.csv", []),
+        ("ramsey", "ramsey_10us.csv", []),
+        ("rb", "rb_decay.csv", []),
+        ("tuning", "tuning_q0.csv", []),
+        ("tuning", "tuning_q0.csv", ["--fixed-ec", "182"]),
+        ("beta", "beta_q0.csv", [str(EXAMPLE_CONFIG), "--qubit", "q0"]),
+    ], ids=["t1", "ramsey", "rb", "tuning", "tuning-fixed-ec", "beta"])
+    def test_residuals_csv(self, tmp_path, kind, source, options):
+        from fluxline import fitting
+
+        res, fit = tmp_path / "residuals.csv", tmp_path / "fit.json"
         code = run_cli(
-            "fit", "t1", str(FIXTURES / "t1_53us.csv"),
-            "--out", str(tmp_path / "fit.json"), "--residuals-out", str(res),
+            "fit", kind, str(FIXTURES / source), *options,
+            "--out", str(fit), "--residuals-out", str(res),
         )
         assert code == 0
         lines = res.read_text().splitlines()
-        assert lines[0] == "time_us,signal,model,residual"
-        assert len(lines) == 54
+        fixture = (FIXTURES / source).read_text().splitlines()
+        assert lines[0] == fixture[0] + ",model,residual"
+        assert len(lines) == len(fixture)
+        x, y, curve, residual = np.loadtxt(res, delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(y, np.loadtxt(FIXTURES / source, delimiter=",", skiprows=1)[:, 1])
+        scale = np.abs(y).max()
+        np.testing.assert_allclose(curve + residual, y, rtol=0, atol=1e-11 * scale)
+        # the public model at the parameters the fit reported
+        model = {
+            "t1": fitting.T1_MODEL,
+            "ramsey": fitting.RAMSEY_MODEL,
+            "rb": fitting.RB_MODEL,
+            "tuning": fitting.tuning_curve_model(182.0 if options else None),
+            "beta": fitting.beta_model(load_config(EXAMPLE_CONFIG).qubit("q0").params, 0.0),
+        }[kind]
+        params = json.loads(fit.read_text())["params"]
+        want = model.fn(x, np.array([params[name] for name in model.names]))
+        np.testing.assert_allclose(curve, want, rtol=1e-9, atol=1e-9 * scale)
 
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "empty.csv"

@@ -1,6 +1,7 @@
 """Fit engine and model roundtrips: noise-free, noisy (fixed seed), Jacobians."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from fluxline.fitting import (
 from fluxline.modulation import harmonic_series
 from fluxline.specfun import bessel_j0, bessel_j1
 from fluxline.transmon import TransmonParams
+
+from conftest import FIXTURES
 
 SEED = 20210901
 NOISE_FRACTION = 0.02  # of the signal span, per the roundtrip contract
@@ -374,6 +377,36 @@ class TestBeta:
     def test_zero_axis_rejected(self, q0):
         with pytest.raises(ValueError, match="amplitude"):
             fit_beta(DataSeries(x=np.zeros(5), y=np.ones(5)), q0)
+
+
+class TestResultCarriesModel:
+    @pytest.mark.parametrize("source,fit", [
+        ("t1_53us.csv", fit_t1),
+        ("ramsey_10us.csv", fit_ramsey),
+        ("rb_decay.csv", fit_rb),
+        ("tuning_q0.csv", fit_tuning_curve),
+        ("tuning_q0.csv", lambda data: fit_tuning_curve(data, fixed_e_c=182.0)),
+        ("tuning_q0.csv", lambda data: fit_tuning_curve(data, use_diagonalization=True)),
+        ("beta_q0.csv", "beta"),
+    ], ids=["t1", "ramsey", "rb", "tuning", "tuning-fixed-ec", "tuning-refined", "beta"])
+    def test_curve_reproduces_the_optimum(self, q0, source, fit):
+        x, y = np.loadtxt(FIXTURES / source, delimiter=",", skiprows=1, unpack=True)
+        data = DataSeries(x=x, y=y)
+        res = fit_beta(data, q0) if fit == "beta" else fit(data)
+        # the reported (normalized) parameters on the carried model give
+        # back the residuals the engine minimized
+        assert np.linalg.norm(res.curve(x) - y) == pytest.approx(res.residual_norm, rel=1e-8)
+        theta = np.array([res.params[name] for name in res.model.names])
+        assert np.array_equal(res.curve(x), res.model.fn(x, theta))
+        assert "model" not in res.to_dict()
+        assert replace(res, model=None) == res
+
+    def test_each_fit_carries_its_model(self):
+        t = np.linspace(1.0, 260.0, 53)
+        assert fit_t1(DataSeries(x=t, y=T1_MODEL.fn(t, np.array([0.95, 53.0, 0.03])))).model is T1_MODEL
+        # a degenerate result carries its model too: the constant start guess
+        flat = fit_rb(DataSeries(x=t, y=np.full_like(t, 0.7)))
+        assert flat.model is RB_MODEL and np.allclose(flat.curve(t), 0.7, rtol=0, atol=1e-15)
 
 
 class TestTuningNormalization:

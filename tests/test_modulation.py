@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fluxline.config import load_config
 from fluxline.modulation import (
     FluxDrive,
     _harmonic_tuple,
@@ -22,6 +23,8 @@ from fluxline.modulation import (
 )
 from fluxline.specfun import bessel_j0
 from fluxline.transmon import FluxPoint, TransmonParams, diagonalize
+
+from conftest import EXAMPLE_CONFIG
 
 
 class TestConstants:
@@ -97,6 +100,56 @@ class TestFluxDrive:
     def test_nonfinite_values_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             FluxDrive(**kwargs)
+
+    @pytest.mark.parametrize("phi_ac,message", [
+        ([0.1, -0.2, 0.3], "phi_ac must be >= 0, got -0.2"),
+        ([0.1, math.nan, 0.3], "phi_ac must be finite, got nan"),
+    ], ids=["negative", "nan"])
+    def test_array_with_one_bad_entry_rejected(self, phi_ac, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FluxDrive(0.0, np.array(phi_ac))
+
+
+class TestArrayDrive:
+    """An array drive gives, bit for bit, what per-point calls give."""
+
+    AMPS = np.linspace(0.0, 0.5, 51)
+
+    @pytest.fixture(scope="class")
+    def example_qubits(self):
+        return [q.params for q in load_config(EXAMPLE_CONFIG).qubits]
+
+    @pytest.mark.parametrize("phi_dc", [0.0, 0.13, -0.31])
+    def test_avg_frequency(self, example_qubits, phi_dc):
+        for p in example_qubits:
+            got = avg_frequency(p, FluxDrive(phi_dc, self.AMPS))
+            want = [avg_frequency(p, FluxDrive(phi_dc, float(a))) for a in self.AMPS]
+            assert got.shape == self.AMPS.shape and np.array_equal(got, want)
+
+    def test_avg_frequency_broadcasts_both_fluxes(self, q0):
+        phi_dc = np.array([0.0, 0.13, -0.31])[:, None]
+        got = avg_frequency(q0, FluxDrive(phi_dc, self.AMPS))
+        want = [[avg_frequency(q0, FluxDrive(float(d), float(a))) for a in self.AMPS] for d in phi_dc[:, 0]]
+        assert got.shape == (3, 51) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("phi_dc", [0.0, 0.13])
+    def test_time_average_oracle(self, q0, phi_dc):
+        amps = np.linspace(0.0, 0.5, 11)
+        got = time_average_oracle(q0, FluxDrive(phi_dc, amps))
+        want = [time_average_oracle(q0, FluxDrive(phi_dc, float(a))) for a in amps]
+        assert got.shape == amps.shape and np.array_equal(got, want)
+
+    def test_second_order_shift(self, q0):
+        got = second_order_shift(q0, self.AMPS)
+        assert np.array_equal(got, [second_order_shift(q0, float(a)) for a in self.AMPS])
+        with pytest.raises(ValueError, match="^phi_ac must be >= 0, got -0.1$"):
+            second_order_shift(q0, np.array([0.1, -0.1]))
+
+    def test_scalar_drive_gives_float(self, q0):
+        drive = FluxDrive(0.13, 0.1)
+        assert type(avg_frequency(q0, drive)) is float
+        assert type(time_average_oracle(q0, drive, 256)) is float
+        assert type(second_order_shift(q0, 0.1)) is float
 
 
 class TestAvgFrequency:
