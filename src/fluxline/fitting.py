@@ -12,7 +12,9 @@ A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
   Jacobian column within GRADIENT_TOL = 1e-10;
 - at most MAX_ITERATIONS * (n_par + 1) residual evaluations, after which
   the fit reports converged=False;
-- covariance from the Jacobian at the optimum.
+- covariance from the Jacobian at the optimum, scaled for unweighted data
+  by the residual variance; with no more points than parameters that is
+  undefined, and the standard errors are NaN with a flag.
 
 Every model ships an analytic Jacobian (the test suite cross-checks them
 against finite differences) except the tuning refinement on exact
@@ -238,8 +240,15 @@ def least_squares(
     if not np.isfinite(cov).all():
         raise FitError("singular Jacobian at the optimum")
     if data.sigma is None:
-        dof = max(data.x.size - n_par, 1)
-        cov = cov * (float(r @ r) / dof)
+        # the residuals set the noise scale, which n_par points fitted
+        # exactly do not determine
+        dof = data.x.size - n_par
+        if dof == 0:
+            flags = flags + (
+                "standard errors undefined: an unweighted fit needs more points "
+                "than parameters, or sigma",
+            )
+        cov = cov * (float(r @ r) / dof if dof else math.nan)
     errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     return FitResult(
@@ -559,11 +568,15 @@ def beta_model(params: TransmonParams, phi_dc: float, p: int = DEFAULT_ORDER) ->
     wn = 2.0 * np.pi * np.arange(p + 1)
     cn = np.array(series.s) * np.cos(wn * phi_dc)
 
-    # rows are the harmonics n, columns the samples; the sums over axis 0
-    # add the harmonics in order, one row at a time
+    # the harmonics n along axis 0, the samples along the last; the sums
+    # over axis 0 add the harmonics in order, one row at a time.  beta may
+    # be an array of candidates: fn then gives one curve per candidate, in
+    # one Bessel call, each equal to the curve of that beta alone
     def fn(amp, th):
-        arg = (wn * abs(th[0]))[:, None] * amp
-        return (cn[:, None] * bessel_j0(arg)).sum(axis=0)
+        beta = np.abs(th[0])
+        column = (-1,) + (1,) * np.ndim(beta)
+        arg = (wn.reshape(column) * beta)[..., None] * amp
+        return (cn.reshape(column + (1,)) * bessel_j0(arg)).sum(axis=0)
 
     def jac(amp, th):
         sign = 1.0 if th[0] >= 0 else -1.0
@@ -572,6 +585,16 @@ def beta_model(params: TransmonParams, phi_dc: float, p: int = DEFAULT_ORDER) ->
         return (sign * col)[:, None]
 
     return Model(names=("beta",), fn=fn, jac=jac)
+
+
+def _beta_scan(model: Model, data: DataSeries, amp_max: float):
+    """Deterministic coarse scan, as the chi^2 landscape in beta is
+    multimodal: 30 candidate betas and their weighted sums of squares,
+    scored by one model evaluation over all of them."""
+    candidates = np.linspace(0.05, 1.5, 30) / amp_max
+    sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
+    curves = model.fn(data.x, (candidates,))
+    return candidates, np.sum(((curves - data.y) / sig) ** 2, axis=1)
 
 
 def fit_beta(
@@ -587,13 +610,7 @@ def fit_beta(
     amp_max = float(np.abs(data.x).max())
     if amp_max == 0:
         raise ValueError("amplitude axis is identically zero")
-    # deterministic coarse scan: the chi^2 landscape in beta is multimodal
-    candidates = np.linspace(0.05, 1.5, 30) / amp_max
-    sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
-    sse = [
-        float(np.sum(((model.fn(data.x, np.array([b])) - data.y) / sig) ** 2))
-        for b in candidates
-    ]
+    candidates, sse = _beta_scan(model, data, amp_max)
     beta0 = float(candidates[int(np.argmin(sse))])
     result = least_squares(model, data, [beta0])
     beta = abs(result.params["beta"])

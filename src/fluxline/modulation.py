@@ -172,7 +172,8 @@ def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORD
     """Time-averaged qubit frequency (MHz) from the truncated series.
 
     Elementwise over the drive's phi_dc and phi_ac; a scalar drive gives a
-    float.
+    float.  A flux whose harmonic phases 2 pi n phi overflow raises
+    ValueError naming it.
     """
     s = np.array(harmonic_series(params, p).s)
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
@@ -180,7 +181,12 @@ def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORD
     # at every shape, where a sum over a short axis would pair them up
     column = (-1,) + (1,) * phi_dc.ndim
     wn = (2.0 * np.pi * np.arange(p + 1)).reshape(column)
-    terms = s.reshape(column) * np.cos(wn * phi_dc) * bessel_j0(wn * phi_ac)
+    with np.errstate(over="ignore"):
+        phase_dc, phase_ac = wn * phi_dc, wn * phi_ac
+    for name, phi, phase in (("phi_dc", phi_dc, phase_dc), ("phi_ac", phi_ac, phase_ac)):
+        # the top harmonic has the largest phase
+        _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {p}")
+    terms = s.reshape(column) * np.cos(phase_dc) * bessel_j0(phase_ac)
     return _float_or_array(np.cumsum(terms, axis=0)[-1])
 
 
@@ -189,14 +195,18 @@ def second_order_shift(params: TransmonParams, phi_ac) -> float | np.ndarray:
 
     delta_f = -pi^2 r / (2 (1+r)^2) sqrt(8 E_Jsum E_C) phi_ac^2 with
     r = E_J1/E_J2; invariant under r -> 1/r, always <= 0.  Elementwise
-    over an array phi_ac; a scalar gives a float.
+    over an array phi_ac; a scalar gives a float.  An amplitude whose
+    shift overflows raises ValueError naming it.
     """
     _require("phi_ac", phi_ac, lambda v: ~(v < 0), "must be >= 0")  # a NaN gives a NaN shift
     phi_ac = np.asarray(phi_ac, dtype=float)
     r = params.e_j1 / params.e_j2
     scale = math.sqrt(8.0 * params.e_j_sum * params.e_c)
-    shift_mhz = -(math.pi**2 * r / (2.0 * (1.0 + r) ** 2)) * scale * (phi_ac * phi_ac)
-    return _float_or_array(shift_mhz * 1e6)
+    with np.errstate(over="ignore"):
+        shift_mhz = -(math.pi**2 * r / (2.0 * (1.0 + r) ** 2)) * scale * (phi_ac * phi_ac)
+        shift_hz = shift_mhz * 1e6
+    _require("phi_ac", phi_ac, lambda v: ~np.isinf(shift_hz), "must keep the second-order shift finite")
+    return _float_or_array(shift_hz)
 
 
 def time_average_oracle(

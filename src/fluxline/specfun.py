@@ -94,40 +94,52 @@ _BESSEL_CROSSOVER = 12.0
 
 
 def _bessel_series(x, nu: int):
-    # ascending series, one row of terms per element, taken in blocks of 32
-    # terms (|x| <= 12 needs at most ~32); cumprod and cumsum run in term
-    # order and each row stops at its own first negligible term, so every
-    # value is the one the term-by-term scalar loop gives
-    q = 0.25 * x * x
+    # ascending series, summed term by term over the whole array; a row
+    # whose term has fallen below 1e-17 of its total keeps that total, as
+    # every later term is smaller still and below half an ulp of it, so
+    # each value is the one the term-by-term scalar loop gives.  The stop
+    # rule is tested every 8 terms (|x| <= 12 needs at most ~32).
+    negq = -0.25 * x * x
     term = np.ones_like(x) if nu == 0 else 0.5 * x
-    total = term
-    out = np.empty_like(x)
-    rows = np.arange(x.size)
-    for k0 in range(1, 200, 32):
-        k = np.arange(k0, min(k0 + 32, 200))
-        terms = np.cumprod(np.column_stack([term, -q[:, None] / (k * (k + nu))]), axis=1)[:, 1:]
-        totals = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
-        done = np.abs(terms) <= 1e-17 * (np.abs(totals) + 1e-300)
-        hit = done.any(axis=1)
-        out[rows[hit]] = totals[hit, done[hit].argmax(axis=1)]
-        rows, q, term, total = rows[~hit], q[~hit], terms[~hit, -1], totals[~hit, -1]
-        if not rows.size:
-            return out
-    raise ConvergenceError(f"Bessel series did not converge for x={x[rows[0]]}")
+    total = term.copy()
+    for k in range(1, 200):
+        term *= negq / (k * (k + nu))
+        total += term
+        if k % 8 == 0 or k == 199:
+            pending = ~(np.abs(term) <= 1e-17 * (np.abs(total) + 1e-300))
+            if not pending.any():
+                return total
+    raise ConvergenceError(f"Bessel series did not converge for x={x[pending][0]}")
 
 
 def _bessel_asymptotic(x, nu: int):
     # Hankel expansion: J_nu(x) = sqrt(2/(pi x)) (P cos(chi) - Q sin(chi)),
-    # chi = x - (nu/2 + 1/4) pi, truncated in each row before the first
-    # term that is not smaller than the one before it
-    k = np.arange(1, 40)
-    w = np.cumprod((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * x[:, None]), axis=1)
-    growing = np.abs(w) >= np.column_stack([np.full_like(x, math.inf), np.abs(w[:, :-1])])
-    kept = np.where(np.cumsum(growing, axis=1) == 0, np.where((k // 2) % 2, -w, w), 0.0)
-    p = np.cumsum(np.column_stack([np.ones_like(x), np.where(k % 2 == 0, kept, 0.0)]), axis=1)[:, -1]
-    q = np.cumsum(np.where(k % 2 == 1, kept, 0.0), axis=1)[:, -1]
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
+    # chi = x - (nu/2 + 1/4) pi, summed term by term over the whole array;
+    # a row stops before its first term that is not smaller than the one
+    # before it.  The loop ends (tested every 8 terms) once no live row has
+    # a term above 1e-17 of both sums, as every later term it could add is
+    # below half an ulp of either.
+    # For huge x, 8 k x and pi x overflow to inf, and the terms and the
+    # amplitude to the zeros they tend to.
+    mu = 4.0 * nu * nu
+    w = np.ones_like(x)
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    prev = np.full_like(x, math.inf)
+    alive = np.ones(x.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        for k in range(1, 40):
+            w *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+            size = np.abs(w)
+            alive &= size < prev
+            prev = size
+            # odd terms go to Q, even ones to P, with the sign of (k // 2) % 2
+            target = q if k % 2 else p
+            (np.subtract if (k // 2) % 2 else np.add)(target, w, out=target, where=alive)
+            if k % 8 == 0 and not (alive & (size > 1e-17 * np.minimum(np.abs(p), np.abs(q)))).any():
+                break
+        chi = x - (0.5 * nu + 0.25) * math.pi
+        return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def _bessel(x, nu: int):

@@ -242,6 +242,25 @@ class TestModulateCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("json_flag,option,value,message", [
+        ([], "--amp-max", "1e308", "phi_ac must keep 2 pi n phi_ac finite for n <= 8, got 1e+308"),
+        (["--json"], "--phi-dc", "1e308", "phi_dc must keep 2 pi n phi_dc finite for n <= 8, got 1e+308"),
+        ([], "--amp-max", "1e200", "phi_ac must keep the second-order shift finite, got 1e+200"),
+    ], ids=["amp-max", "phi-dc", "shift"])
+    def test_overflowing_drive_exits_2_with_one_line(self, tmp_path, json_flag, option, value, message):
+        # finite inputs whose harmonic phases or quadratic shift overflow
+        # once gave nan/inf cells with exit 0; a subprocess, so numpy
+        # warnings on stderr would show
+        out = tmp_path / "m.csv"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluxline.cli", *json_flag, "modulate", str(EXAMPLE_CONFIG),
+             "--qubit", "q0", "--points", "2", option, value, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+        assert not out.exists()
+
     def test_series_convergence_error_exits_3(self, monkeypatch, capsys):
         def not_converged(*args):
             raise ConvergenceError("hyp2f1(1.125, 0.625; 1.0; 0.9999) not converged after 5 terms")
@@ -527,6 +546,22 @@ class TestFitCommand:
 
     def test_beta_without_qubit_exits_2(self):
         assert run_cli("fit", "beta", str(FIXTURES / "beta_q0.csv")) == 2
+
+    def test_exactly_determined_fit_reports_null_errors(self, tmp_path, capsys):
+        # three points for three parameters: no noise scale, so no errors
+        path = tmp_path / "three.csv"
+        path.write_text("time_us,signal\n1,0.9\n20,0.5\n60,0.2\n")
+        assert run_cli("fit", "t1", str(path)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["std_errors"] == {"A": None, "T1": None, "B": None}
+        assert doc["flags"] == [
+            "standard errors undefined: an unweighted fit needs more points than parameters, or sigma"
+        ]
+        # a sigma column gives them back
+        path.write_text("time_us,signal,sigma\n1,0.9,0.01\n20,0.5,0.01\n60,0.2,0.01\n")
+        assert run_cli("fit", "t1", str(path)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["flags"] == [] and all(e > 0.0 for e in doc["std_errors"].values())
 
     def test_sigma_column_accepted(self, tmp_path, capsys):
         import numpy as np

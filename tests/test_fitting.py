@@ -67,6 +67,24 @@ class TestEngine:
         with pytest.raises(ValueError, match="points"):
             least_squares(T1_MODEL, DataSeries(x=np.array([1.0, 2.0]), y=np.array([1.0, 2.0])), [1, 1, 1])
 
+    def test_exact_determination_has_undefined_errors(self):
+        # as many points as parameters: the residuals vanish and set no
+        # noise scale, so unweighted errors are undefined, not ~1e-16
+        data = DataSeries(x=np.array([1.0, 20.0, 60.0]), y=np.array([0.9, 0.5, 0.2]))
+        res = fit_t1(data)
+        assert res.converged
+        assert all(math.isnan(e) for e in res.std_errors.values())
+        assert res.flags == (
+            "standard errors undefined: an unweighted fit needs more points than parameters, or sigma",
+        )
+        # with sigma the errors come from the weights alone
+        weighted = fit_t1(replace(data, sigma=np.full(3, 0.01)))
+        assert weighted.params == pytest.approx(res.params, rel=1e-9) and weighted.flags == ()
+        assert all(0.0 < e < math.inf for e in weighted.std_errors.values())
+        # one point more and the unweighted errors are defined again
+        more = fit_t1(DataSeries(x=np.array([1.0, 20.0, 40.0, 60.0]), y=np.array([0.9, 0.5, 0.31, 0.2])))
+        assert more.flags == () and all(0.0 < e < math.inf for e in more.std_errors.values())
+
     def test_arity_check(self):
         x = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="initial guess"):
@@ -377,6 +395,59 @@ class TestBeta:
     def test_zero_axis_rejected(self, q0):
         with pytest.raises(ValueError, match="amplitude"):
             fit_beta(DataSeries(x=np.zeros(5), y=np.ones(5)), q0)
+
+
+class TestBetaScan:
+    """The coarse scan scores all 30 candidates in one model evaluation."""
+
+    @staticmethod
+    def loop_scan(model, data):
+        # the per-candidate loop the one-call scan replaced
+        candidates = np.linspace(0.05, 1.5, 30) / float(np.abs(data.x).max())
+        sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
+        sse = [
+            float(np.sum(((model.fn(data.x, np.array([b])) - data.y) / sig) ** 2))
+            for b in candidates
+        ]
+        return candidates, sse
+
+    @staticmethod
+    def fixture(sigma=False):
+        x, y = np.loadtxt(FIXTURES / "beta_q0.csv", delimiter=",", skiprows=1, unpack=True)
+        return DataSeries(x=x, y=y, sigma=0.05 + 0.01 * np.arange(x.size) if sigma else None)
+
+    @pytest.mark.parametrize("case", ["fixture", "sigma", "phi_dc", "ratio-0.98"])
+    def test_equals_per_candidate_loop(self, q0, case):
+        from fluxline.fitting import _beta_scan
+
+        data, params, phi_dc = self.fixture(case == "sigma"), q0, 0.0
+        if case == "phi_dc":
+            phi_dc = 0.13
+        elif case == "ratio-0.98":
+            params = TransmonParams(e_c=185.0, e_j1=0.98 * 11000.0 / 1.98, e_j2=11000.0 / 1.98)
+        model = beta_model(params, phi_dc)
+        candidates, sse = _beta_scan(model, data, float(np.abs(data.x).max()))
+        want_candidates, want_sse = self.loop_scan(model, data)
+        assert np.array_equal(candidates, want_candidates)
+        assert sse.tolist() == want_sse
+        # and so the start beta0
+        assert candidates[np.argmin(sse)] == want_candidates[np.argmin(want_sse)]
+
+    def test_one_bessel_call(self, q0, monkeypatch):
+        from fluxline import fitting
+
+        calls = []
+
+        def counting(x):
+            calls.append(np.shape(x))
+            return bessel_j0(x)
+
+        monkeypatch.setattr(fitting, "bessel_j0", counting)
+        data = self.fixture()
+        res = fit_beta(data, q0)
+        # the scan, then one call per residual evaluation of the solve
+        assert calls[0] == (9, 30, data.x.size)
+        assert len(calls) == 1 + res.iterations
 
 
 class TestResultCarriesModel:

@@ -145,6 +145,21 @@ class TestArrayDrive:
         with pytest.raises(ValueError, match="^phi_ac must be >= 0, got -0.1$"):
             second_order_shift(q0, np.array([0.1, -0.1]))
 
+    def test_overflow_raises_naming_the_flux(self, q0):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and without a numpy warning
+            with pytest.raises(ValueError, match=r"^phi_ac must keep 2 pi n phi_ac finite for n <= 8, got 1e\+308$"):
+                avg_frequency(q0, FluxDrive(0.0, np.array([0.1, 1e308])))
+            with pytest.raises(ValueError, match=r"^phi_dc must keep 2 pi n phi_dc finite for n <= 4, got -1e\+308$"):
+                avg_frequency(q0, FluxDrive(-1e308, self.AMPS), 4)
+            with pytest.raises(ValueError, match=r"^phi_ac must keep the second-order shift finite, got 1e\+200$"):
+                second_order_shift(q0, np.array([0.1, 1e200]))
+            # huge but representable phases give finite values
+            assert math.isfinite(avg_frequency(q0, FluxDrive(1e305, 1e305)))
+            assert math.isfinite(second_order_shift(q0, 1e140))
+
     def test_scalar_drive_gives_float(self, q0):
         drive = FluxDrive(0.13, 0.1)
         assert type(avg_frequency(q0, drive)) is float

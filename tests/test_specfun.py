@@ -154,6 +154,33 @@ def scalar_bessel(x, nu):
     return -total if nu == 1 and x < 0.0 else total
 
 
+def hankel_sums(ax, nu):
+    """P and Q of scalar_bessel's Hankel expansion at ax > 12."""
+    mu, w, p, q, prev = 4.0 * nu * nu, 1.0, 1.0, 0.0, math.inf
+    for k in range(1, 40):
+        w *= (mu - (2 * k - 1) ** 2) / (8.0 * k * ax)
+        if abs(w) >= prev:
+            break
+        prev = abs(w)
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        if k % 2 == 1:
+            q += sign * w
+        else:
+            p += sign * w
+    return p, q
+
+
+def exact_reference(x, nu):
+    """scalar_bessel at x >= 0, bit for bit: beyond 12 its Hankel sums are
+    finished with numpy's cos and sin, as in the array kernel."""
+    out = np.array([scalar_bessel(float(v), nu) for v in x])
+    big = x > 12.0
+    p, q = np.array([hankel_sums(float(v), nu) for v in x[big]]).reshape(-1, 2).T
+    chi = x[big] - (0.5 * nu + 0.25) * math.pi
+    out[big] = np.sqrt(2.0 / (math.pi * x[big])) * (p * np.cos(chi) - q * np.sin(chi))
+    return out
+
+
 class TestBesselArrays:
     # both sides of the crossover at 12, negative arguments and zero
     X = np.concatenate(
@@ -175,6 +202,53 @@ class TestBesselArrays:
     def test_against_scipy(self):
         np.testing.assert_allclose(bessel_j0(self.X), scipy_j0(self.X), rtol=0.0, atol=2e-12)
         np.testing.assert_allclose(bessel_j1(self.X), scipy_j1(self.X), rtol=0.0, atol=2e-12)
+
+    # first three positive zeros of J0 and J1 (DLMF table 10.21.1), where
+    # the series total is smallest against its terms
+    ZEROS = {
+        0: [2.404825557695773, 5.520078110286311, 8.653727912911013],
+        1: [3.831705970207512, 7.015586669815619, 10.17346813506272],
+    }
+
+    @pytest.mark.parametrize("nu,fn", [(0, bessel_j0), (1, bessel_j1)])
+    def test_early_exits_keep_every_value(self, nu, fn):
+        # the kernels stop summing once every row has met its own stop
+        # rule: the Hankel range densely, the series range at random, tiny
+        # arguments, and the neighbourhoods of the zeros.  Rows near 12
+        # keep the Hankel loop going to its last term, so its part above
+        # 40, where the loop leaves early, is also taken on its own
+        zeros = np.array(self.ZEROS[nu])
+        hankel = np.linspace(12.0, 500.0, 20001)
+        x = np.concatenate([
+            hankel,
+            np.random.default_rng(20261018).uniform(0.0, 80.0, 20000),
+            [1e-300, 1e-8],
+            (zeros[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
+        ])
+        for batch in (x, hankel[hankel >= 40.0]):
+            assert np.array_equal(fn(batch), exact_reference(batch, nu))
+
+    @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
+    def test_value_independent_of_batch(self, fn):
+        # as many arguments as the beta scan's (harmonic, candidate,
+        # amplitude) array
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-80.0, 80.0, (30, 9, 41))
+        batch = fn(x)
+        assert batch.shape == x.shape
+        # every value as in its candidate's own (9, 41) call, and a seeded
+        # sample of them as in a call on that argument alone
+        assert all(np.array_equal(fn(row), b) for row, b in zip(x, batch))
+        for i in rng.choice(x.size, 600, replace=False):
+            assert fn(float(x.flat[i])) == batch.flat[i]
+
+    def test_huge_arguments_are_finite_and_quiet(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = np.array([5e305, 1e307, 1.7e308])
+            assert np.isfinite(bessel_j0(x)).all() and np.isfinite(bessel_j1(-x)).all()
 
     def test_parity_zero_and_types(self):
         x = np.linspace(0.0, 30.0, 301)
