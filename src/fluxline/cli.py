@@ -119,6 +119,8 @@ def cmd_spectrum(args) -> int:
     for end in (args.phi_min, args.phi_max):
         if not math.isfinite(end):  # checked before linspace spreads it into nan
             raise ValueError(f"flux must be finite, got phi = {end}")
+    if not math.isfinite(args.phi_max - args.phi_min):  # linspace would overflow its step
+        raise ValueError(f"flux span must be finite, got phi = {args.phi_min} to {args.phi_max}")
     grid = np.linspace(args.phi_min, args.phi_max, args.points)
     f01, f12, _ = levels(q.params, grid)
     _write_csv(

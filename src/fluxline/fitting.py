@@ -16,10 +16,12 @@ A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
   by the residual variance; with no more points than parameters that is
   undefined, and the standard errors are NaN with a flag.
 
-Every model ships an analytic Jacobian (the test suite cross-checks them
-against finite differences) except the tuning refinement on exact
-levels, which takes forward differences.  The engine loads no scipy; the
-test suite checks it against MINPACK's lmder through scipy.
+Every model ships its Jacobian, and the test suite cross-checks each
+against forward differences.  All are analytic but the one of the tuning
+refinement on exact levels, which differentiates the levels in E_J with
+one extra levels call and takes the chain rule for the rest; forward
+differences remain for a model given without one.  The engine loads no
+scipy; the test suite checks it against MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .modulation import DEFAULT_ORDER, harmonic_series
+from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
 from .specfun import bessel_j0, bessel_j1
 from .transmon import TransmonParams, levels
 
@@ -470,6 +472,66 @@ def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
     return Model(names=names, fn=fn, jac=jac)
 
 
+# relative step in E_J of the Jacobian of the exact-levels model.  The
+# forward difference of the Mathieu f01 in ln E_J is off by ~0.3 h from
+# truncation and ~2e-15/h from rounding: on bench-like devices (E_J1/E_J2
+# 0.24-0.98, 13 fluxes) at most 3.0e-6 relative at h = 1e-5, 3.0e-7 at
+# 1e-6 and 4.8e-8 at 1e-7.  Smaller steps cost more rejected trials at the
+# end of the refinement, which runs at the rounding floor of the levels:
+# 128 bench devices took 2234, 2315 and 2427 residual evaluations at these
+# three steps (2452 with forward differences).  1e-6 keeps the columns far
+# below any reported digit of a standard error at near the lower count
+_LEVELS_EJ_STEP = 1e-6
+
+
+# a fixed E_C below this fraction of the data's f_max puts the start guess
+# at E_J/E_C = (f_max/E_C + 1)^2/8 > 1e11, eight decades past any transmon
+# (with the fixture's f_max, E_J^2 overflows below E_C ~ 1e-148 MHz).
+# Above f_max/4 no E_J fits: the exact f01 at n_g = 0 is at least 4 E_C,
+# its value at E_J = 0
+_FIXED_EC_MIN_PER_FMAX = 1e-6
+
+
+def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Model:
+    """The tuning curve on the exact f01 of :func:`transmon.levels`.
+
+    At n_g = 0, f01 = E_C g(q) with q = E_J(phi)/(2 E_C), so one more
+    levels call with both junction energies scaled by (1 + h) gives
+    df/dE_J = (f1 - f0)/(h E_J) at every flux, and df/dE_C at fixed E_J is
+    f0/E_C - (f1 - f0)/(h E_C); the chain rule through
+    E_J(phi) = sqrt(E_J1^2 + E_J2^2 + 2 E_J1 E_J2 cos 2 pi phi) and
+    phi = I/a + phi_0 gives the other columns, as in tuning_curve_model.
+    The energies enter as magnitudes, so their columns carry their signs.
+    """
+
+    def f01(current, th, scale=1.0):
+        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
+        return levels(params, current / amps_per_phi0 + off)[0]
+
+    def jac(current, th):
+        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        f0 = f01(current, th)
+        df = f01(current, th, 1.0 + _LEVELS_EJ_STEP) - f0
+        phi = current / amps_per_phi0 + off
+        c2 = np.cos(2.0 * np.pi * phi)
+        s2 = np.sin(2.0 * np.pi * phi)
+        a1, a2 = abs(ej1), abs(ej2)
+        ej = np.sqrt(np.maximum(a1**2 + a2**2 + 2.0 * a1 * a2 * c2, 1e-12))
+        df_dej = df / (_LEVELS_EJ_STEP * ej)
+        dej_d1 = (ej1 + math.copysign(a2, ej1) * c2) / ej
+        dej_d2 = (ej2 + math.copysign(a1, ej2) * c2) / ej
+        dej_dphi = -2.0 * np.pi * a1 * a2 * s2 / ej
+        dphi_da = -current / amps_per_phi0**2
+        cols = [df_dej * dej_d1, df_dej * dej_d2]
+        if fixed_e_c is None:
+            cols.append(f0 / ec - df / (_LEVELS_EJ_STEP * ec))
+        cols.extend([df_dej * dej_dphi * dphi_da, df_dej * dej_dphi])
+        return np.column_stack(cols)
+
+    return Model(names=names, fn=f01, jac=jac)
+
+
 def _normalize_tuning(params: dict, errs: dict) -> tuple[dict, dict]:
     """Canonical form of a tuning-curve solution.
 
@@ -501,7 +563,13 @@ def fit_tuning_curve(
     The closed-form transmon frequency is used for the main optimization;
     with use_diagonalization=True a refinement pass replaces it by the
     exact f01 of :func:`transmon.levels`, and the result carries that
-    refinement's model.
+    refinement's model.  The refinement's Jacobian costs two levels
+    calls, at the parameters and with both junction energies scaled by
+    1 + 1e-6, plus the chain rule (see _levels_tuning_model), where
+    forward differences took one per parameter; a levels call on the 13
+    fluxes of a bench device costs 35-55 us on a shared 2-core host.  A
+    fixed E_C must lie between 1e-6 and 1/4 of the data's largest
+    frequency.
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
@@ -519,8 +587,13 @@ def fit_tuning_curve(
     k = 1 + int(np.argmax(np.abs(spec[1:])))
     a0 = 1.0 / freqs[k] if freqs[k] > 0 else float(cur[-1] - cur[0])
     off0 = -cur[int(np.argmax(f))] / a0
-    ec0 = fixed_e_c if fixed_e_c is not None else 200.0
     fmax0, fmin0 = float(f.max()), float(f.min())
+    if fixed_e_c is not None and not fmax0 * _FIXED_EC_MIN_PER_FMAX <= fixed_e_c <= fmax0 / 4.0:
+        raise ValueError(
+            f"fixed_e_c must lie in [{fmax0 * _FIXED_EC_MIN_PER_FMAX:.6g}, {fmax0 / 4.0:.6g}] MHz "
+            f"(f_max * {_FIXED_EC_MIN_PER_FMAX:g} to f_max / 4 of the data), got {fixed_e_c}"
+        )
+    ec0 = fixed_e_c if fixed_e_c is not None else 200.0
     ej_sum0 = (fmax0 + ec0) ** 2 / (8.0 * ec0)
     ej_diff0 = (fmin0 + ec0) ** 2 / (8.0 * ec0)
     ej1_0 = max(0.5 * (ej_sum0 - ej_diff0), 1.0)
@@ -546,14 +619,8 @@ def fit_tuning_curve(
         )
 
     if use_diagonalization:
-        def diag_fn(current, th):
-            ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
-            params = TransmonParams(e_c=ec, e_j1=abs(ej1), e_j2=abs(ej2))
-            return levels(params, current / amps_per_phi0 + off)[0]
-
-        refine = Model(names=model.names, fn=diag_fn, jac=None)
         result = least_squares(
-            refine, data, [result.params[n] for n in model.names]
+            _levels_tuning_model(fixed_e_c, model.names), data, [result.params[n] for n in model.names]
         )
 
     params, errs = _normalize_tuning(result.params, result.std_errors)
@@ -566,7 +633,7 @@ def beta_model(params: TransmonParams, phi_dc: float, p: int = DEFAULT_ORDER) ->
     """Time-averaged frequency vs instrument amplitude, parameter beta."""
     series = harmonic_series(params, p)
     wn = 2.0 * np.pi * np.arange(p + 1)
-    cn = np.array(series.s) * np.cos(wn * phi_dc)
+    cn = np.array(series.s) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 
     # the harmonics n along axis 0, the samples along the last; the sums
     # over axis 0 add the harmonics in order, one row at a time.  beta may

@@ -168,6 +168,18 @@ def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> Harmo
     return HarmonicSeries(s=_harmonic_tuple(params, order), order=order)
 
 
+def _harmonic_phases(name: str, phi, wn: np.ndarray) -> np.ndarray:
+    """The phases wn * phi of the harmonics wn = 2 pi n, n = 0..p, along axis 0.
+
+    A flux whose top harmonic's phase overflows raises ValueError naming
+    it, before a cosine could warn on the infinite phase.
+    """
+    with np.errstate(over="ignore"):
+        phase = wn * phi
+    _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {len(wn) - 1}")
+    return phase
+
+
 def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORDER) -> float | np.ndarray:
     """Time-averaged qubit frequency (MHz) from the truncated series.
 
@@ -181,11 +193,7 @@ def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORD
     # at every shape, where a sum over a short axis would pair them up
     column = (-1,) + (1,) * phi_dc.ndim
     wn = (2.0 * np.pi * np.arange(p + 1)).reshape(column)
-    with np.errstate(over="ignore"):
-        phase_dc, phase_ac = wn * phi_dc, wn * phi_ac
-    for name, phi, phase in (("phi_dc", phi_dc, phase_dc), ("phi_ac", phi_ac, phase_ac)):
-        # the top harmonic has the largest phase
-        _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {p}")
+    phase_dc, phase_ac = _harmonic_phases("phi_dc", phi_dc, wn), _harmonic_phases("phi_ac", phi_ac, wn)
     terms = s.reshape(column) * np.cos(phase_dc) * bessel_j0(phase_ac)
     return _float_or_array(np.cumsum(terms, axis=0)[-1])
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -574,6 +575,33 @@ class TestFitCommand:
         assert run_cli("fit", "t1", str(path)) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"]["T1"] == pytest.approx(40.0, rel=1e-6)
+
+
+class TestHugeFiniteInputs:
+    """Finite inputs whose arithmetic overflows: exit 2, one error line
+    naming the input, and no numpy warning on the way (run in-process, so
+    every warning is recorded, not only the first from each line)."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "2", "--phi-max", "1e308"],
+         "flux must keep pi phi finite, got phi = 1e+308"),
+        (["spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "2",
+          "--phi-min=-1e308", "--phi-max", "1e308"],
+         "flux span must be finite, got phi = -1e+308 to 1e+308"),
+        (["fit", "tuning", str(FIXTURES / "tuning_q0.csv"), "--fixed-ec", "1e308"],
+         "fixed_e_c must lie in [0.00385122, 962.806] MHz (f_max * 1e-06 to f_max / 4 of the data), got 1e+308"),
+        (["fit", "tuning", str(FIXTURES / "tuning_q0.csv"), "--fixed-ec", "1e-300"],
+         "fixed_e_c must lie in [0.00385122, 962.806] MHz (f_max * 1e-06 to f_max / 4 of the data), got 1e-300"),
+        (["fit", "beta", str(FIXTURES / "beta_q0.csv"), str(EXAMPLE_CONFIG), "--qubit", "q0", "--phi-dc", "1e308"],
+         "phi_dc must keep 2 pi n phi_dc finite for n <= 8, got 1e+308"),
+    ], ids=["spectrum-phi-max", "spectrum-span", "fixed-ec-huge", "fixed-ec-tiny", "beta-phi-dc"])
+    def test_exits_2_with_one_line_and_no_warning(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(*argv)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 """Fit engine and model roundtrips: noise-free, noisy (fixed seed), Jacobians."""
 
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fluxline import fitting
 from fluxline.fitting import (
     LINEAR_MODEL,
     RAMSEY_MODEL,
@@ -25,7 +28,7 @@ from fluxline.fitting import (
 )
 from fluxline.modulation import harmonic_series
 from fluxline.specfun import bessel_j0, bessel_j1
-from fluxline.transmon import TransmonParams
+from fluxline.transmon import TransmonParams, levels
 
 from conftest import FIXTURES
 
@@ -341,6 +344,18 @@ class TestTuningCurve:
         with pytest.raises(ValueError, match="fixed_e_c must be finite and > 0"):
             fit_tuning_curve(self.make_data(n=24), fixed_e_c=fixed_e_c)
 
+    @pytest.mark.parametrize("fixed_e_c", [1e308, 1e-300, 1000.0])
+    def test_fixed_ec_outside_the_data_range_rejected(self, fixed_e_c):
+        # f_max of the data is 3849.4 MHz: above f_max/4 no E_J reaches it,
+        # and far below it the start guess overflowed (1e308 raised
+        # OverflowError, 1e-300 warned before its error)
+        message = f"fixed_e_c must lie in [0.0038494, 962.35] MHz (f_max * 1e-06 to f_max / 4 of the data), got {fixed_e_c}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fit_tuning_curve(self.make_data(n=24), fixed_e_c=fixed_e_c)
+        assert caught == []
+
     def test_minimum_points(self):
         cur = np.linspace(-1e-3, 1e-3, 5)
         with pytest.raises(ValueError, match="6 points"):
@@ -391,6 +406,13 @@ class TestBeta:
     def test_nonfinite_phi_dc_rejected(self, q0, phi_dc):
         with pytest.raises(ValueError, match="phi_dc must be finite"):
             fit_beta(self.make_data(q0), q0, phi_dc=phi_dc)
+
+    def test_overflowing_phi_dc_named_without_warnings(self, q0):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^phi_dc must keep 2 pi n phi_dc finite for n <= 8, got 1e\+308$"):
+                fit_beta(self.make_data(q0), q0, phi_dc=1e308)
+        assert caught == []
 
     def test_zero_axis_rejected(self, q0):
         with pytest.raises(ValueError, match="amplitude"):
@@ -511,3 +533,35 @@ class TestBetaModelArrays:
             np.testing.assert_allclose(
                 model.jac(amps, np.array([beta]))[:, 0], np.sign(beta) * jac, rtol=1e-14, atol=1e-12
             )
+
+
+class TestExactLevelsJacobian:
+    # the chain-rule Jacobian of the refinement against forward differences
+    # of its residuals; either is good to ~1e-6 of a column's largest entry
+    # (measured: at most 1.4e-6 on these devices)
+    COLUMN_RTOL = 1e-5
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
+    @pytest.mark.parametrize("ratio", [0.24, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98])
+    def test_matches_forward_differences(self, ratio, fixed):
+        # a bench-like device: 13 currents over 1.2 flux periods, 1 MHz noise
+        rng = np.random.default_rng([SEED, int(round(100 * ratio))])
+        e_c, total = rng.uniform(170.0, 200.0), rng.uniform(9500.0, 12500.0)
+        e_j2 = total / (1.0 + ratio)
+        a_per, offset = rng.uniform(0.8e-3, 1.5e-3), rng.uniform(-0.1, 0.1)
+        phi = np.linspace(-0.6, 0.6, 13)
+        x = (phi - offset) * a_per
+        y = levels(TransmonParams(e_c, total - e_j2, e_j2), phi)[0] + rng.normal(0.0, 1.0, phi.size)
+        res = fit_tuning_curve(DataSeries(x=x, y=y), fixed_e_c=e_c if fixed else None, use_diagonalization=True)
+        model = res.model
+        theta = np.array([res.params[name] for name in model.names])
+        # at the optimum, off it, and on the mirror solution with both
+        # junction energies negated, where the columns change sign
+        mirror = theta.copy()
+        mirror[:2] *= -1.0
+        for th in (theta, theta * (1.0 + 0.01 * rng.standard_normal(theta.size)), mirror):
+            residuals = lambda t: model.fn(x, t) - y
+            reference = fitting._forward_jacobian(residuals, th, residuals(th))
+            jac = model.jac(x, th)
+            scale = np.abs(reference).max(axis=0)
+            assert (np.abs(jac - reference).max(axis=0) <= self.COLUMN_RTOL * scale).all(), (th, jac, reference)

@@ -243,3 +243,52 @@ class TestLevels:
         for i, phi in enumerate((0.0, 0.3)):
             ref = diagonalize(q0, FluxPoint(phi=phi, n_g=0.25), basis_size=41)
             assert (f01[i], f12[i]) == (ref.f01, ref.f12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.floats(min_value=50.0, max_value=400.0),
+        st.floats(min_value=25.0, max_value=150.0),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6),
+    )
+    def test_mathieu_values_do_not_depend_on_the_call(self, e_c, ej_sum_over_ec, r, phis):
+        # an all-Mathieu call returns straight from q; a call with one point
+        # above MATHIEU_Q_MAX goes through the masked path.  Both, and every
+        # scalar call, must give the same bits at the Mathieu points.  The
+        # big device has q = 3000 at phi = 0 and q <= 1000 on |phi| >= 0.45
+        e_sum = e_c * ej_sum_over_ec
+        p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
+        phi = np.array(phis)
+        lean = levels(p, phi)
+        for i, value in enumerate(phi):
+            scalar = levels(p, value)
+            assert np.shape(scalar[0]) == ()
+            assert (scalar[0], scalar[1], bool(scalar[2])) == (lean[0][i], lean[1][i], True)
+        big = TransmonParams(e_c=100.0, e_j1=3.0e5, e_j2=3.0e5)
+        phi = np.array([0.0, *(0.45 + 0.05 * (phi + 1.0) / 2.0)])
+        masked = levels(big, phi)
+        assert effective_ej(big, 0.0) / (2.0 * big.e_c) > MATHIEU_Q_MAX
+        for got, want in zip(masked, levels(big, phi[1:])):
+            assert np.array_equal(got[1:], want)
+
+    def test_huge_finite_flux_rejected_without_warnings(self, q0):
+        # pi * 1e308 overflows, so q is NaN: the flux is named, and numpy
+        # does not warn on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^flux must keep pi phi finite, got phi = 1e\+308$"):
+                levels(q0, [0.1, 1e308])
+        assert caught == []
+
+
+class TestAsymptoticScalar:
+    def test_scalar_equals_array_element(self, q0):
+        phi = np.linspace(-0.5, 0.5, 11)
+        grid = f01_asymptotic(q0, phi)
+        assert [f01_asymptotic(q0, float(v)) for v in phi] == list(grid)
+
+    @pytest.mark.parametrize("phi", [0.5, np.array([0.0, 0.5, 0.2])])
+    def test_regime_error_names_the_flux(self, phi):
+        sym = TransmonParams(e_c=182.0, e_j1=5000.0, e_j2=5000.0)
+        with pytest.raises(TransmonRegimeError, match=r"at phi = 0\.5 is outside"):
+            f01_asymptotic(sym, phi)
