@@ -81,12 +81,8 @@ def _finite(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(_finite(obj), indent=2, sort_keys=False, allow_nan=False) + "\n"
-
-
 def _emit_json(path: str | None, obj) -> None:
-    _write(path, _json_dump(obj))
+    _write(path, json.dumps(_finite(obj), indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
 def _error(exc: Exception, code: int) -> int:

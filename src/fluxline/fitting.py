@@ -16,12 +16,12 @@ A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
   by the residual variance; with no more points than parameters that is
   undefined, and the standard errors are NaN with a flag.
 
-Every model ships its Jacobian, and the test suite cross-checks each
-against forward differences.  All are analytic but the one of the tuning
-refinement on exact levels, which differentiates the levels in E_J with
-one extra levels call and takes the chain rule for the rest; forward
-differences remain for a model given without one.  The engine loads no
-scipy; the test suite checks it against MINPACK's lmder through scipy.
+Every model ships its Jacobian (``Model.jac`` is required), and the test
+suite cross-checks each against forward differences.  All are analytic
+but the one of the tuning refinement on exact levels, which differentiates
+the levels in E_J with one extra levels call; both tuning models share the
+chain rule through E_J(phi) for the rest.  The engine loads no scipy; the
+test suite checks it against MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ STEP_TOL = 1e-12
 # start: Madsen et al.'s value for a start believed close, as every fit
 # here starts from a data-driven guess
 _DAMPING_0 = 1e-6
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class FitError(RuntimeError):
@@ -133,18 +132,7 @@ class Model:
 
     names: tuple[str, ...]
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-
-def _forward_jacobian(residuals, theta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Forward-difference Jacobian with step sqrt(eps)*|theta_j| (sqrt(eps) at 0)."""
-    cols = []
-    for j in range(theta.size):
-        shifted = theta.copy()
-        shifted[j] += _SQRT_EPS * abs(theta[j]) or _SQRT_EPS
-        # the step as represented, so the quotient is exact in its denominator
-        cols.append((residuals(shifted) - r) / (shifted[j] - theta[j]))
-    return np.column_stack(cols)
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
@@ -160,7 +148,7 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
         raise ValueError("residuals are not finite at the initial guess")
     nfev = 1
     cost = float(r @ r)
-    jac = jacobian(theta, r)
+    jac = jacobian(theta)
     scale = np.zeros(theta.size)
     lam, nu = _DAMPING_0, 2.0
     while True:
@@ -198,7 +186,7 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
                 abs(actual) <= FUNCTION_TOL and predicted <= FUNCTION_TOL and ratio <= 2.0
             ) or step_sq <= STEP_TOL**2 * float(d2 @ (theta * theta))
             if accepted:
-                jac = jacobian(theta, r)
+                jac = jacobian(theta)
             if done or nfev >= max_nfev:
                 return theta, r, jac, nfev, done
             if accepted:
@@ -225,11 +213,7 @@ def least_squares(
     def residuals(theta):
         return (model.fn(data.x, theta) - data.y) / sig
 
-    if model.jac is not None:
-        jacobian = lambda theta, r: model.jac(data.x, theta) / sig[:, None]
-    else:
-        jacobian = lambda theta, r: _forward_jacobian(residuals, theta, r)
-
+    jacobian = lambda theta: model.jac(data.x, theta) / sig[:, None]
     theta, r, jac, nfev, converged = _levenberg_marquardt(
         residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
     )
@@ -264,18 +248,29 @@ def least_squares(
     )
 
 
-def _require_spread(data: DataSeries) -> None:
-    # the start guesses regress on x or divide by its spacing, and no
-    # model here is identifiable from a single abscissa
+def _sorted_by_x(data: DataSeries) -> tuple[np.ndarray, np.ndarray]:
+    """x and y in ascending x.  The start guesses regress on x or divide by
+    its spacing, and no model here is identifiable from a single abscissa."""
     if np.ptp(data.x) == 0.0:
         raise ValueError(f"{data.x_unit or 'x'} column is constant: the fit needs distinct values")
+    order = np.argsort(data.x)
+    return data.x[order], data.y[order]
+
+
+def _dominant_component(x: np.ndarray, centered: np.ndarray):
+    """Frequency and amplitude of the top non-DC rfft bin, x sorted and near uniform."""
+    spec = np.fft.rfft(centered)
+    freqs = np.fft.rfftfreq(x.size, float(np.mean(np.diff(x))))
+    k = 1 + int(np.argmax(np.abs(spec[1:])))
+    return float(freqs[k]), spec[k]
 
 
 def _degenerate(y: np.ndarray) -> bool:
     return float(np.ptp(y)) <= 1e-12 * max(1.0, float(np.abs(y).max()))
 
 
-def _degenerate_result(model: Model, theta0, data: DataSeries, flag: str) -> FitResult:
+def _degenerate_result(model: Model, theta0, data: DataSeries) -> FitResult:
+    """The start guess theta0 as an unconverged, flagged fit of constant data."""
     resid = model.fn(data.x, np.asarray(theta0, dtype=float)) - data.y
     return FitResult(
         params=dict(zip(model.names, (float(v) for v in theta0))),
@@ -283,7 +278,7 @@ def _degenerate_result(model: Model, theta0, data: DataSeries, flag: str) -> Fit
         residual_norm=float(np.linalg.norm(resid)),
         converged=False,
         iterations=0,
-        flags=(flag,),
+        flags=("degenerate data: constant signal",),
         model=model,
     )
 
@@ -357,11 +352,9 @@ LINEAR_MODEL = Model(
 
 def fit_t1(data: DataSeries) -> FitResult:
     """Relaxation fit; time axis in microseconds."""
-    _require_spread(data)
+    t, y = _sorted_by_x(data)
     if _degenerate(data.y):
-        return _degenerate_result(T1_MODEL, [0.0, 1.0, float(np.mean(data.y))], data, "degenerate data: constant signal")
-    order = np.argsort(data.x)
-    t, y = data.x[order], data.y[order]
+        return _degenerate_result(T1_MODEL, [0.0, 1.0, float(np.mean(data.y))], data)
     b0 = float(y.min())
     w = y - b0
     keep = w > 0.05 * w.max()
@@ -374,22 +367,13 @@ def fit_t1(data: DataSeries) -> FitResult:
 
 def fit_ramsey(data: DataSeries) -> FitResult:
     """Decaying-cosine fit; time in microseconds, delta_f in MHz."""
-    _require_spread(data)
+    t, y = _sorted_by_x(data)
     if _degenerate(data.y):
-        return _degenerate_result(
-            RAMSEY_MODEL, [0.0, 1.0, 0.0, 0.0, float(np.mean(data.y))], data, "degenerate data: constant signal"
-        )
-    order = np.argsort(data.x)
-    t, y = data.x[order], data.y[order]
+        return _degenerate_result(RAMSEY_MODEL, [0.0, 1.0, 0.0, 0.0, float(np.mean(data.y))], data)
     b0 = float(np.mean(y))
     centered = y - b0
-    # dominant discrete-spectrum peak on a (near) uniform grid
-    dt = float(np.mean(np.diff(t)))
-    spec = np.fft.rfft(centered)
-    freqs = np.fft.rfftfreq(t.size, dt)
-    k = 1 + int(np.argmax(np.abs(spec[1:])))
-    delta0 = float(freqs[k])
-    phase0 = float(np.angle(spec[k]))
+    delta0, peak = _dominant_component(t, centered)
+    phase0 = float(np.angle(peak))
     a0 = math.sqrt(2.0) * float(np.std(centered))
     t2_0 = float(t[-1] - t[0]) / 3.0 or 1.0
     return least_squares(RAMSEY_MODEL, data, [a0, t2_0, delta0, phase0, b0])
@@ -401,13 +385,11 @@ def fit_rb(data: DataSeries) -> FitResult:
     The decay parameter maps to a single-qubit average fidelity
     F = 1 - (1-p)/2 with its standard error propagated from p.
     """
-    _require_spread(data)
+    n, y = _sorted_by_x(data)
     if not ((data.y >= 0.0).all() and (data.y <= 1.05).all()):
         raise ValueError("benchmarking data must lie in [0, 1.05]")
     if _degenerate(data.y):
-        return _degenerate_result(RB_MODEL, [0.0, 0.9, float(np.mean(data.y))], data, "degenerate data: constant signal")
-    order = np.argsort(data.x)
-    n, y = data.x[order], data.y[order]
+        return _degenerate_result(RB_MODEL, [0.0, 0.9, float(np.mean(data.y))], data)
     b0 = float(y[-1])
     a0 = float(y[0] - b0)
     mid = len(n) // 2
@@ -441,35 +423,53 @@ def _tuning_theta(th, fixed_e_c: float | None):
     return ej1, ej2, fixed_e_c, amps_per_phi0, off
 
 
-def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
-    def fn(current, th):
-        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
-        phi = current / amps_per_phi0 + off
-        ej_sq = ej1**2 + ej2**2 + 2.0 * ej1 * ej2 * np.cos(2.0 * np.pi * phi)
-        ej = np.sqrt(np.maximum(ej_sq, 1e-12))
-        # clip keeps the residuals finite while the optimizer explores
-        return np.sqrt(np.maximum(8.0 * ec * ej, 1e-12)) - ec
+def _tuning_jac(fixed_e_c: float | None, derivatives) -> Callable:
+    """The Jacobian of a tuning model f(E_J(phi), E_C).
+
+    derivatives(current, th, ec, ej) gives df/dE_J and df/dE_C at each
+    current; the chain rule through
+    E_J(phi) = sqrt(E_J1^2 + E_J2^2 + 2 E_J1 E_J2 cos 2 pi phi) and
+    phi = I/a + phi_0 gives the columns.  The junction energies enter as
+    magnitudes, so their columns carry their signs.
+    """
 
     def jac(current, th):
         ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
         phi = current / amps_per_phi0 + off
         c2 = np.cos(2.0 * np.pi * phi)
         s2 = np.sin(2.0 * np.pi * phi)
-        ej = np.sqrt(np.maximum(ej1**2 + ej2**2 + 2.0 * ej1 * ej2 * c2, 1e-12))
-        f_plus_ec = np.sqrt(8.0 * ec * ej)
-        df_dej = f_plus_ec / (2.0 * ej)
-        dej_d1 = (ej1 + ej2 * c2) / ej
-        dej_d2 = (ej2 + ej1 * c2) / ej
-        dej_dphi = -2.0 * np.pi * ej1 * ej2 * s2 / ej
+        a1, a2 = abs(ej1), abs(ej2)
+        ej = np.sqrt(np.maximum(a1**2 + a2**2 + 2.0 * a1 * a2 * c2, 1e-12))
+        df_dej, df_dec = derivatives(current, th, ec, ej)
+        dej_d1 = (ej1 + math.copysign(a2, ej1) * c2) / ej
+        dej_d2 = (ej2 + math.copysign(a1, ej2) * c2) / ej
+        dej_dphi = -2.0 * np.pi * a1 * a2 * s2 / ej
         dphi_da = -current / amps_per_phi0**2
         cols = [df_dej * dej_d1, df_dej * dej_d2]
         if fixed_e_c is None:
-            cols.append(f_plus_ec / (2.0 * ec) - 1.0)
+            cols.append(df_dec)
         cols.extend([df_dej * dej_dphi * dphi_da, df_dej * dej_dphi])
         return np.column_stack(cols)
 
+    return jac
+
+
+def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
+    def fn(current, th):
+        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        phi = current / amps_per_phi0 + off
+        a1, a2 = abs(ej1), abs(ej2)
+        ej_sq = a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(2.0 * np.pi * phi)
+        ej = np.sqrt(np.maximum(ej_sq, 1e-12))
+        # clip keeps the residuals finite while the optimizer explores
+        return np.sqrt(np.maximum(8.0 * ec * ej, 1e-12)) - ec
+
+    def derivatives(current, th, ec, ej):
+        f_plus_ec = np.sqrt(8.0 * ec * ej)
+        return f_plus_ec / (2.0 * ej), f_plus_ec / (2.0 * ec) - 1.0
+
     names = ("e_j1", "e_j2") + (() if fixed_e_c is not None else ("e_c",)) + ("amps_per_phi0", "phi_offset")
-    return Model(names=names, fn=fn, jac=jac)
+    return Model(names=names, fn=fn, jac=_tuning_jac(fixed_e_c, derivatives))
 
 
 # relative step in E_J of the Jacobian of the exact-levels model.  The
@@ -491,6 +491,11 @@ _LEVELS_EJ_STEP = 1e-6
 # its value at E_J = 0
 _FIXED_EC_MIN_PER_FMAX = 1e-6
 
+# the start guess squares the data's frequencies, E_J ~ (f + E_C)^2/(8 E_C),
+# and the model squares E_J: numpy overflows from |f| ~ 1e78 MHz, and the
+# start guess raises OverflowError from ~1.3e154 MHz
+_FREQUENCY_MAX_MHZ = 1e60
+
 
 def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Model:
     """The tuning curve on the exact f01 of :func:`transmon.levels`.
@@ -498,10 +503,7 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
     At n_g = 0, f01 = E_C g(q) with q = E_J(phi)/(2 E_C), so one more
     levels call with both junction energies scaled by (1 + h) gives
     df/dE_J = (f1 - f0)/(h E_J) at every flux, and df/dE_C at fixed E_J is
-    f0/E_C - (f1 - f0)/(h E_C); the chain rule through
-    E_J(phi) = sqrt(E_J1^2 + E_J2^2 + 2 E_J1 E_J2 cos 2 pi phi) and
-    phi = I/a + phi_0 gives the other columns, as in tuning_curve_model.
-    The energies enter as magnitudes, so their columns carry their signs.
+    f0/E_C - (f1 - f0)/(h E_C); _tuning_jac takes the chain rule.
     """
 
     def f01(current, th, scale=1.0):
@@ -509,27 +511,12 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
         params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
         return levels(params, current / amps_per_phi0 + off)[0]
 
-    def jac(current, th):
-        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+    def derivatives(current, th, ec, ej):
         f0 = f01(current, th)
         df = f01(current, th, 1.0 + _LEVELS_EJ_STEP) - f0
-        phi = current / amps_per_phi0 + off
-        c2 = np.cos(2.0 * np.pi * phi)
-        s2 = np.sin(2.0 * np.pi * phi)
-        a1, a2 = abs(ej1), abs(ej2)
-        ej = np.sqrt(np.maximum(a1**2 + a2**2 + 2.0 * a1 * a2 * c2, 1e-12))
-        df_dej = df / (_LEVELS_EJ_STEP * ej)
-        dej_d1 = (ej1 + math.copysign(a2, ej1) * c2) / ej
-        dej_d2 = (ej2 + math.copysign(a1, ej2) * c2) / ej
-        dej_dphi = -2.0 * np.pi * a1 * a2 * s2 / ej
-        dphi_da = -current / amps_per_phi0**2
-        cols = [df_dej * dej_d1, df_dej * dej_d2]
-        if fixed_e_c is None:
-            cols.append(f0 / ec - df / (_LEVELS_EJ_STEP * ec))
-        cols.extend([df_dej * dej_dphi * dphi_da, df_dej * dej_dphi])
-        return np.column_stack(cols)
+        return df / (_LEVELS_EJ_STEP * ej), f0 / ec - df / (_LEVELS_EJ_STEP * ec)
 
-    return Model(names=names, fn=f01, jac=jac)
+    return Model(names=names, fn=f01, jac=_tuning_jac(fixed_e_c, derivatives))
 
 
 def _normalize_tuning(params: dict, errs: dict) -> tuple[dict, dict]:
@@ -565,29 +552,28 @@ def fit_tuning_curve(
     exact f01 of :func:`transmon.levels`, and the result carries that
     refinement's model.  The refinement's Jacobian costs two levels
     calls, at the parameters and with both junction energies scaled by
-    1 + 1e-6, plus the chain rule (see _levels_tuning_model), where
+    1 + 1e-6, plus the chain rule (see _tuning_jac), where
     forward differences took one per parameter; a levels call on the 13
-    fluxes of a bench device costs 35-55 us on a shared 2-core host.  A
-    fixed E_C must lie between 1e-6 and 1/4 of the data's largest
-    frequency.
+    fluxes of a bench device costs 35-55 us on a shared 2-core host.  The
+    frequencies must lie within +-1e60 MHz, and a fixed E_C between 1e-6
+    and 1/4 of the data's largest frequency.
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
     if fixed_e_c is not None and not (math.isfinite(fixed_e_c) and fixed_e_c > 0):
         raise ValueError(f"fixed_e_c must be finite and > 0, got {fixed_e_c}")
-    _require_spread(data)
+    cur, f = _sorted_by_x(data)
     model = tuning_curve_model(fixed_e_c)
-    order = np.argsort(data.x)
-    cur, f = data.x[order], data.y[order]
 
     # period of f(I) from the dominant discrete-spectrum component
-    d_i = float(np.mean(np.diff(cur)))
-    spec = np.fft.rfft(f - np.mean(f))
-    freqs = np.fft.rfftfreq(cur.size, d_i)
-    k = 1 + int(np.argmax(np.abs(spec[1:])))
-    a0 = 1.0 / freqs[k] if freqs[k] > 0 else float(cur[-1] - cur[0])
+    freq0 = _dominant_component(cur, f - np.mean(f))[0]
+    a0 = 1.0 / freq0 if freq0 > 0 else float(cur[-1] - cur[0])
     off0 = -cur[int(np.argmax(f))] / a0
     fmax0, fmin0 = float(f.max()), float(f.min())
+    if not max(fmax0, -fmin0) < _FREQUENCY_MAX_MHZ:
+        raise ValueError(
+            f"frequencies must lie within +-{_FREQUENCY_MAX_MHZ:g} MHz, got f_min = {fmin0:.6g}, f_max = {fmax0:.6g} MHz"
+        )
     if fixed_e_c is not None and not fmax0 * _FIXED_EC_MIN_PER_FMAX <= fixed_e_c <= fmax0 / 4.0:
         raise ValueError(
             f"fixed_e_c must lie in [{fmax0 * _FIXED_EC_MIN_PER_FMAX:.6g}, {fmax0 / 4.0:.6g}] MHz "

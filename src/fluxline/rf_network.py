@@ -84,9 +84,6 @@ class LadderNetwork:
         if self.z0 <= 0:
             raise ValueError(f"z0 must be > 0, got {self.z0}")
 
-    def is_lossless(self) -> bool:
-        return all(el.component != "R" for el in self.elements)
-
 
 @dataclass(frozen=True)
 class TwoPortResponse:
@@ -340,28 +337,14 @@ def check_spec(
             "frequency grid must span from below the low-pass band to the "
             f"isolation limit {spec.isolation_max_freq_mhz} MHz"
         )
-    items = []
-
-    lp_db = _db(response.s32)
-    lp_cut = _crossing(freqs, lp_db, HALF_POWER_DB, rising=False)
-    measured = float(lp_cut) if lp_cut is not None else math.nan
-    err = abs(measured / spec.lp_cutoff_mhz - 1.0) if lp_cut is not None else math.inf
-    items.append(
-        SpecCheckItem(
-            name="lp_cutoff",
-            passed=bool(err <= edge_tolerance),
-            measured=measured,
-            target=spec.lp_cutoff_mhz,
-            margin=float(edge_tolerance - err),
-            worst_freq_mhz=measured,
-        )
-    )
-
     bp_db = _db(response.s31)
     i0 = int(np.argmin(np.abs(freqs - math.sqrt(spec.bp_low_mhz * spec.bp_high_mhz))))
+    lp = _crossing(freqs, _db(response.s32), HALF_POWER_DB, rising=False)
     lo = _crossing(freqs[: i0 + 1], bp_db[: i0 + 1], HALF_POWER_DB, rising=True)
     hi = _crossing(freqs[i0:], bp_db[i0:], HALF_POWER_DB, rising=False)
+    items = []
     for name, edge, target in (
+        ("lp_cutoff", lp, spec.lp_cutoff_mhz),
         ("bp_low_edge", lo, spec.bp_low_mhz),
         ("bp_high_edge", hi, spec.bp_high_mhz),
     ):

@@ -326,6 +326,8 @@ def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float, max_terms: int):
     )
     term = 1.0 / math.factorial(m)
     h = math.log(w) - _digamma(1.0) - _digamma(m + 1.0) + _digamma(am) + _digamma(bm)
+    if not math.isfinite(h):  # psi overflows at a subnormal a + m or b + m: no cancellation bound
+        return math.nan, math.inf
     total = term * h
     magnitude = abs(total)
     for k in range(max_terms):

@@ -161,21 +161,18 @@ def _charge_basis_levels(e_c: float, ej: float, n_g: float, basis_size: int) -> 
 def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None = None):
     """Exact f01, f12 (MHz) and a convergence flag, arrays of the shape of phi.
 
-    At n_g = 0 with no basis size given these are Mathieu values,
-    f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2) at q = E_J/(2 E_C).
-    Points with q > MATHIEU_Q_MAX, and every point when n_g != 0 or a basis
-    size is given, are diagonalized in the charge basis and flagged
-    unconverged when f01 moves by CONVERGENCE_TOL_MHZ with four fewer
-    states; that is flagged, not raised.  Unless given, the basis has
+    A point is exact when q = E_J/(2 E_C) <= MATHIEU_Q_MAX, n_g = 0, no
+    basis size is given and scipy's Mathieu values there are finite; its
+    levels are f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2), flagged
+    converged.  Every other point is diagonalized in the charge basis and
+    flagged unconverged when f01 moves by CONVERGENCE_TOL_MHZ with four
+    fewer states; that is flagged, not raised.  Unless given, the basis has
     2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1 states, and at least
     DEFAULT_BASIS_SIZE.  A non-finite flux, or one whose pi phi overflows,
     raises ValueError naming it.
 
-    When every point is a Mathieu point the values come straight from q,
-    with no masks or copies, and a scalar flux gives numpy scalars.  That
-    path is bit-identical to the masked one below and costs 9-17 us for a
-    scalar on a shared 2-core host (the masked path 22-45 us), of which
-    the three Mathieu calls are ~4.5 us.
+    A call whose points are all exact returns the Mathieu values as they
+    come, and a scalar flux gives numpy scalars.
     """
     if basis_size is not None and (basis_size < 11 or basis_size % 2 == 0):
         raise ValueError(f"basis_size must be odd and >= 11, got {basis_size}")
@@ -183,18 +180,19 @@ def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None
     with np.errstate(over="ignore", invalid="ignore"):
         ej = effective_ej(params, np.asarray(phi, dtype=float))
     q = ej / (2.0 * params.e_c)
-    within = q <= MATHIEU_Q_MAX  # False for a NaN q
     mathieu_a, mathieu_b = _mathieu()
-    if n_g == 0.0 and basis_size is None and (within.all() if isinstance(within, np.ndarray) else within):
-        e0, e1, e2 = mathieu_a(0, q), mathieu_b(2, q), mathieu_a(2, q)
-        # within is all True here, so it is the convergence flag
-        return params.e_c * (e1 - e0), params.e_c * (e2 - e1), within
+    e0, e1, e2 = mathieu_a(0, q), mathieu_b(2, q), mathieu_a(2, q)
+    f01, f12 = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
+    # scipy returns NaN for a_0 on part of q in [667.25, 733.07] and for b_2
+    # near q = 820.57.  The sum is finite when both levels are; one isfinite
+    # on it, and no .all() on a numpy scalar, keep a scalar call ~3 us cheaper
+    exact = (q <= MATHIEU_Q_MAX) & np.isfinite(f01 + f12)
+    if n_g == 0.0 and basis_size is None and (exact.all() if isinstance(exact, np.ndarray) else exact):
+        return f01, f12, exact
     ej, q = np.ravel(ej), np.ravel(q)
-    exact = np.ravel(within) & (n_g == 0.0 and basis_size is None)
-    e0, e1, e2 = mathieu_a(0, q[exact]), mathieu_b(2, q[exact]), mathieu_a(2, q[exact])
-    f01, f12, converged = np.empty_like(q), np.empty_like(q), exact.copy()
-    f01[exact], f12[exact] = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
-    for i in np.flatnonzero(~exact):
+    f01, f12 = np.ravel(f01), np.ravel(f12)
+    converged = np.ravel(exact) & (n_g == 0.0 and basis_size is None)
+    for i in np.flatnonzero(~converged):
         if not math.isfinite(q[i]):
             value = np.ravel(phi)[i]
             requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"

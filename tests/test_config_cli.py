@@ -124,6 +124,22 @@ class TestSpectrumCommand:
         assert doc["qubit"] == "q0"
         assert doc["f_max_mhz"] == pytest.approx(3843.23, abs=0.01)
 
+    def test_nan_mathieu_value_is_not_printed(self, tmp_path, capsys):
+        # q = 667.25855 at phi = 0, where scipy's mathieu_a(0, q) is NaN
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["qubits"][0].update(e_c_mhz=200.0, e_j1_mhz=133451.71, e_j2_mhz=133451.71)
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "spec.csv"
+        code = run_cli(
+            "spectrum", str(config), "--qubit", "q0", "--points", "5",
+            "--phi-min=-0.2", "--phi-max", "0", "--out", str(out),
+        )
+        assert code == 0
+        text = out.read_text()
+        assert "nan" not in text and text.splitlines()[-1].startswith("0,")
+        assert "nan" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_no_points_exits_2(self, capsys, points):
         code = run_cli("spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", points)
@@ -600,6 +616,19 @@ class TestHugeFiniteInputs:
             warnings.simplefilter("always")
             code = run_cli(*argv)
         assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+
+    def test_tuning_frequencies_near_1e200(self, tmp_path, capsys):
+        # the start guess squared them into an OverflowError traceback
+        data = tmp_path / "huge.csv"
+        rows = [f"{1e-4 * k - 1e-3!r},{k % 4 + 1}e200" for k in range(20)]
+        data.write_text("\n".join(["current_a,frequency_mhz", *rows]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("fit", "tuning", str(data))
+        assert code == 2
+        message = "frequencies must lie within +-1e+60 MHz, got f_min = 1e+200, f_max = 4e+200 MHz"
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
 

@@ -34,9 +34,9 @@ def minpack_least_squares(model, data, initial_guess, flags=()):
     def residuals(theta):
         return (model.fn(data.x, theta) - data.y) / sig
 
-    jac = (lambda theta: model.jac(data.x, theta) / sig[:, None]) if model.jac else "2-point"
     res = scipy.optimize.least_squares(
-        residuals, theta0, jac=jac, method="lm", x_scale="jac",
+        residuals, theta0, jac=lambda theta: model.jac(data.x, theta) / sig[:, None],
+        method="lm", x_scale="jac",
         gtol=fitting.GRADIENT_TOL, xtol=1e-12, ftol=1e-12,
         max_nfev=fitting.MAX_ITERATIONS * (n_par + 1),
     )

@@ -252,10 +252,11 @@ class TestLevels:
         st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6),
     )
     def test_mathieu_values_do_not_depend_on_the_call(self, e_c, ej_sum_over_ec, r, phis):
-        # an all-Mathieu call returns straight from q; a call with one point
-        # above MATHIEU_Q_MAX goes through the masked path.  Both, and every
-        # scalar call, must give the same bits at the Mathieu points.  The
-        # big device has q = 3000 at phi = 0 and q <= 1000 on |phi| >= 0.45
+        # an all-Mathieu call returns the Mathieu values as they come; a call
+        # with one point above MATHIEU_Q_MAX diagonalizes that point too.
+        # Both, and every scalar call, must give the same bits at the Mathieu
+        # points.  The big device has q = 3000 at phi = 0 and q <= 1000 on
+        # |phi| >= 0.45
         e_sum = e_c * ej_sum_over_ec
         p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
         phi = np.array(phis)
@@ -270,6 +271,17 @@ class TestLevels:
         assert effective_ej(big, 0.0) / (2.0 * big.e_c) > MATHIEU_Q_MAX
         for got, want in zip(masked, levels(big, phi[1:])):
             assert np.array_equal(got[1:], want)
+
+    @pytest.mark.parametrize("phi", [0.0, [0.0, 0.1]], ids=["scalar", "array"])
+    def test_nan_mathieu_value_goes_to_the_charge_basis(self, phi):
+        # q = 667.25855 at phi = 0, where scipy's mathieu_a(0, q) is NaN
+        # (part of q in [667.25, 733.07] is): the point is diagonalized
+        p = TransmonParams(e_c=200.0, e_j1=133451.71, e_j2=133451.71)
+        f01, f12, converged = levels(p, phi)
+        ref01, ref12, _ = levels(p, phi, basis_size=121)
+        assert np.isfinite(f01).all() and np.isfinite(f12).all() and np.all(converged)
+        np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
 
     def test_huge_finite_flux_rejected_without_warnings(self, q0):
         # pi * 1e308 overflows, so q is NaN: the flux is named, and numpy
