@@ -28,7 +28,7 @@ _EXPORTS = {
     "HarmonicSeries": "modulation",
     "ModulationConstants": "modulation",
     "LineBudget": "signal_chain",
-    "AttenuationChain": "signal_chain",
+    "AttenuationChain": "config",
     "DataSeries": "fitting",
     "FitResult": "fitting",
     "DeviceConfig": "config",

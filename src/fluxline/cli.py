@@ -5,11 +5,11 @@ non-convergence (fit or series).  JSON output is strict: non-finite values
 are written as null.  All numeric output is formatted with 12 significant
 digits and '.' decimals so repeated runs are byte-identical.
 
-Imports are per subcommand: the module itself loads numpy only.
-``spectrum`` and ``modulate --with-oracle`` load scipy.special on their
-first level; ``fit`` (its own numpy Levenberg-Marquardt engine in
-:mod:`fluxline.fitting`), ``crosstalk``, ``diplexer`` and ``modulate``
-load no scipy at all.
+Imports are per subcommand: the module loads numpy and :mod:`fluxline.config`
+(home of DiplexerSpec and AttenuationChain; it loads transmon), and each
+``cmd_*`` the layers it runs.  ``spectrum`` and ``modulate --with-oracle``
+load scipy.special on their first level; ``fit`` (its own numpy engine),
+``crosstalk``, ``diplexer`` and ``modulate`` load no scipy at all.
 """
 
 from __future__ import annotations
@@ -20,25 +20,10 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import rf_network as rf
 from .config import ConfigError, DeviceConfig, load_config
-from .modulation import (
-    DEFAULT_ORDER,
-    FluxDrive,
-    avg_frequency,
-    second_order_shift,
-    time_average_oracle,
-)
-from .signal_chain import LineBudget, spurious_shift_report
-from .specfun import ConvergenceError
-from .transmon import f01_asymptotic, levels
-
-if TYPE_CHECKING:
-    from .fitting import DataSeries
 
 CONFIG_ENV = "FLUXLINE_CONFIG"
 
@@ -108,6 +93,8 @@ def _summary(args, human_lines: list[str], payload: dict) -> None:
 
 
 def cmd_spectrum(args) -> int:
+    from .transmon import f01_asymptotic, levels
+
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
     if args.points < 1:
@@ -144,6 +131,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_modulate(args) -> int:
+    from .modulation import DEFAULT_ORDER, FluxDrive, avg_frequency, second_order_shift, time_average_oracle
+
+    order = DEFAULT_ORDER if args.order is None else args.order
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
     if args.points < 1:
@@ -152,8 +142,8 @@ def cmd_modulate(args) -> int:
         FluxDrive(args.phi_dc, amp)  # checks the end points before linspace spreads them
     amps = np.linspace(args.amp_min, args.amp_max, args.points)
     drive = FluxDrive(args.phi_dc, amps)
-    f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0), args.order)
-    f_series = avg_frequency(q.params, drive, args.order)
+    f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0), order)
+    f_series = avg_frequency(q.params, drive, order)
     header, columns = ["phi_ac", "f_avg_series_mhz"], [amps, f_series]
     if args.with_oracle:
         f_oracle = time_average_oracle(q.params, drive, args.oracle_steps)
@@ -173,6 +163,8 @@ def cmd_modulate(args) -> int:
 
 
 def cmd_crosstalk(args) -> int:
+    from .signal_chain import LineBudget, spurious_shift_report
+
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
     budget = LineBudget(
@@ -194,6 +186,8 @@ def cmd_crosstalk(args) -> int:
 
 
 def cmd_diplexer(args) -> int:
+    from . import rf_network as rf
+
     cfg = _load(args)
     dpx = cfg.diplexer
     lp = rf.synth_lowpass(dpx.lp_order, dpx.spec.lp_cutoff_mhz, dpx.z0)
@@ -221,7 +215,7 @@ def cmd_diplexer(args) -> int:
     return 0
 
 
-def _load_fit_csv(path: str, kind: str) -> DataSeries:
+def _load_fit_csv(path: str, kind: str):
     from .fitting import DataSeries
 
     expected = FIT_COLUMNS[kind]
@@ -335,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp-min", type=float, default=0.0)
     p.add_argument("--amp-max", type=float, default=0.25)
     p.add_argument("--points", type=int, default=26)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--order", type=int, default=None)  # None: modulation.DEFAULT_ORDER
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--oracle-steps", type=int, default=512)
     p.add_argument("--out", default=None)
@@ -372,6 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _convergence_error() -> type:
+    # called only for an exception past the exit-2 clause: no run loads specfun for it
+    from .specfun import ConvergenceError
+
+    return ConvergenceError
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         return _error(exc, 2)
-    except ConvergenceError as exc:
+    except _convergence_error() as exc:
         return _error(exc, 3)
 
 

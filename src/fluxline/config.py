@@ -7,15 +7,44 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .rf_network import DiplexerSpec
-from .signal_chain import AttenuationChain
 from .transmon import TransmonParams
 
-__all__ = ["ConfigError", "QubitRecord", "DiplexerConfig", "DeviceConfig", "load_config"]
+__all__ = ["ConfigError", "DiplexerSpec", "AttenuationChain", "QubitRecord", "DiplexerConfig",
+           "DeviceConfig", "load_config"]
 
 
 class ConfigError(ValueError):
     """Invalid configuration document; message names the offending field."""
+
+
+# document types, defined here so that loading a config needs no numerical
+# layer; rf_network and signal_chain re-export them
+@dataclass(frozen=True)
+class DiplexerSpec:
+    lp_cutoff_mhz: float = 1500.0
+    bp_low_mhz: float = 3000.0
+    bp_high_mhz: float = 7000.0
+    isolation_db: float = -20.0
+    isolation_max_freq_mhz: float = 15000.0
+
+    def __post_init__(self):
+        if not self.bp_low_mhz > self.lp_cutoff_mhz:
+            raise ValueError("band-pass low edge must sit above the low-pass cutoff")
+        if not self.bp_high_mhz > self.bp_low_mhz:
+            raise ValueError("band-pass high edge must sit above its low edge")
+
+
+@dataclass(frozen=True)
+class AttenuationChain:
+    """Ordered attenuator stack, each entry (label, attenuation in dB)."""
+
+    segments: tuple[tuple[str, float], ...]
+    reference_frequency_mhz: float = 0.0
+
+    def __post_init__(self):
+        for label, db in self.segments:
+            if not (math.isfinite(db) and db >= 0):
+                raise ValueError(f"segment {label!r}: attenuation {db} dB must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,16 +143,11 @@ def _parse_diplexer(doc: dict, where: str) -> DiplexerConfig:
         order = doc.get(key, 5)
         if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= 11:
             raise ConfigError(f"{where}.{key}: must be an integer in [1, 11], got {order!r}")
+    positive = ("lp_cutoff_mhz", "bp_low_mhz", "bp_high_mhz", "isolation_max_freq_mhz")
     try:
         spec = DiplexerSpec(
-            lp_cutoff_mhz=_positive(doc.get("lp_cutoff_mhz", defaults.lp_cutoff_mhz), f"{where}.lp_cutoff_mhz"),
-            bp_low_mhz=_positive(doc.get("bp_low_mhz", defaults.bp_low_mhz), f"{where}.bp_low_mhz"),
-            bp_high_mhz=_positive(doc.get("bp_high_mhz", defaults.bp_high_mhz), f"{where}.bp_high_mhz"),
+            **{key: _positive(doc.get(key, getattr(defaults, key)), f"{where}.{key}") for key in positive},
             isolation_db=float(doc.get("isolation_db", defaults.isolation_db)),
-            isolation_max_freq_mhz=_positive(
-                doc.get("isolation_max_freq_mhz", defaults.isolation_max_freq_mhz),
-                f"{where}.isolation_max_freq_mhz",
-            ),
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc

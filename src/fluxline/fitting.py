@@ -214,9 +214,12 @@ def least_squares(
         return (model.fn(data.x, theta) - data.y) / sig
 
     jacobian = lambda theta: model.jac(data.x, theta) / sig[:, None]
-    theta, r, jac, nfev, converged = _levenberg_marquardt(
-        residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
-    )
+    # a far trial step may overflow the residuals and their cost: no warning,
+    # since the engine counts a non-finite trial as a rise
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta, r, jac, nfev, converged = _levenberg_marquardt(
+            residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
+        )
 
     jtj = jac.T @ jac
     try:

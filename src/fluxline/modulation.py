@@ -140,21 +140,16 @@ def s_coeff(params: TransmonParams, n: int) -> float:
             "symmetric SQUID: harmonic series boundary z=1; use "
             "time_average_oracle instead"
         )
-    cvec = c_vector()
     total = 0.0
-    if n == 0:
-        for k, ck in enumerate(cvec):
-            a = (k - 1) / 8.0
-            total += ck * const.xi ** (k - 1) * hyp2f1(a, a + 0.5, 1.0, z)
-        return params.e_c * total
-    for k, ck in enumerate(cvec):
-        ratio = rising_factorial((k - 1) / 4.0, n)
+    for k, ck in enumerate(c_vector()):
+        ratio = rising_factorial((k - 1) / 4.0, n)  # 1 at n = 0
         if ratio == 0.0:
             continue
         a = 0.5 * n + (k - 1) / 8.0
         b = 0.5 * (n + 1) + (k - 1) / 8.0
         total += ck * const.xi ** (k - 1) * ratio * hyp2f1(a, b, n + 1.0, z)
-    return (2.0 / math.factorial(n)) * params.e_c * (-0.5 * const.ej_tilde) ** n * total
+    prefactor = 1.0 if n == 0 else 2.0  # harmonics +n and -n pair up for n >= 1
+    return (prefactor / math.factorial(n)) * params.e_c * (-0.5 * const.ej_tilde) ** n * total
 
 
 @lru_cache(maxsize=128)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DiplexerSpec  # the band plan is a config document type
+
 __all__ = [
     "Element",
     "LadderNetwork",
@@ -97,21 +99,6 @@ class TwoPortResponse:
         """A·D − B·C of the cascade, 1 if reciprocal, to ~eps·(|A·D| + |B·C|)."""
         m = self.abcd
         return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-@dataclass(frozen=True)
-class DiplexerSpec:
-    lp_cutoff_mhz: float = 1500.0
-    bp_low_mhz: float = 3000.0
-    bp_high_mhz: float = 7000.0
-    isolation_db: float = -20.0
-    isolation_max_freq_mhz: float = 15000.0
-
-    def __post_init__(self):
-        if not self.bp_low_mhz > self.lp_cutoff_mhz:
-            raise ValueError("band-pass low edge must sit above the low-pass cutoff")
-        if not self.bp_high_mhz > self.bp_low_mhz:
-            raise ValueError("band-pass high edge must sit above its low edge")
 
 
 @dataclass(frozen=True)

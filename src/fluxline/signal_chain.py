@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import AttenuationChain  # a line's stack is a config document type
 from .modulation import second_order_shift
 from .transmon import TransmonParams
 
@@ -53,19 +54,6 @@ class LineBudget:
             raise ValueError(f"r_ohm must be > 0, got {self.r_ohm}")
         if self.m_fH <= 0:
             raise ValueError(f"m_fH must be > 0, got {self.m_fH}")
-
-
-@dataclass(frozen=True)
-class AttenuationChain:
-    """Ordered attenuator stack, each entry (label, attenuation in dB)."""
-
-    segments: tuple[tuple[str, float], ...]
-    reference_frequency_mhz: float = 0.0
-
-    def __post_init__(self):
-        for label, db in self.segments:
-            if not (math.isfinite(db) and db >= 0):
-                raise ValueError(f"segment {label!r}: attenuation {db} dB must be finite and >= 0")
 
 
 @dataclass(frozen=True)

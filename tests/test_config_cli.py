@@ -9,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-from fluxline import cli
 from fluxline.cli import main
 from fluxline.config import ConfigError, load_config
 from fluxline.specfun import ConvergenceError
@@ -282,7 +281,7 @@ class TestModulateCommand:
         def not_converged(*args):
             raise ConvergenceError("hyp2f1(1.125, 0.625; 1.0; 0.9999) not converged after 5 terms")
 
-        monkeypatch.setattr(cli, "avg_frequency", not_converged)
+        monkeypatch.setattr("fluxline.modulation.avg_frequency", not_converged)
         code = run_cli("modulate", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "2")
         assert code == 3
         err = capsys.readouterr().err

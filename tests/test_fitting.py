@@ -110,6 +110,27 @@ class TestEngine:
         with pytest.raises(ValueError, match="not finite at the initial guess"):
             least_squares(LINEAR_MODEL, DataSeries(x=x, y=x), [math.nan, 0.0])
 
+    @pytest.mark.parametrize("kind, seed", [("t1", 86), ("t1", 193), ("ramsey", 168)])
+    def test_far_trial_steps_are_silent(self, kind, seed):
+        # noisy decays on which a trial step sends T1 or T2* far enough to
+        # overflow exp or the trial cost; the trial counts as a rise, with
+        # no numpy warning (the suite turns RuntimeWarning into an error)
+        rng = np.random.default_rng(seed)
+        if kind == "t1":
+            t = np.linspace(1.0, 250.0, 53)
+            decay = rng.uniform(42.0, 44.0)
+            truth = [rng.uniform(0.8, 1.0), decay, rng.uniform(0.0, 0.1)]
+            model, fit = T1_MODEL, fit_t1
+        else:
+            t = np.linspace(0.05, 40.0, 151)
+            decay = rng.uniform(5.0, 20.0)
+            truth = [0.4, decay, rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5), 0.5]
+            model, fit = RAMSEY_MODEL, fit_ramsey
+        y = model.fn(t, np.array(truth)) + rng.normal(0.0, 0.02, t.size)
+        res = fit(DataSeries(x=t, y=y))
+        assert res.converged
+        assert res.params[model.names[1]] == pytest.approx(decay, rel=0.2)
+
     def test_sigma_validation(self):
         x = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="sigma"):

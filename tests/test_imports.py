@@ -24,11 +24,11 @@ def _fresh(code: str, tmp_path) -> subprocess.CompletedProcess:
     return proc
 
 
-def scipy_loaded_by(code: str, tmp_path) -> set:
-    """The scipy modules a fresh interpreter holds after running code."""
+def loaded_by(code: str, tmp_path, package: str = "scipy") -> set:
+    """The modules of package a fresh interpreter holds after running code."""
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n"
     )
     return set(json.loads(_fresh(probe, tmp_path).stdout.splitlines()[-1]))
 
@@ -38,35 +38,50 @@ def cli_run(*argv) -> str:
 
 
 CONFIG = str(EXAMPLE_CONFIG)
+SPECTRUM = ("spectrum", CONFIG, "--qubit", "q0", "--points", "5", "--out", "s.csv")
+CROSSTALK = ("crosstalk", CONFIG, "--qubit", "q0", "--gamma-db", "85", "--v-p", "0.3", "--out", "x.json")
+DIPLEXER = ("diplexer", CONFIG, "--out", "d.csv", "--report-out", "d.json")
+MODULATE = ("modulate", CONFIG, "--qubit", "q0", "--points", "3", "--out", "m.csv")
 
 
 def test_package_and_config_load_no_scipy(tmp_path):
     code = f"import fluxline\nfluxline.load_config({CONFIG!r})\n"
-    assert scipy_loaded_by(code, tmp_path) == set()
+    assert loaded_by(code, tmp_path) == set()
+
+
+def test_load_config_loads_only_config_and_transmon(tmp_path):
+    code = f"import fluxline\nfluxline.load_config({CONFIG!r})\n"
+    assert loaded_by(code, tmp_path, "fluxline") == {"fluxline", "fluxline.config", "fluxline.transmon"}
 
 
 def test_cli_module_loads_no_scipy(tmp_path):
-    assert scipy_loaded_by("import fluxline.cli\n", tmp_path) == set()
+    assert loaded_by("import fluxline.cli\n", tmp_path) == set()
 
 
-@pytest.mark.parametrize("argv", [
-    ("crosstalk", CONFIG, "--qubit", "q0", "--gamma-db", "85", "--v-p", "0.3", "--out", "x.json"),
-    ("diplexer", CONFIG, "--out", "d.csv", "--report-out", "d.json"),
-    ("modulate", CONFIG, "--qubit", "q0", "--points", "3", "--out", "m.csv"),
-], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [CROSSTALK, DIPLEXER, MODULATE], ids=lambda argv: argv[0])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
-    assert scipy_loaded_by(cli_run(*argv), tmp_path) == set()
+    assert loaded_by(cli_run(*argv), tmp_path) == set()
 
 
 def test_spectrum_loads_no_optimizer(tmp_path):
-    argv = ("spectrum", CONFIG, "--qubit", "q0", "--points", "5", "--out", "s.csv")
-    loaded = scipy_loaded_by(cli_run(*argv), tmp_path)
+    loaded = loaded_by(cli_run(*SPECTRUM), tmp_path)
     assert "scipy.special" in loaded  # the Mathieu levels
     assert not {m for m in loaded if m.startswith("scipy.optimize")}
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (SPECTRUM, {"rf_network", "signal_chain", "modulation", "specfun", "fitting"}),
+    (DIPLEXER, {"signal_chain", "modulation", "specfun", "fitting"}),
+    (MODULATE, {"rf_network", "signal_chain", "fitting"}),
+    (CROSSTALK, {"rf_network", "fitting"}),
+], ids=["spectrum", "diplexer", "modulate", "crosstalk"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, unused):
+    loaded = loaded_by(cli_run(*argv), tmp_path, "fluxline")
+    assert not loaded & {f"fluxline.{m}" for m in unused}
+
+
 def test_fitting_module_loads_no_scipy(tmp_path):
-    assert scipy_loaded_by("import fluxline.fitting\n", tmp_path) == set()
+    assert loaded_by("import fluxline.fitting\n", tmp_path) == set()
 
 
 FIT_FIXTURES = {
@@ -78,11 +93,20 @@ FIT_FIXTURES = {
 }
 
 
+def fit_argv(kind: str) -> tuple:
+    return ("fit", kind, str(FIXTURES / FIT_FIXTURES[kind]), CONFIG, "--qubit", "q0", "--out", "f.json")
+
+
 @pytest.mark.parametrize("kind", FIT_FIXTURES)
 def test_fit_loads_no_scipy(tmp_path, kind):
     # the tuning fit runs without the diagonalization refinement, as the CLI does
-    argv = ("fit", kind, str(FIXTURES / FIT_FIXTURES[kind]), CONFIG, "--qubit", "q0", "--out", "f.json")
-    assert scipy_loaded_by(cli_run(*argv), tmp_path) == set()
+    assert loaded_by(cli_run(*fit_argv(kind)), tmp_path) == set()
+
+
+@pytest.mark.parametrize("kind", FIT_FIXTURES)
+def test_fit_loads_no_rf_or_chain_layer(tmp_path, kind):
+    loaded = loaded_by(cli_run(*fit_argv(kind)), tmp_path, "fluxline")
+    assert not loaded & {"fluxline.rf_network", "fluxline.signal_chain"}
 
 
 def test_every_exported_name_resolves(tmp_path):
