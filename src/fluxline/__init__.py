@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # re-exported name -> defining submodule
 _EXPORTS = {
-    "TransmonParams": "transmon",
+    "TransmonParams": "config",
     "FluxPoint": "transmon",
     "SpectrumResult": "transmon",
     "FluxDrive": "modulation",

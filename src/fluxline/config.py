@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .transmon import TransmonParams
-
-__all__ = ["ConfigError", "DiplexerSpec", "AttenuationChain", "QubitRecord", "DiplexerConfig",
+__all__ = ["ConfigError", "TransmonParams", "DiplexerSpec", "AttenuationChain", "QubitRecord", "DiplexerConfig",
            "DeviceConfig", "load_config"]
 
 
@@ -18,7 +17,49 @@ class ConfigError(ValueError):
 
 
 # document types, defined here so that loading a config needs no numerical
-# layer; rf_network and signal_chain re-export them
+# layer; transmon, rf_network and signal_chain re-export them
+@dataclass(frozen=True)
+class TransmonParams:
+    """Charging energy and the two junction energies of a SQUID transmon.
+
+    The constructor normalizes to e_j1 <= e_j2 and records whether the
+    inputs were swapped.  Warns (does not fail) when e_j_sum/e_c < 20,
+    i.e. outside the usual transmon regime.
+    """
+
+    e_c: float
+    e_j1: float
+    e_j2: float
+    swapped: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        if not (self.e_c > 0 and self.e_j1 > 0 and self.e_j2 > 0):
+            raise ValueError(
+                f"energies must be positive: e_c={self.e_c}, "
+                f"e_j1={self.e_j1}, e_j2={self.e_j2}"
+            )
+        if self.e_j1 > self.e_j2:
+            object.__setattr__(self, "swapped", True)
+            ej1, ej2 = self.e_j2, self.e_j1
+            object.__setattr__(self, "e_j1", ej1)
+            object.__setattr__(self, "e_j2", ej2)
+        if self.e_j_sum / self.e_c < 20.0:
+            warnings.warn(
+                f"e_j_sum/e_c = {self.e_j_sum / self.e_c:.1f} < 20: "
+                "outside the transmon regime, asymptotic formulas degrade",
+                stacklevel=2,
+            )
+
+    @property
+    def e_j_sum(self) -> float:
+        return self.e_j1 + self.e_j2
+
+    @property
+    def asymmetry(self) -> float:
+        """d = (e_j2 - e_j1)/(e_j1 + e_j2), in [0, 1)."""
+        return (self.e_j2 - self.e_j1) / self.e_j_sum
+
+
 @dataclass(frozen=True)
 class DiplexerSpec:
     lp_cutoff_mhz: float = 1500.0
@@ -77,78 +118,93 @@ class DeviceConfig:
         raise ConfigError(f"unknown qubit {name!r} (config has: {known})")
 
 
+# what json.loads makes of each JSON type, named as the document names it
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
+def _object(val, where: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where}: expected an object, got {_JSON_TYPES[type(val)]}")
+    return val
+
+
 def _require(doc: dict, key: str, types, where: str):
     if key not in doc:
         raise ConfigError(f"{where}.{key}: missing required field")
     val = doc[key]
     if not isinstance(val, types):
-        raise ConfigError(f"{where}.{key}: expected {types}, got {type(val).__name__}")
+        raise ConfigError(f"{where}.{key}: expected {_JSON_TYPES[types]}, got {_JSON_TYPES[type(val)]}")
     return val
 
 
-def _positive(val, where: str) -> float:
+def _finite(val, where: str) -> float:
+    """The reader of every numeric field: a JSON number, not a boolean, with
+    a finite value (Python's json takes NaN and Infinity tokens)."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {type(val).__name__}")
-    if not val > 0:
-        raise ConfigError(f"{where}: must be > 0, got {val}")
+        raise ConfigError(f"{where}: expected a number, got {_JSON_TYPES[type(val)]}")
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: must be finite, got {val}")
     return float(val)
 
 
-def _parse_qubit(doc: dict, where: str) -> QubitRecord:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
+def _positive(val, where: str) -> float:
+    value = _finite(val, where)
+    if not value > 0:
+        raise ConfigError(f"{where}: must be > 0, got {val}")
+    return value
+
+
+def _parse_qubit(doc, where: str) -> QubitRecord:
+    doc = _object(doc, where)
     name = _require(doc, "name", str, where)
-    try:
-        params = TransmonParams(
-            e_c=_positive(_require(doc, "e_c_mhz", (int, float), where), f"{where}.e_c_mhz"),
-            e_j1=_positive(_require(doc, "e_j1_mhz", (int, float), where), f"{where}.e_j1_mhz"),
-            e_j2=_positive(_require(doc, "e_j2_mhz", (int, float), where), f"{where}.e_j2_mhz"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    m_fh = doc.get("m_fH", 500.0)
+    energies = {
+        key: _positive(_require(doc, f"{key}_mhz", object, where), f"{where}.{key}_mhz")
+        for key in ("e_c", "e_j1", "e_j2")
+    }
     f_r = doc.get("f_r_mhz")
     return QubitRecord(
         name=name,
-        params=params,
-        m_fH=_positive(m_fh, f"{where}.m_fH"),
+        params=TransmonParams(**energies),
+        m_fH=_positive(doc.get("m_fH", 500.0), f"{where}.m_fH"),
         f_r_mhz=None if f_r is None else _positive(f_r, f"{where}.f_r_mhz"),
     )
 
 
-def _parse_chain(doc: dict, where: str) -> AttenuationChain:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
+def _parse_chain(doc, where: str) -> AttenuationChain:
+    doc = _object(doc, where)
     raw = _require(doc, "segments", list, where)
     if not raw:
         raise ConfigError(f"{where}.segments: must not be empty")
     segments = []
     for i, seg in enumerate(raw):
-        label = _require(seg, "label", str, f"{where}.segments[{i}]")
-        db = _require(seg, "db", (int, float), f"{where}.segments[{i}]")
-        if not (math.isfinite(db) and db >= 0):
-            raise ConfigError(f"{where}.segments[{i}].db: must be finite and >= 0, got {db}")
-        segments.append((label, float(db)))
-    ref = doc.get("reference_frequency_mhz", 0.0)
-    if not isinstance(ref, (int, float)) or not (math.isfinite(ref) and ref >= 0):
-        raise ConfigError(f"{where}.reference_frequency_mhz: must be a finite number >= 0")
-    return AttenuationChain(segments=tuple(segments), reference_frequency_mhz=float(ref))
+        seg_where = f"{where}.segments[{i}]"
+        label = _require(_object(seg, seg_where), "label", str, seg_where)
+        db = _finite(_require(seg, "db", object, seg_where), f"{seg_where}.db")
+        if not db >= 0:
+            raise ConfigError(f"{seg_where}.db: must be >= 0, got {seg['db']}")
+        segments.append((label, db))
+    ref = _finite(doc.get("reference_frequency_mhz", 0.0), f"{where}.reference_frequency_mhz")
+    if not ref >= 0:
+        raise ConfigError(f"{where}.reference_frequency_mhz: must be >= 0, got {doc['reference_frequency_mhz']}")
+    return AttenuationChain(segments=tuple(segments), reference_frequency_mhz=ref)
 
 
-def _parse_diplexer(doc: dict, where: str) -> DiplexerConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where}: expected an object")
+def _parse_diplexer(doc, where: str) -> DiplexerConfig:
+    doc = _object(doc, where)
     defaults = DiplexerSpec()
     for key in ("lp_order", "bp_order"):
         order = doc.get(key, 5)
         if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= 11:
             raise ConfigError(f"{where}.{key}: must be an integer in [1, 11], got {order!r}")
-    positive = ("lp_cutoff_mhz", "bp_low_mhz", "bp_high_mhz", "isolation_max_freq_mhz")
+    bands = {
+        key: _positive(doc.get(key, getattr(defaults, key)), f"{where}.{key}")
+        for key in ("lp_cutoff_mhz", "bp_low_mhz", "bp_high_mhz", "isolation_max_freq_mhz")
+    }
+    isolation_db = _finite(doc.get("isolation_db", defaults.isolation_db), f"{where}.isolation_db")
     try:
-        spec = DiplexerSpec(
-            **{key: _positive(doc.get(key, getattr(defaults, key)), f"{where}.{key}") for key in positive},
-            isolation_db=float(doc.get("isolation_db", defaults.isolation_db)),
-        )
+        # the band plan's ordering, which DiplexerSpec checks
+        spec = DiplexerSpec(**bands, isolation_db=isolation_db)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return DiplexerConfig(
@@ -168,8 +224,7 @@ def load_config(path: str | Path) -> DeviceConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config root: expected an object")
+    _object(doc, "config root")
 
     raw_qubits = _require(doc, "qubits", list, "config")
     if not raw_qubits:
@@ -182,7 +237,7 @@ def load_config(path: str | Path) -> DeviceConfig:
 
     chains = {
         name: _parse_chain(chain, f"config.chains[{name!r}]")
-        for name, chain in doc.get("chains", {}).items()
+        for name, chain in _object(doc.get("chains", {}), "config.chains").items()
     }
     diplexer = _parse_diplexer(doc.get("diplexer", {}), "config.diplexer")
     return DeviceConfig(qubits=qubits, chains=chains, diplexer=diplexer)

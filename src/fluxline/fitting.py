@@ -19,9 +19,13 @@ A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
 Every model ships its Jacobian (``Model.jac`` is required), and the test
 suite cross-checks each against forward differences.  All are analytic
 but the one of the tuning refinement on exact levels, which differentiates
-the levels in E_J with one extra levels call; both tuning models share the
-chain rule through E_J(phi) for the rest.  The engine loads no scipy; the
-test suite checks it against MINPACK's lmder through scipy.
+the levels in E_J with one extra levels call and takes the levels at the
+parameters from the residuals just evaluated there; both tuning models
+share the chain rule through E_J(phi) for the rest.  Both stages of the
+tuning fit walk U_i = 8 E_C E_Ji in place of the junction energies, where
+the closed form's E_C-E_J valley is nearly straight, and report the
+energies.  The engine loads no scipy; the test suite checks it against
+MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -208,7 +212,7 @@ def least_squares(
         raise ValueError(
             f"need at least {n_par} points for {n_par} parameters, got {data.x.size}"
         )
-    sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
+    sig = _sigma(data)
 
     def residuals(theta):
         return (model.fn(data.x, theta) - data.y) / sig
@@ -221,24 +225,12 @@ def least_squares(
             residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
         )
 
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError as exc:
-        raise FitError("singular Jacobian at the optimum") from exc
-    if not np.isfinite(cov).all():
-        raise FitError("singular Jacobian at the optimum")
-    if data.sigma is None:
-        # the residuals set the noise scale, which n_par points fitted
-        # exactly do not determine
-        dof = data.x.size - n_par
-        if dof == 0:
-            flags = flags + (
-                "standard errors undefined: an unweighted fit needs more points "
-                "than parameters, or sigma",
-            )
-        cov = cov * (float(r @ r) / dof if dof else math.nan)
-    errs = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if data.sigma is None and data.x.size == n_par:
+        flags = flags + (
+            "standard errors undefined: an unweighted fit needs more points "
+            "than parameters, or sigma",
+        )
+    errs = _standard_errors(jac, float(r @ r), data)
 
     return FitResult(
         params=dict(zip(model.names, (float(v) for v in theta))),
@@ -249,6 +241,27 @@ def least_squares(
         flags=flags,
         model=model,
     )
+
+
+def _sigma(data: DataSeries) -> np.ndarray:
+    return data.sigma if data.sigma is not None else np.ones_like(data.y)
+
+
+def _standard_errors(jac: np.ndarray, cost: float, data: DataSeries) -> np.ndarray:
+    """Standard errors from the weighted Jacobian at the optimum, where the
+    cost is the weighted sum of squares; for unweighted data the residual
+    variance sets the noise scale, which as many points as parameters do
+    not determine (NaN errors then)."""
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise FitError("singular Jacobian at the optimum") from exc
+    if not np.isfinite(cov).all():
+        raise FitError("singular Jacobian at the optimum")
+    if data.sigma is None:
+        dof = data.x.size - jac.shape[1]
+        cov = cov * (cost / dof if dof else math.nan)
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
 def _sorted_by_x(data: DataSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -475,6 +488,79 @@ def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
     return Model(names=names, fn=fn, jac=_tuning_jac(fixed_e_c, derivatives))
 
 
+# Both stages of the tuning fit walk U_i = 8 E_C E_Ji in place of the
+# junction energies.  There the closed form reads
+# f = (U1^2 + U2^2 + 2 U1 U2 cos 2 pi phi)^(1/4) - E_C: E_C enters only as an
+# offset, and the curved E_C-E_J valley of the energies, where the
+# closed-form stage took 33 residual evaluations on average on bench
+# devices and up to 221, becomes nearly straight (Transtrum & Sethna 2012
+# on such changes of variables for Levenberg-Marquardt).
+
+def _energies(u, fixed_e_c: float | None) -> np.ndarray:
+    """Tuning-model parameters from their U form: E_Ji = U_i / (8 E_C)."""
+    theta = np.array(u, dtype=float)
+    theta[:2] /= 8.0 * _tuning_theta(theta, fixed_e_c)[2]
+    return theta
+
+
+def _in_u(model: Model, fixed_e_c: float | None) -> Model:
+    """model with its junction energies replaced by U_i = 8 E_C E_Ji.
+
+    One column map serves both tuning models: d/dU_i = (d/dE_Ji) / 8 E_C,
+    and at fixed U, d/dE_C = d/dE_C - sum_i E_Ji (d/dE_Ji) / E_C.
+    """
+
+    def jac(current, u):
+        theta = _energies(u, fixed_e_c)
+        j = model.jac(current, theta)
+        ec = _tuning_theta(theta, fixed_e_c)[2]
+        u_jac = j.copy()
+        u_jac[:, :2] /= 8.0 * ec
+        if fixed_e_c is None:
+            u_jac[:, 2] -= (j[:, :2] @ theta[:2]) / ec
+        return u_jac
+
+    return Model(
+        names=("u1", "u2") + model.names[2:],
+        fn=lambda current, u: model.fn(current, _energies(u, fixed_e_c)),
+        jac=jac,
+    )
+
+
+def _remember_last(fn: Callable) -> Callable:
+    """fn(current, th) that returns its previous value, not a new one, when
+    called again with equal arguments."""
+    last = []
+
+    def call(current, th):
+        if last and np.array_equal(last[0], current) and np.array_equal(last[1], th):
+            return last[2]
+        value = fn(current, th)
+        last[:] = [np.array(current), np.array(th), value]
+        return value
+
+    return call
+
+
+def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -> FitResult:
+    """least_squares on a tuning model, walked in U; the result in the
+    model's own parameters, with standard errors from its Jacobian at the
+    optimum.  The engine took that Jacobian last, so it is remembered, not
+    evaluated again."""
+    jac = _remember_last(model.jac)
+    theta0 = np.array(theta0, dtype=float)
+    theta0[:2] *= 8.0 * _tuning_theta(theta0, fixed_e_c)[2]
+    fit = least_squares(_in_u(replace(model, jac=jac), fixed_e_c), data, theta0)
+    theta = _energies(list(fit.params.values()), fixed_e_c)
+    errs = _standard_errors(jac(data.x, theta) / _sigma(data)[:, None], fit.residual_norm**2, data)
+    return replace(
+        fit,
+        params=dict(zip(model.names, (float(v) for v in theta))),
+        std_errors=dict(zip(model.names, (float(e) for e in errs))),
+        model=model,
+    )
+
+
 # relative step in E_J of the Jacobian of the exact-levels model.  The
 # forward difference of the Mathieu f01 in ln E_J is off by ~0.3 h from
 # truncation and ~2e-15/h from rounding: on bench-like devices (E_J1/E_J2
@@ -495,8 +581,9 @@ _LEVELS_EJ_STEP = 1e-6
 _FIXED_EC_MIN_PER_FMAX = 1e-6
 
 # the start guess squares the data's frequencies, E_J ~ (f + E_C)^2/(8 E_C),
-# and the model squares E_J: numpy overflows from |f| ~ 1e78 MHz, and the
-# start guess raises OverflowError from ~1.3e154 MHz
+# as does the sinusoid fit of the period, and the model squares E_J: numpy
+# overflows from |f| ~ 1e78 MHz, and the start guess raises OverflowError
+# from ~1.3e154 MHz
 _FREQUENCY_MAX_MHZ = 1e60
 
 
@@ -506,7 +593,9 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
     At n_g = 0, f01 = E_C g(q) with q = E_J(phi)/(2 E_C), so one more
     levels call with both junction energies scaled by (1 + h) gives
     df/dE_J = (f1 - f0)/(h E_J) at every flux, and df/dE_C at fixed E_J is
-    f0/E_C - (f1 - f0)/(h E_C); _tuning_jac takes the chain rule.
+    f0/E_C - (f1 - f0)/(h E_C); _tuning_jac takes the chain rule.  f0 is
+    the value the residuals took at the same parameters, remembered: the
+    engine evaluates the Jacobian only at the point it has just accepted.
     """
 
     def f01(current, th, scale=1.0):
@@ -514,12 +603,51 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
         params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
         return levels(params, current / amps_per_phi0 + off)[0]
 
+    fn = _remember_last(f01)
+
     def derivatives(current, th, ec, ej):
-        f0 = f01(current, th)
+        f0 = fn(current, th)
         df = f01(current, th, 1.0 + _LEVELS_EJ_STEP) - f0
         return df / (_LEVELS_EJ_STEP * ej), f0 / ec - df / (_LEVELS_EJ_STEP * ec)
 
-    return Model(names=names, fn=f01, jac=_tuning_jac(fixed_e_c, derivatives))
+    return Model(names=names, fn=fn, jac=_tuning_jac(fixed_e_c, derivatives))
+
+
+# the frequencies _sinusoid_peak tries, in rfft bins from the top bin: a
+# grid of 1/20 bin, zero frequency excluded
+_SINUSOID_GRID_BINS = np.linspace(-1.0, 1.0, 41)[1:]
+
+
+def _sinusoid_peak(x: np.ndarray, centered: np.ndarray):
+    """Frequency nu, and (a, b) of the sinusoid a cos 2 pi nu x + b sin 2 pi nu x
+    plus a constant, that fits centered(x) best by least squares: the peak of
+    the generalized Lomb-Scargle periodogram (Zechmeister & Kuerster 2009),
+    searched on a grid of 1/20 bin within a bin of the top rfft bin.
+
+    Over a few periods the rfft bins are too coarse (with 13 samples over 1.2
+    periods the top one puts the period ~30% off) and the plain periodogram's
+    peak is pulled off the frequency by the overlap of the two signed
+    frequencies; the fitted sinusoid is not.  Grid points where the cosine
+    and sine columns are nearly parallel (the Nyquist frequency of uniform
+    samples) are skipped.
+    """
+    top = _dominant_component(x, centered)[0]
+    # the rfft's bin width, 1/(n mean spacing); the top bin is bin 1 or higher
+    grid = top + _SINUSOID_GRID_BINS * ((x.size - 1) / (x.size * float(x[-1] - x[0])))
+    arg = 2.0 * np.pi * np.outer(grid, x)
+    # the free constant: regress on the columns less their means
+    c, s = np.cos(arg), np.sin(arg)
+    c -= c.mean(axis=1, keepdims=True)
+    s -= s.mean(axis=1, keepdims=True)
+    cc, ss, cs = (c * c).sum(axis=1), (s * s).sum(axis=1), (c * s).sum(axis=1)
+    yc, ys = c @ centered, s @ centered
+    det = cc * ss - cs * cs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (yc * ss - ys * cs) / det
+        b = (ys * cc - yc * cs) / det
+        explained = np.where(det > 1e-9 * cc * ss, a * yc + b * ys, -np.inf)
+    k = int(np.argmax(explained))
+    return float(grid[k]), float(a[k]), float(b[k])
 
 
 def _normalize_tuning(params: dict, errs: dict) -> tuple[dict, dict]:
@@ -553,13 +681,16 @@ def fit_tuning_curve(
     The closed-form transmon frequency is used for the main optimization;
     with use_diagonalization=True a refinement pass replaces it by the
     exact f01 of :func:`transmon.levels`, and the result carries that
-    refinement's model.  The refinement's Jacobian costs two levels
-    calls, at the parameters and with both junction energies scaled by
-    1 + 1e-6, plus the chain rule (see _tuning_jac), where
-    forward differences took one per parameter; a levels call on the 13
-    fluxes of a bench device costs 35-55 us on a shared 2-core host.  The
-    frequencies must lie within +-1e60 MHz, and a fixed E_C between 1e-6
-    and 1/4 of the data's largest frequency.
+    refinement's model.  Both stages walk U_i = 8 E_C E_Ji in place of the
+    junction energies, where the closed form's E_C-E_J valley is nearly
+    straight, and report the energies, with standard errors from the
+    energies' Jacobian at the optimum.  The period and flux offset start
+    from the sinusoid that fits the data best (_sinusoid_peak).  A
+    refinement Jacobian costs one levels call, with both junction energies
+    scaled by 1 + 1e-6, plus the chain rule (see _tuning_jac): the levels
+    at the parameters are those of the residuals just evaluated there.
+    The frequencies must lie within +-1e60 MHz, and a fixed E_C between
+    1e-6 and 1/4 of the data's largest frequency.
     """
     if data.x.size < 6:
         raise ValueError("tuning-curve fit needs at least 6 points")
@@ -568,10 +699,6 @@ def fit_tuning_curve(
     cur, f = _sorted_by_x(data)
     model = tuning_curve_model(fixed_e_c)
 
-    # period of f(I) from the dominant discrete-spectrum component
-    freq0 = _dominant_component(cur, f - np.mean(f))[0]
-    a0 = 1.0 / freq0 if freq0 > 0 else float(cur[-1] - cur[0])
-    off0 = -cur[int(np.argmax(f))] / a0
     fmax0, fmin0 = float(f.max()), float(f.min())
     if not max(fmax0, -fmin0) < _FREQUENCY_MAX_MHZ:
         raise ValueError(
@@ -582,6 +709,12 @@ def fit_tuning_curve(
             f"fixed_e_c must lie in [{fmax0 * _FIXED_EC_MIN_PER_FMAX:.6g}, {fmax0 / 4.0:.6g}] MHz "
             f"(f_max * {_FIXED_EC_MIN_PER_FMAX:g} to f_max / 4 of the data), got {fixed_e_c}"
         )
+    # f01 peaks at phi = I/a + phi_0 = 0, and its first flux harmonic is
+    # positive: the period and the offset from the best-fitting sinusoid,
+    # cos(2 pi (I/a + phi_0)) = cos(2 pi I/a - atan2(b, a_cos))
+    freq0, a_cos, b_sin = _sinusoid_peak(cur, f - np.mean(f))
+    a0 = 1.0 / freq0
+    off0 = -math.atan2(b_sin, a_cos) / (2.0 * np.pi)
     ec0 = fixed_e_c if fixed_e_c is not None else 200.0
     ej_sum0 = (fmax0 + ec0) ** 2 / (8.0 * ec0)
     ej_diff0 = (fmin0 + ec0) ** 2 / (8.0 * ec0)
@@ -589,10 +722,10 @@ def fit_tuning_curve(
     ej2_0 = 0.5 * (ej_sum0 + ej_diff0)
 
     theta0 = [ej1_0, ej2_0] + ([] if fixed_e_c is not None else [ec0]) + [a0, off0]
-    result = least_squares(model, data, theta0)
+    result = _fit_in_u(model, data, theta0, fixed_e_c)
 
-    # span judged with the fitted period: the discrete-spectrum guess can
-    # only resolve whole oscillations and is blind to sub-period data.
+    # span judged with the fitted period: the start guess searches only
+    # within a bin of the top rfft bin and is blind to sub-period data.
     # Sub-period data may also alias to a bogus short period, which shows
     # up as an exploding junction-energy covariance instead.
     span_phi0 = (cur[-1] - cur[0]) / abs(result.params["amps_per_phi0"])
@@ -608,8 +741,8 @@ def fit_tuning_curve(
         )
 
     if use_diagonalization:
-        result = least_squares(
-            _levels_tuning_model(fixed_e_c, model.names), data, [result.params[n] for n in model.names]
+        result = _fit_in_u(
+            _levels_tuning_model(fixed_e_c, model.names), data, list(result.params.values()), fixed_e_c
         )
 
     params, errs = _normalize_tuning(result.params, result.std_errors)
@@ -648,7 +781,7 @@ def _beta_scan(model: Model, data: DataSeries, amp_max: float):
     multimodal: 30 candidate betas and their weighted sums of squares,
     scored by one model evaluation over all of them."""
     candidates = np.linspace(0.05, 1.5, 30) / amp_max
-    sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
+    sig = _sigma(data)
     curves = model.fn(data.x, (candidates,))
     return candidates, np.sum(((curves - data.y) / sig) ** 2, axis=1)
 

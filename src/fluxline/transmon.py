@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# the pure-data parameter type lives with the other document types, so that
+# loading a config needs no numpy; re-exported here under its old name
+from .config import TransmonParams
 
 __all__ = [
     "TransmonParams",
@@ -62,48 +65,6 @@ def _eigh_tridiagonal():
 
 class TransmonRegimeError(ValueError):
     """Inputs outside the regime where the requested formula is meaningful."""
-
-
-@dataclass(frozen=True)
-class TransmonParams:
-    """Charging energy and the two junction energies of a SQUID transmon.
-
-    The constructor normalizes to e_j1 <= e_j2 and records whether the
-    inputs were swapped.  Warns (does not fail) when e_j_sum/e_c < 20,
-    i.e. outside the usual transmon regime.
-    """
-
-    e_c: float
-    e_j1: float
-    e_j2: float
-    swapped: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if not (self.e_c > 0 and self.e_j1 > 0 and self.e_j2 > 0):
-            raise ValueError(
-                f"energies must be positive: e_c={self.e_c}, "
-                f"e_j1={self.e_j1}, e_j2={self.e_j2}"
-            )
-        if self.e_j1 > self.e_j2:
-            object.__setattr__(self, "swapped", True)
-            ej1, ej2 = self.e_j2, self.e_j1
-            object.__setattr__(self, "e_j1", ej1)
-            object.__setattr__(self, "e_j2", ej2)
-        if self.e_j_sum / self.e_c < 20.0:
-            warnings.warn(
-                f"e_j_sum/e_c = {self.e_j_sum / self.e_c:.1f} < 20: "
-                "outside the transmon regime, asymptotic formulas degrade",
-                stacklevel=2,
-            )
-
-    @property
-    def e_j_sum(self) -> float:
-        return self.e_j1 + self.e_j2
-
-    @property
-    def asymmetry(self) -> float:
-        """d = (e_j2 - e_j1)/(e_j1 + e_j2), in [0, 1)."""
-        return (self.e_j2 - self.e_j1) / self.e_j_sum
 
 
 @dataclass(frozen=True)

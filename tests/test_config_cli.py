@@ -76,6 +76,41 @@ class TestConfig:
             load_config("/nonexistent/config.json")
 
 
+class TestConfigFieldErrors:
+    """Every bad value of a config field: exit 2 and one error line that
+    names the field once (the CLI catches ConfigError, so an exception of
+    any other type would leave main as a traceback)."""
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda d: d["diplexer"].update(isolation_db=None), "config.diplexer.isolation_db"),
+        (lambda d: d["diplexer"].update(isolation_db="nan"), "config.diplexer.isolation_db"),
+        (lambda d: d["diplexer"].update(isolation_db=True), "config.diplexer.isolation_db"),
+        (lambda d: d["diplexer"].update(z0=float("inf")), "config.diplexer.z0"),
+        (lambda d: d["diplexer"].update(lp_cutoff_mhz=-1), "config.diplexer.lp_cutoff_mhz"),
+        (lambda d: d["qubits"][0].update(e_c_mhz=float("inf")), "config.qubits[0].e_c_mhz"),
+        (lambda d: d["qubits"][0].update(e_c_mhz=-1), "config.qubits[0].e_c_mhz"),
+        (lambda d: d["qubits"][0].update(f_r_mhz=float("nan")), "config.qubits[0].f_r_mhz"),
+        (lambda d: d["chains"]["xy"]["segments"][0].update(db=True), "config.chains['xy'].segments[0].db"),
+        (lambda d: d["chains"]["xy"]["segments"].__setitem__(0, "4K plate"), "config.chains['xy'].segments[0]"),
+        (lambda d: d.update(chains=[]), "config.chains"),
+    ], ids=["isolation-null", "isolation-string", "isolation-bool", "z0-inf", "lp-cutoff-negative",
+            "e-c-inf", "e-c-negative", "f-r-nan", "db-bool", "segment-string", "chains-array"])
+    def test_exits_2_naming_the_field_once(self, tmp_path, capsys, mutate, field):
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("diplexer", str(path), "--points", "3", "--out", str(tmp_path / "d.csv"))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+        assert err.count("config.") == 1
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "d.csv").exists()
+
+
 class TestSpectrumCommand:
     def test_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"

@@ -596,3 +596,107 @@ class TestExactLevelsJacobian:
             jac = model.jac(x, th)
             scale = np.abs(reference).max(axis=0)
             assert (np.abs(jac - reference).max(axis=0) <= self.COLUMN_RTOL * scale).all(), (th, jac, reference)
+
+
+def bench_like_tuning(ratio, rng):
+    """A Mathieu-drawn tuning curve: 13 currents over 1.2 flux periods, 1 MHz noise."""
+    e_c, total = rng.uniform(170.0, 200.0), rng.uniform(9500.0, 12500.0)
+    e_j2 = total / (1.0 + ratio)
+    a_per, offset = rng.uniform(0.8e-3, 1.5e-3), rng.uniform(-0.1, 0.1)
+    phi = np.linspace(-0.6, 0.6, 13)
+    y = levels(TransmonParams(e_c, total - e_j2, e_j2), phi)[0] + rng.normal(0.0, 1.0, phi.size)
+    return DataSeries(x=(phi - offset) * a_per, y=y), e_c
+
+
+class TestTuningInU:
+    """Both tuning stages walk U_i = 8 E_C E_Ji in place of the junction energies."""
+
+    X = np.linspace(-0.7e-3, 0.7e-3, 25)
+    # (fixed E_C, parameters in U): free and fixed E_C, and mixed signs,
+    # where the junction columns carry their signs
+    CASES = [
+        (None, np.array([8.0 * 182.0 * 2140.0, 8.0 * 182.0 * 9040.0, 182.0, 1.2e-3, 0.05])),
+        (182.0, np.array([8.0 * 182.0 * 2140.0, 8.0 * 182.0 * 9040.0, 1.2e-3, 0.05])),
+        (None, np.array([-8.0 * 182.0 * 2140.0, 8.0 * 182.0 * 9040.0, 182.0, 1.2e-3, 0.05])),
+        (182.0, np.array([8.0 * 182.0 * 2140.0, -8.0 * 182.0 * 9040.0, 1.2e-3, 0.05])),
+    ]
+    IDS = ["free-ec", "fixed-ec", "free-ec-mixed-sign", "fixed-ec-mixed-sign"]
+
+    @pytest.mark.parametrize("fixed,u", CASES, ids=IDS)
+    def test_closed_form_u_columns_match_finite_differences(self, fixed, u):
+        model = fitting._in_u(tuning_curve_model(fixed), fixed)
+        analytic = model.jac(self.X, u)
+        numeric = finite_difference_jacobian(model, self.X, u)
+        assert np.allclose(analytic, numeric, atol=1e-6 * np.abs(analytic).max(), rtol=1e-6)
+
+    @pytest.mark.parametrize("fixed,u", CASES, ids=IDS)
+    def test_exact_levels_u_columns_match_forward_differences(self, fixed, u):
+        names = tuning_curve_model(fixed).names
+        model = fitting._in_u(fitting._levels_tuning_model(fixed, names), fixed)
+        reference = forward_jacobian(lambda t: model.fn(self.X, t), u)
+        jac = model.jac(self.X, u)
+        # the tolerance of TestExactLevelsJacobian, per column
+        scale = np.abs(reference).max(axis=0)
+        assert (np.abs(jac - reference).max(axis=0) <= 1e-5 * scale).all(), (jac, reference)
+
+    def test_u_coordinates_map_back_to_the_energies(self):
+        u = self.CASES[0][1]
+        theta = fitting._energies(u, None)
+        np.testing.assert_allclose(theta, [2140.0, 9040.0, 182.0, 1.2e-3, 0.05], rtol=1e-15)
+        # the closed form in U: f = (U1^2 + U2^2 + 2 U1 U2 cos 2 pi phi)^(1/4) - E_C
+        phi = self.X / 1.2e-3 + 0.05
+        closed = (u[0] ** 2 + u[1] ** 2 + 2.0 * u[0] * u[1] * np.cos(2.0 * np.pi * phi)) ** 0.25 - 182.0
+        np.testing.assert_allclose(fitting._in_u(tuning_curve_model(None), None).fn(self.X, u), closed, rtol=1e-13)
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
+    @pytest.mark.parametrize("ratio", [0.24, 0.8, 0.98])
+    def test_refinement_jacobian_takes_one_levels_call(self, monkeypatch, ratio, fixed):
+        data, e_c = bench_like_tuning(ratio, np.random.default_rng([SEED, int(round(100 * ratio))]))
+        stages, levels_calls = [], []
+        engine = fitting.least_squares
+
+        def counting_engine(model, data, initial_guess, flags=()):
+            njev = []
+
+            def jac(x, th):
+                njev.append(None)
+                return model.jac(x, th)
+
+            result = engine(replace(model, jac=jac), data, initial_guess, flags)
+            stages.append((result.iterations, len(njev), len(levels_calls)))
+            return result
+
+        def counting_levels(*args, **kwargs):
+            levels_calls.append(None)
+            return levels(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "least_squares", counting_engine)
+        monkeypatch.setattr(fitting, "levels", counting_levels)
+        res = fit_tuning_curve(data, fixed_e_c=e_c if fixed else None, use_diagonalization=True)
+        (_, _, closed_form_calls), (nfev, njev, total_calls) = stages
+        assert closed_form_calls == 0
+        assert res.iterations == nfev
+        # one call per residual evaluation and one per Jacobian: the levels
+        # at the parameters are those of the residuals just taken there, and
+        # the standard errors reuse the Jacobian at the optimum
+        assert len(levels_calls) == total_calls == nfev + njev
+
+    def test_closed_form_stage_budget(self, monkeypatch):
+        # the ratio of the shipped devices, where the closed-form stage
+        # walked a long curved E_C-E_J valley in the energies: these eight
+        # took 34-78 evaluations there from the top rfft bin's period, and
+        # take 6-7 in U from the best-fitting sinusoid's period and phase
+        stages = []
+        engine = fitting.least_squares
+
+        def recording_engine(*args):
+            result = engine(*args)
+            stages.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(fitting, "least_squares", recording_engine)
+        for seed in range(8):
+            data, _ = bench_like_tuning(0.24, np.random.default_rng([SEED, 24, seed]))
+            res = fit_tuning_curve(data)
+            assert res.converged
+        assert max(stages) <= 12, stages

@@ -49,9 +49,10 @@ def test_package_and_config_load_no_scipy(tmp_path):
     assert loaded_by(code, tmp_path) == set()
 
 
-def test_load_config_loads_only_config_and_transmon(tmp_path):
+def test_load_config_loads_only_config(tmp_path):
     code = f"import fluxline\nfluxline.load_config({CONFIG!r})\n"
-    assert loaded_by(code, tmp_path, "fluxline") == {"fluxline", "fluxline.config", "fluxline.transmon"}
+    assert loaded_by(code, tmp_path, "fluxline") == {"fluxline", "fluxline.config"}
+    assert loaded_by(code, tmp_path, "numpy") == set()
 
 
 def test_cli_module_loads_no_scipy(tmp_path):
