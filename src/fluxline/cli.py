@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical
 non-convergence (fit or series).  JSON output is strict: non-finite values
-are written as null.  All numeric output is formatted with 12 significant
-digits and '.' decimals so repeated runs are byte-identical.
+are written as null.  All numeric output is rounded to 12 significant
+digits with '.' decimals, in CSV by :func:`fmt` and in JSON by
+:func:`_json_ready`, so repeated runs are byte-identical.
 
 Imports are per subcommand: the module loads numpy and :mod:`fluxline.config`
 (home of DiplexerSpec and AttenuationChain; it loads transmon), and each
@@ -57,17 +58,20 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def _finite(obj):
-    """obj with every non-finite float replaced by None (JSON null)."""
+def _json_ready(obj):
+    """obj with every float rounded to fmt's 12 significant digits, and
+    every non-finite one replaced by None (JSON null)."""
     if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
+        return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_finite(v) for v in obj]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+        return [_json_ready(v) for v in obj]
+    if isinstance(obj, float):
+        return float(fmt(obj)) if math.isfinite(obj) else None
+    return obj
 
 
 def _emit_json(path: str | None, obj) -> None:
-    _write(path, json.dumps(_finite(obj), indent=2, sort_keys=False, allow_nan=False) + "\n")
+    _write(path, json.dumps(_json_ready(obj), indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
 def _error(exc: Exception, code: int) -> int:
@@ -122,9 +126,9 @@ def cmd_spectrum(args) -> int:
         ],
         {
             "qubit": q.name,
-            "f_max_mhz": float(fmt(f_max)),
-            "f_min_mhz": float(fmt(f_min)),
-            "anharmonicity_mhz": float(fmt(eta)),
+            "f_max_mhz": f_max,
+            "f_min_mhz": f_min,
+            "anharmonicity_mhz": eta,
         },
     )
     return 0
@@ -153,11 +157,11 @@ def cmd_modulate(args) -> int:
     columns += [(f_series - f_ref) * 1e6, second_order_shift(q.params, amps)]
     _write_csv(args.out, header, zip(*columns))
     lines = [f"qubit {q.name}: f_avg at zero drive = {fmt(f_ref)} MHz"]
-    payload = {"qubit": q.name, "f_ref_mhz": float(fmt(f_ref))}
+    payload = {"qubit": q.name, "f_ref_mhz": f_ref}
     if args.with_oracle:
         worst = np.max(np.abs(f_series - f_oracle))
         lines.append(f"max |series - oracle| = {fmt(worst)} MHz")
-        payload["max_series_oracle_dev_mhz"] = float(fmt(worst))
+        payload["max_series_oracle_dev_mhz"] = worst
     _summary(args, lines, payload)
     return 0
 
@@ -177,8 +181,8 @@ def cmd_crosstalk(args) -> int:
         "v_p": args.v_p,
         "r_ohm": args.r_ohm,
         "m_fH": q.m_fH,
-        "phi_ac": float(fmt(report.phi_ac)),
-        "delta_f_hz": float(fmt(report.delta_f_hz)),
+        "phi_ac": report.phi_ac,
+        "delta_f_hz": report.delta_f_hz,
         "detectable": report.detectable,
     }
     _emit_json(args.out, payload)
@@ -203,10 +207,10 @@ def cmd_diplexer(args) -> int:
             {
                 "name": item.name,
                 "passed": item.passed,
-                "measured": float(fmt(item.measured)),
-                "target": float(fmt(item.target)),
-                "margin": float(fmt(item.margin)),
-                "worst_freq_mhz": float(fmt(item.worst_freq_mhz)),
+                "measured": item.measured,
+                "target": item.target,
+                "margin": item.margin,
+                "worst_freq_mhz": item.worst_freq_mhz,
             }
             for item in report.items
         ],
@@ -274,12 +278,7 @@ def cmd_fit(args) -> int:
     except fitting.FitError as exc:
         return _error(exc, 3)
 
-    payload = {"kind": args.kind}
-    payload.update(result.to_dict())
-    payload["params"] = {k: float(fmt(v)) for k, v in payload["params"].items()}
-    payload["std_errors"] = {k: float(fmt(v)) for k, v in payload["std_errors"].items()}
-    payload["residual_norm"] = float(fmt(payload["residual_norm"]))
-    _emit_json(args.out, payload)
+    _emit_json(args.out, {"kind": args.kind, **result.to_dict()})
 
     if args.residuals_out:
         curve = result.curve(data.x)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = ["ConfigError", "TransmonParams", "DiplexerSpec", "AttenuationChain", "QubitRecord", "DiplexerConfig",
@@ -22,15 +22,13 @@ class ConfigError(ValueError):
 class TransmonParams:
     """Charging energy and the two junction energies of a SQUID transmon.
 
-    The constructor normalizes to e_j1 <= e_j2 and records whether the
-    inputs were swapped.  Warns (does not fail) when e_j_sum/e_c < 20,
-    i.e. outside the usual transmon regime.
+    The constructor normalizes to e_j1 <= e_j2.  Warns (does not fail)
+    when e_j_sum/e_c < 20, i.e. outside the usual transmon regime.
     """
 
     e_c: float
     e_j1: float
     e_j2: float
-    swapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if not (self.e_c > 0 and self.e_j1 > 0 and self.e_j2 > 0):
@@ -39,7 +37,6 @@ class TransmonParams:
                 f"e_j1={self.e_j1}, e_j2={self.e_j2}"
             )
         if self.e_j1 > self.e_j2:
-            object.__setattr__(self, "swapped", True)
             ej1, ej2 = self.e_j2, self.e_j1
             object.__setattr__(self, "e_j1", ej1)
             object.__setattr__(self, "e_j2", ej2)

@@ -197,12 +197,7 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
                 break
 
 
-def least_squares(
-    model: Model,
-    data: DataSeries,
-    initial_guess,
-    flags: tuple[str, ...] = (),
-) -> FitResult:
+def least_squares(model: Model, data: DataSeries, initial_guess) -> FitResult:
     """Weighted Levenberg-Marquardt fit of a model to a data series."""
     theta0 = np.asarray(initial_guess, dtype=float)
     n_par = len(model.names)
@@ -225,8 +220,9 @@ def least_squares(
             residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
         )
 
+    flags: tuple[str, ...] = ()
     if data.sigma is None and data.x.size == n_par:
-        flags = flags + (
+        flags = (
             "standard errors undefined: an unweighted fit needs more points "
             "than parameters, or sigma",
         )
@@ -723,11 +719,16 @@ def fit_tuning_curve(
 
     theta0 = [ej1_0, ej2_0] + ([] if fixed_e_c is not None else [ec0]) + [a0, off0]
     result = _fit_in_u(model, data, theta0, fixed_e_c)
+    if use_diagonalization:
+        result = _fit_in_u(
+            _levels_tuning_model(fixed_e_c, model.names), data, list(result.params.values()), fixed_e_c
+        )
 
-    # span judged with the fitted period: the start guess searches only
-    # within a bin of the top rfft bin and is blind to sub-period data.
-    # Sub-period data may also alias to a bogus short period, which shows
-    # up as an exploding junction-energy covariance instead.
+    # the flags judge the stage returned.  Span judged with the fitted
+    # period: the start guess searches only within a bin of the top rfft
+    # bin and is blind to sub-period data.  Sub-period data may also alias
+    # to a bogus short period, which shows up as an exploding
+    # junction-energy covariance instead.
     span_phi0 = (cur[-1] - cur[0]) / abs(result.params["amps_per_phi0"])
     ej_rel_err = max(
         abs(result.std_errors["e_j1"]) / max(abs(result.params["e_j1"]), 1e-12),
@@ -740,21 +741,17 @@ def fit_tuning_curve(
             "fit: junction energies are not reliable",
         )
 
-    if use_diagonalization:
-        result = _fit_in_u(
-            _levels_tuning_model(fixed_e_c, model.names), data, list(result.params.values()), fixed_e_c
-        )
-
     params, errs = _normalize_tuning(result.params, result.std_errors)
     return replace(result, params=params, std_errors=errs, flags=flags)
 
 
 # --- flux-pulse amplitude calibration ----------------------------------------
 
-def beta_model(params: TransmonParams, phi_dc: float, p: int = DEFAULT_ORDER) -> Model:
-    """Time-averaged frequency vs instrument amplitude, parameter beta."""
-    series = harmonic_series(params, p)
-    wn = 2.0 * np.pi * np.arange(p + 1)
+def beta_model(params: TransmonParams, phi_dc: float) -> Model:
+    """Time-averaged frequency vs instrument amplitude, parameter beta, from
+    the harmonic series of order DEFAULT_ORDER."""
+    series = harmonic_series(params, DEFAULT_ORDER)
+    wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
     cn = np.array(series.s) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 
     # the harmonics n along axis 0, the samples along the last; the sums
@@ -786,16 +783,11 @@ def _beta_scan(model: Model, data: DataSeries, amp_max: float):
     return candidates, np.sum(((curves - data.y) / sig) ** 2, axis=1)
 
 
-def fit_beta(
-    data: DataSeries,
-    params: TransmonParams,
-    phi_dc: float = 0.0,
-    p: int = DEFAULT_ORDER,
-) -> FitResult:
+def fit_beta(data: DataSeries, params: TransmonParams, phi_dc: float = 0.0) -> FitResult:
     """Calibrate phi_ac = beta * A_p against measured average frequencies."""
     if not math.isfinite(phi_dc):
         raise ValueError(f"phi_dc must be finite, got {phi_dc}")
-    model = beta_model(params, phi_dc, p)
+    model = beta_model(params, phi_dc)
     amp_max = float(np.abs(data.x).max())
     if amp_max == 0:
         raise ValueError("amplitude axis is identically zero")

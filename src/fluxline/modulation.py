@@ -49,25 +49,23 @@ class FluxDrive:
     """DC flux bias plus AC modulation, flux in units of Phi0.
 
     The time-domain flux is phi(t) = phi_dc + phi_ac cos(2 pi f_d t); the
-    drive frequency f_d (MHz) only sets the oracle's averaging period and
-    drops out of every result.  phi_dc and phi_ac may be arrays (held as
-    float arrays); every result is then elementwise over their broadcast.
+    drive frequency f_d drops out of every time average, so no field holds
+    it.  phi_dc and phi_ac may be arrays (held as float arrays); every
+    result is then elementwise over their broadcast.
     Only a scalar drive compares and hashes by value.
     """
 
     phi_dc: float | np.ndarray
     phi_ac: float | np.ndarray
-    f_d: float = 100.0
 
     def __post_init__(self):
-        for name in ("phi_dc", "phi_ac", "f_d"):
+        for name in ("phi_dc", "phi_ac"):
             value = getattr(self, name)
             if np.ndim(value):
                 value = np.asarray(value, dtype=float)
                 object.__setattr__(self, name, value)
             _require(name, value, np.isfinite, "must be finite")
         _require("phi_ac", self.phi_ac, lambda v: v >= 0, "must be >= 0")
-        _require("f_d", self.f_d, lambda v: v > 0, "must be > 0")
 
 
 def _require(name: str, value, ok, requirement: str) -> None:
@@ -221,7 +219,7 @@ def time_average_oracle(
     """Average of the exact f01 over one modulation period (MHz).
 
     Uniform sampling in drive phase (the periodic trapezoidal rule, which
-    is spectrally accurate here); by construction independent of f_d.
+    is spectrally accurate here); no drive frequency enters.
     All samples of every drive come from one :func:`levels` call, with the
     drive phase along the last axis, and each drive's samples are summed
     by ``np.sum`` over that axis, a fixed summation order, so results are

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 HALF_POWER_DB = 10.0 * math.log10(0.5)  # -3.0103 dB
+# relative distance from its target within which a half-power edge passes
+EDGE_TOLERANCE = 0.10
 
 
 @dataclass(frozen=True)
@@ -305,15 +307,11 @@ def _crossing(freqs: np.ndarray, vals_db: np.ndarray, level: float, rising: bool
     return freqs[i] * (freqs[i + 1] / freqs[i]) ** t
 
 
-def check_spec(
-    response: DiplexerResponse,
-    spec: DiplexerSpec = DiplexerSpec(),
-    edge_tolerance: float = 0.10,
-) -> SpecCheckReport:
+def check_spec(response: DiplexerResponse, spec: DiplexerSpec = DiplexerSpec()) -> SpecCheckReport:
     """Itemized pass/fail of a diplexer response against band requirements.
 
     Checks the half-power cutoff of the low-pass path, the half-power band
-    edges of the band-pass path (both within edge_tolerance relative), and
+    edges of the band-pass path (both within EDGE_TOLERANCE relative), and
     the worst port-1 <-> port-2 isolation up to the spec limit frequency.
     """
     freqs = response.frequencies_mhz
@@ -340,10 +338,10 @@ def check_spec(
         items.append(
             SpecCheckItem(
                 name=name,
-                passed=bool(err <= edge_tolerance),
+                passed=bool(err <= EDGE_TOLERANCE),
                 measured=measured,
                 target=target,
-                margin=float(edge_tolerance - err),
+                margin=float(EDGE_TOLERANCE - err),
                 worst_freq_mhz=measured,
             )
         )

@@ -1,13 +1,13 @@
 """Special functions for the modulation-series machinery.
 
-Self-contained implementations (no scipy.special) so that domain handling
-matches what the harmonic-series code needs: strictly positive Gamma
-arguments, hypergeometric arguments restricted to [0, 1), and an explicit
-convergence failure instead of a silent NaN.  The Bessel functions work
-elementwise on arrays (a scalar argument gives a float); the others are
-scalar.  Accuracy target is 1e-10 relative (absolute near Bessel zeros),
-checked in the test suite against integral definitions, classical
-identities and mpmath.
+Implementations on the standard library and numpy (no scipy.special) so
+that domain handling matches what the harmonic-series code needs: strictly
+positive Gamma arguments, hypergeometric arguments restricted to [0, 1),
+and an explicit convergence failure instead of a silent NaN.  Gamma itself
+is ``math.gamma``.  The Bessel functions work elementwise on arrays (a
+scalar argument gives a float); the others are scalar.  Accuracy target is
+1e-10 relative (absolute near Bessel zeros), checked in the test suite
+against integral definitions, classical identities and mpmath.
 
 Near z = 1, where the harmonic series evaluates 2F1 at z = ej_tilde^2 of a
 nearly symmetric SQUID, :func:`hyp2f1` uses the connection formulas to
@@ -35,22 +35,6 @@ class ConvergenceError(RuntimeError):
     """A series failed to reach the requested accuracy."""
 
 
-# Lanczos approximation, g = 7, 9 terms.  Good to ~1e-13 relative for
-# positive real arguments, comfortably inside the 1e-10 target.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(z: float) -> float:
     """Euler Gamma for z > 0.
 
@@ -60,15 +44,7 @@ def gamma_fn(z: float) -> float:
     """
     if not z > 0.0:
         raise ValueError(f"gamma_fn requires z > 0, got {z}")
-    if z < 0.5:
-        # reflection keeps the Lanczos kernel in its accurate range
-        return math.pi / (math.sin(math.pi * z) * gamma_fn(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * math.exp(-t) * acc
+    return math.gamma(z)
 
 
 def rising_factorial(x: float, n: int) -> float:
@@ -181,12 +157,13 @@ def _sinpi(x: float) -> float:
 
 def _rgamma(x: float) -> float:
     """1/Gamma(x) for every real x; exactly 0 at the poles 0, -1, -2, ..."""
-    if x > 0.0:
-        return 1.0 / gamma_fn(x)
+    if x >= 0.5:
+        return 1.0 / math.gamma(x)
     if _nonpositive_int(x):
         return 0.0
-    # reflection: 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi
-    return gamma_fn(1.0 - x) * _sinpi(x) / math.pi
+    # reflection, 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi, also for
+    # 0 < x < 1/2: Gamma(x) overflows at a subnormal x
+    return math.gamma(1.0 - x) * _sinpi(x) / math.pi
 
 
 # B_2k / 2k for k = 1..7, the coefficients of the digamma asymptotic series
@@ -227,8 +204,11 @@ HYP2F1_NEAR_INTEGER = 1e-3
 # 2.5e-12 up to this bound (and below 1e-11 up to 3000).
 HYP2F1_MAX_CANCELLATION = 1000.0
 
+# terms after which a series of hyp2f1 raises ConvergenceError
+HYP2F1_MAX_TERMS = 100000
 
-def hyp2f1(a: float, b: float, c: float, z: float, max_terms: int = 100000) -> float:
+
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for 0 <= z < 1.
 
     Branches, with w = 1 - z and s = c - a - b:
@@ -252,7 +232,7 @@ def hyp2f1(a: float, b: float, c: float, z: float, max_terms: int = 100000) -> f
       the modulation series' n = 8 below z ~ 0.85): the Euler-transformed
       power series in z, whose cost grows like 1/(1 - z).
 
-    Every series raises ConvergenceError when max_terms terms do not reach
+    Every series raises ConvergenceError when HYP2F1_MAX_TERMS terms do not reach
     the target.  Against mpmath.hyp2f1 on z in [0.75, 1 - 1e-10] the
     relative error measured is below 4e-12 for every (a, b, c) of the
     modulation series (n <= 12), and below 1e-10 for generic parameters
@@ -264,7 +244,7 @@ def hyp2f1(a: float, b: float, c: float, z: float, max_terms: int = 100000) -> f
     if not 0.0 <= z < 1.0:
         raise ValueError(f"hyp2f1 requires 0 <= z < 1, got z={z}")
     if z <= 0.75:
-        return _hyp2f1_series(a, b, c, z, max_terms)
+        return _hyp2f1_series(a, b, c, z)
     w = 1.0 - z
     if _nonpositive_int(b) and not (_nonpositive_int(a) and a >= b):
         a, b = b, a  # a terminates first
@@ -272,28 +252,28 @@ def hyp2f1(a: float, b: float, c: float, z: float, max_terms: int = 100000) -> f
         if _nonpositive_int(c - b) and c - b > a:
             # (c-b)_n = 0: a zero of order c-a-b at z = 1, which the Euler
             # transformation makes explicit; that series ends sooner
-            return w ** (c - a - b) * hyp2f1(c - a, c - b, c, z, max_terms)
+            return w ** (c - a - b) * hyp2f1(c - a, c - b, c, z)
         c_w = b - c + a + 1.0
         if _nonpositive_int(c_w):
-            return _hyp2f1_series(a, b, c, z, max_terms)
+            return _hyp2f1_series(a, b, c, z)
         n = int(-a)
         scale = rising_factorial(c - b, n) / rising_factorial(c, n)
-        return scale * _hyp2f1_series(a, b, c_w, w, max_terms)
+        return scale * _hyp2f1_series(a, b, c_w, w)
     s = c - a - b
     m = round(s)
     cancellation = math.inf
     if abs(s - m) <= 1e-15 * max(1.0, abs(a), abs(b), abs(c)):
         if m < 0:
-            return w**s * hyp2f1(c - a, c - b, c, z, max_terms)
-        value, cancellation = _hyp2f1_log(a, b, c, m, w, max_terms)
+            return w**s * hyp2f1(c - a, c - b, c, z)
+        value, cancellation = _hyp2f1_log(a, b, c, m, w)
     elif abs(s - m) >= HYP2F1_NEAR_INTEGER:
-        value, cancellation = _hyp2f1_connection(a, b, c, s, w, max_terms)
+        value, cancellation = _hyp2f1_connection(a, b, c, s, w)
     if cancellation <= HYP2F1_MAX_CANCELLATION:
         return value
-    return w**s * _hyp2f1_series(c - a, c - b, c, z, max_terms)
+    return w**s * _hyp2f1_series(c - a, c - b, c, z)
 
 
-def _hyp2f1_connection(a: float, b: float, c: float, s: float, w: float, max_terms: int):
+def _hyp2f1_connection(a: float, b: float, c: float, s: float, w: float):
     # DLMF 15.8.4 for s = c - a - b not an integer, w = 1 - z:
     # sin(pi s)/pi 2F1(a,b;c;z)/Gamma(c)
     #   = 2F1(a,b;1-s;w) / (Gamma(c-a) Gamma(c-b) Gamma(1-s))
@@ -302,15 +282,15 @@ def _hyp2f1_connection(a: float, b: float, c: float, s: float, w: float, max_ter
     first = _rgamma(c - a) * _rgamma(c - b) * _rgamma(1.0 - s)
     second = _rgamma(a) * _rgamma(b) * _rgamma(1.0 + s)
     if first:
-        first *= _hyp2f1_series(a, b, 1.0 - s, w, max_terms)
+        first *= _hyp2f1_series(a, b, 1.0 - s, w)
     if second:
-        second *= w**s * _hyp2f1_series(c - a, c - b, 1.0 + s, w, max_terms)
+        second *= w**s * _hyp2f1_series(c - a, c - b, 1.0 + s, w)
     diff = first - second
     value = math.pi / (_rgamma(c) * _sinpi(s)) * diff
     return value, (abs(first) + abs(second)) / abs(diff) if diff else math.inf
 
 
-def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float, max_terms: int):
+def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float):
     # DLMF 15.8.10 for c = a + b + m, m >= 0, w = 1 - z, with a and b not
     # non-positive integers:
     # 2F1(a,b;c;z)/Gamma(c)
@@ -330,7 +310,7 @@ def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float, max_terms: int):
         return math.nan, math.inf
     total = term * h
     magnitude = abs(total)
-    for k in range(max_terms):
+    for k in range(HYP2F1_MAX_TERMS):
         term *= (am + k) * (bm + k) / ((k + 1.0) * (k + m + 1.0)) * w
         h += 1.0 / (am + k) + 1.0 / (bm + k) - 1.0 / (k + 1.0) - 1.0 / (k + m + 1.0)
         total += term * h
@@ -343,18 +323,18 @@ def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float, max_terms: int):
             spread = abs(finite) + abs(scale) * magnitude
             return diff / _rgamma(c), spread / abs(diff) if diff else math.inf
     raise ConvergenceError(
-        f"hyp2f1 log series ({a}, {b}; m={m}; 1-z={w}) not converged after {max_terms} terms"
+        f"hyp2f1 log series ({a}, {b}; m={m}; 1-z={w}) not converged after {HYP2F1_MAX_TERMS} terms"
     )
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float, max_terms: int) -> float:
+def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     term = 1.0
     total = 1.0
-    for k in range(max_terms):
+    for k in range(HYP2F1_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
         if abs(term) <= 1e-16 * abs(total):
             return total
     raise ConvergenceError(
-        f"hyp2f1({a}, {b}; {c}; {z}) not converged after {max_terms} terms"
+        f"hyp2f1({a}, {b}; {c}; {z}) not converged after {HYP2F1_MAX_TERMS} terms"
     )

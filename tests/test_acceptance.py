@@ -161,7 +161,7 @@ def test_criterion_5_diplexer_spec():
     bp = rf.synth_bandpass(5, 3000.0, 7000.0)
     grid = rf.default_frequency_grid(2000)
     resp = rf.diplexer_eval(lp, bp, 50.0, grid)
-    check = rf.check_spec(resp, rf.DiplexerSpec(), edge_tolerance=0.10)
+    check = rf.check_spec(resp, rf.DiplexerSpec())
 
     worst_unitarity = 0.0
     worst_det = 0.0

@@ -667,6 +667,35 @@ class TestHugeFiniteInputs:
         assert [str(w.message) for w in caught] == []
 
 
+def significant_digits(token: str) -> int:
+    """Significant digits of a JSON number token, e.g. 3 for '-1.25e-05'."""
+    return len(token.lower().split("e")[0].lstrip("-").replace(".", "").strip("0"))
+
+
+class TestJsonRounding:
+    @pytest.mark.parametrize("argv", [
+        ("--json", "spectrum", str(EXAMPLE_CONFIG), "--qubit", "q1", "--points", "3", "--out", os.devnull),
+        ("--json", "modulate", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "3", "--with-oracle",
+         "--oracle-steps", "256", "--out", os.devnull),
+        # inputs of 17 significant digits, which the report echoes
+        ("crosstalk", str(EXAMPLE_CONFIG), "--qubit", "q0", "--gamma-db", "73.43839251917712",
+         "--v-p", "0.12345678901234568", "--r-ohm", "50.000000000000014"),
+        ("diplexer", str(EXAMPLE_CONFIG), "--points", "400", "--out", os.devnull, "--report-out", "-"),
+        ("fit", "t1", str(FIXTURES / "t1_53us.csv")),
+        ("fit", "ramsey", str(FIXTURES / "ramsey_10us.csv")),
+        ("fit", "rb", str(FIXTURES / "rb_decay.csv")),
+        ("fit", "tuning", str(FIXTURES / "tuning_q0.csv")),
+        ("fit", "beta", str(FIXTURES / "beta_q0.csv"), str(EXAMPLE_CONFIG), "--qubit", "q0"),
+    ], ids=["spectrum", "modulate", "crosstalk", "diplexer", "fit-t1", "fit-ramsey", "fit-rb", "fit-tuning",
+            "fit-beta"])
+    def test_every_number_has_at_most_12_significant_digits(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        tokens = []
+        json.loads(capsys.readouterr().out, parse_float=lambda t: tokens.append(t) or float(t))
+        assert tokens
+        assert [t for t in tokens if significant_digits(t) > 12] == []
+
+
 class TestDeterminism:
     def _run_twice(self, tmp_path, name, argv_builder):
         outputs = []

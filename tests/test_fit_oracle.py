@@ -26,7 +26,7 @@ PARAM_SIGMAS = 1e-3
 NORM_RTOL = 1e-9
 
 
-def minpack_least_squares(model, data, initial_guess, flags=()):
+def minpack_least_squares(model, data, initial_guess):
     theta0 = np.asarray(initial_guess, dtype=float)
     n_par = len(model.names)
     sig = data.sigma if data.sigma is not None else np.ones_like(data.y)
@@ -49,7 +49,6 @@ def minpack_least_squares(model, data, initial_guess, flags=()):
         residual_norm=float(np.linalg.norm(res.fun)),
         converged=res.status > 0,
         iterations=int(res.nfev),
-        flags=flags,
     )
 
 

@@ -398,6 +398,16 @@ class TestTuningCurve:
         res = fit_tuning_curve(DataSeries(x=cur, y=y))
         assert any("span" in f for f in res.flags)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ill_conditioned_refinement_flagged(self, seed):
+        # ratio-0.99 devices whose closed-form stage is well conditioned
+        # but whose refinement lands near E_J1 = E_J2: the flags judge the
+        # stage that is returned
+        data, _ = bench_like_tuning(0.99, np.random.default_rng([seed, 990]))
+        res = fit_tuning_curve(data, use_diagonalization=True)
+        assert max(res.std_errors[k] / res.params[k] for k in ("e_j1", "e_j2")) > 0.5
+        assert any("ill-conditioned" in f for f in res.flags)
+
 
 class TestBeta:
     def make_data(self, q0, beta=0.510, noise_rng=None):
@@ -655,14 +665,14 @@ class TestTuningInU:
         stages, levels_calls = [], []
         engine = fitting.least_squares
 
-        def counting_engine(model, data, initial_guess, flags=()):
+        def counting_engine(model, data, initial_guess):
             njev = []
 
             def jac(x, th):
                 njev.append(None)
                 return model.jac(x, th)
 
-            result = engine(replace(model, jac=jac), data, initial_guess, flags)
+            result = engine(replace(model, jac=jac), data, initial_guess)
             stages.append((result.iterations, len(njev), len(levels_calls)))
             return result
 

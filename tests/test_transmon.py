@@ -27,8 +27,6 @@ class TestParams:
     def test_normalization_swaps_and_flags(self):
         p = TransmonParams(e_c=182.0, e_j1=9040.0, e_j2=2140.0)
         assert (p.e_j1, p.e_j2) == (2140.0, 9040.0)
-        assert p.swapped
-        assert not TransmonParams(e_c=182.0, e_j1=2140.0, e_j2=9040.0).swapped
 
     def test_derived_quantities(self, q0):
         assert q0.e_j_sum == 11180.0
