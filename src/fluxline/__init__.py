@@ -25,8 +25,6 @@ _EXPORTS = {
     "FluxPoint": "transmon",
     "SpectrumResult": "transmon",
     "FluxDrive": "modulation",
-    "HarmonicSeries": "modulation",
-    "ModulationConstants": "modulation",
     "LineBudget": "signal_chain",
     "AttenuationChain": "config",
     "DataSeries": "fitting",

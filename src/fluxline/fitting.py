@@ -48,7 +48,6 @@ __all__ = [
     "T1_MODEL",
     "RAMSEY_MODEL",
     "RB_MODEL",
-    "LINEAR_MODEL",
     "tuning_curve_model",
     "beta_model",
     "least_squares",
@@ -351,15 +350,6 @@ def _rb_jac(n, th):
 
 
 RB_MODEL = Model(names=("A", "p", "B"), fn=_rb_fn, jac=_rb_jac)
-
-
-# --- straight line (engine sanity checks) ------------------------------------
-
-LINEAR_MODEL = Model(
-    names=("slope", "intercept"),
-    fn=lambda x, th: th[0] * x + th[1],
-    jac=lambda x, th: np.column_stack([x, np.ones_like(x)]),
-)
 
 
 def fit_t1(data: DataSeries) -> FitResult:
@@ -750,9 +740,8 @@ def fit_tuning_curve(
 def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta, from
     the harmonic series of order DEFAULT_ORDER."""
-    series = harmonic_series(params, DEFAULT_ORDER)
     wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
-    cn = np.array(series.s) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
+    cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 
     # the harmonics n along axis 0, the samples along the last; the sums
     # over axis 0 add the harmonics in order, one row at a time.  beta may

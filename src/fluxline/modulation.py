@@ -7,8 +7,9 @@ The static tuning curve f01(phi) is expanded in flux harmonics,
 where the coefficients s_n depend only on (E_C, E_J1, E_J2) through a
 nine-term perturbation series in xi = sqrt(2 E_C / E_Jrms) with
 hypergeometric resummation over the SQUID asymmetry.  A brute-force
-time-averaging oracle built on the exact levels (:func:`transmon.levels`)
-is provided to validate the truncated series.
+time-averaging oracle built on the exact levels at n_g = 0
+(:func:`transmon.levels`: Mathieu values, with the charge basis above
+MATHIEU_Q_MAX) is provided to validate the truncated series.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from .transmon import TransmonParams, levels
 
 __all__ = [
     "FluxDrive",
-    "HarmonicSeries",
-    "ModulationConstants",
     "SymmetricSquidError",
-    "c_vector",
-    "modulation_constants",
+    "C_VECTOR",
     "s_coeff",
     "harmonic_series",
     "avg_frequency",
@@ -81,44 +79,18 @@ def _float_or_array(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-@dataclass(frozen=True)
-class ModulationConstants:
-    """Expansion parameter xi and normalized junction product ej_tilde."""
-
-    xi: float
-    ej_tilde: float
-
-
-@dataclass(frozen=True)
-class HarmonicSeries:
-    """Coefficients s_0..s_p of the flux-harmonic expansion, in MHz."""
-
-    s: tuple[float, ...]
-    order: int
-
-
-def c_vector() -> list[float]:
-    """The nine series constants; dyadic rationals, exact as floats."""
-    return [
-        4.0,
-        -1.0,
-        -1.0 / 2**2,
-        -21.0 / 2**7,
-        -19.0 / 2**7,
-        -5319.0 / 2**15,
-        -6649.0 / 2**15,
-        -1180581.0 / 2**22,
-        -446287.0 / 2**20,
-    ]
-
-
-def modulation_constants(params: TransmonParams) -> ModulationConstants:
-    # direct squares, not hypot: ej_tilde must be exactly 1.0 for a
-    # symmetric SQUID so the series boundary is detected reliably
-    sq = params.e_j1 * params.e_j1 + params.e_j2 * params.e_j2
-    xi = math.sqrt(2.0 * params.e_c / math.sqrt(sq))
-    ej_tilde = 2.0 * params.e_j1 * params.e_j2 / sq
-    return ModulationConstants(xi=xi, ej_tilde=ej_tilde)
+# the nine series constants; dyadic rationals, exact as floats
+C_VECTOR = (
+    4.0,
+    -1.0,
+    -1.0 / 2**2,
+    -21.0 / 2**7,
+    -19.0 / 2**7,
+    -5319.0 / 2**15,
+    -6649.0 / 2**15,
+    -1180581.0 / 2**22,
+    -446287.0 / 2**20,
+)
 
 
 def s_coeff(params: TransmonParams, n: int) -> float:
@@ -131,23 +103,27 @@ def s_coeff(params: TransmonParams, n: int) -> float:
     """
     if n < 0:
         raise ValueError(f"harmonic index must be >= 0, got {n}")
-    const = modulation_constants(params)
-    z = const.ej_tilde**2
+    # direct squares, not hypot: ej_tilde must be exactly 1.0 for a
+    # symmetric SQUID so the series boundary is detected reliably
+    sq = params.e_j1 * params.e_j1 + params.e_j2 * params.e_j2
+    xi = math.sqrt(2.0 * params.e_c / math.sqrt(sq))
+    ej_tilde = 2.0 * params.e_j1 * params.e_j2 / sq
+    z = ej_tilde**2
     if z >= 1.0:
         raise SymmetricSquidError(
             "symmetric SQUID: harmonic series boundary z=1; use "
             "time_average_oracle instead"
         )
     total = 0.0
-    for k, ck in enumerate(c_vector()):
+    for k, ck in enumerate(C_VECTOR):
         ratio = rising_factorial((k - 1) / 4.0, n)  # 1 at n = 0
         if ratio == 0.0:
             continue
         a = 0.5 * n + (k - 1) / 8.0
         b = 0.5 * (n + 1) + (k - 1) / 8.0
-        total += ck * const.xi ** (k - 1) * ratio * hyp2f1(a, b, n + 1.0, z)
+        total += ck * xi ** (k - 1) * ratio * hyp2f1(a, b, n + 1.0, z)
     prefactor = 1.0 if n == 0 else 2.0  # harmonics +n and -n pair up for n >= 1
-    return (prefactor / math.factorial(n)) * params.e_c * (-0.5 * const.ej_tilde) ** n * total
+    return (prefactor / math.factorial(n)) * params.e_c * (-0.5 * ej_tilde) ** n * total
 
 
 @lru_cache(maxsize=128)
@@ -155,10 +131,11 @@ def _harmonic_tuple(params: TransmonParams, order: int) -> tuple[float, ...]:
     return tuple(s_coeff(params, n) for n in range(order + 1))
 
 
-def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> HarmonicSeries:
+def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> tuple[float, ...]:
+    """The coefficients s_0..s_order of the flux-harmonic expansion (MHz), cached."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    return HarmonicSeries(s=_harmonic_tuple(params, order), order=order)
+    return _harmonic_tuple(params, order)
 
 
 def _harmonic_phases(name: str, phi, wn: np.ndarray) -> np.ndarray:
@@ -180,7 +157,7 @@ def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORD
     float.  A flux whose harmonic phases 2 pi n phi overflow raises
     ValueError naming it.
     """
-    s = np.array(harmonic_series(params, p).s)
+    s = np.array(harmonic_series(params, p))
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
     # harmonics along the first axis; the cumulative sum adds them in order
     # at every shape, where a sum over a short axis would pair them up
@@ -210,12 +187,7 @@ def second_order_shift(params: TransmonParams, phi_ac) -> float | np.ndarray:
     return _float_or_array(shift_hz)
 
 
-def time_average_oracle(
-    params: TransmonParams,
-    drive: FluxDrive,
-    n_steps: int = 512,
-    basis_size: int | None = None,
-) -> float | np.ndarray:
+def time_average_oracle(params: TransmonParams, drive: FluxDrive, n_steps: int = 512) -> float | np.ndarray:
     """Average of the exact f01 over one modulation period (MHz).
 
     Uniform sampling in drive phase (the periodic trapezoidal rule, which
@@ -231,5 +203,5 @@ def time_average_oracle(
     theta = 2.0 * np.pi * np.arange(n_steps) / n_steps
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
     phi = phi_dc[..., None] + phi_ac[..., None] * np.cos(theta)
-    f01 = levels(params, phi, basis_size=basis_size)[0]
+    f01 = levels(params, phi)[0]
     return _float_or_array(np.sum(f01, axis=-1) / n_steps)

@@ -45,7 +45,6 @@ __all__ = [
     "default_frequency_grid",
     "two_port_sweep_csv",
     "network_to_json",
-    "network_from_json",
 ]
 
 HALF_POWER_DB = 10.0 * math.log10(0.5)  # -3.0103 dB
@@ -386,11 +385,3 @@ def network_to_json(net: LadderNetwork) -> str:
     }
     return json.dumps(doc, indent=2)
 
-
-def network_from_json(text: str) -> LadderNetwork:
-    doc = json.loads(text)
-    els = tuple(
-        Element(kind=e["kind"], component=e["component"], value=float(e["value"]))
-        for e in doc["elements"]
-    )
-    return LadderNetwork(elements=els, z0=float(doc.get("z0", 50.0)))

@@ -1,10 +1,10 @@
 """Special functions for the modulation-series machinery.
 
 Implementations on the standard library and numpy (no scipy.special) so
-that domain handling matches what the harmonic-series code needs: strictly
-positive Gamma arguments, hypergeometric arguments restricted to [0, 1),
-and an explicit convergence failure instead of a silent NaN.  Gamma itself
-is ``math.gamma``.  The Bessel functions work elementwise on arrays (a
+that domain handling matches what the harmonic-series code needs:
+hypergeometric arguments restricted to [0, 1), and an explicit
+convergence failure instead of a silent NaN.  Gamma itself is
+``math.gamma``.  The Bessel functions work elementwise on arrays (a
 scalar argument gives a float); the others are scalar.  Accuracy target is
 1e-10 relative (absolute near Bessel zeros), checked in the test suite
 against integral definitions, classical identities and mpmath.
@@ -18,11 +18,11 @@ reciprocal Gamma for all reals and a digamma (private helpers).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
-    "gamma_fn",
     "rising_factorial",
     "bessel_j0",
     "bessel_j1",
@@ -33,18 +33,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """A series failed to reach the requested accuracy."""
-
-
-def gamma_fn(z: float) -> float:
-    """Euler Gamma for z > 0.
-
-    Arguments z <= 0 raise ValueError: poles and the reflection sign
-    structure are deliberately out of scope (ratios of Gamma at negative
-    arguments are handled exactly by :func:`rising_factorial`).
-    """
-    if not z > 0.0:
-        raise ValueError(f"gamma_fn requires z > 0, got {z}")
-    return math.gamma(z)
 
 
 def rising_factorial(x: float, n: int) -> float:
@@ -166,6 +154,19 @@ def _rgamma(x: float) -> float:
     return math.gamma(1.0 - x) * _sinpi(x) / math.pi
 
 
+def _rgamma_product(*xs: float) -> float:
+    # 1/(Gamma(x_1) Gamma(x_2) ...) left to right, 0 at a pole; off the poles
+    # a partial product below the normal range has lost digits: OverflowError
+    if any(_nonpositive_int(x) for x in xs):
+        return 0.0
+    out = 1.0
+    for x in xs:
+        out *= _rgamma(x)
+        if abs(out) < sys.float_info.min:
+            raise OverflowError(f"1/Gamma product underflows at x = {x}")
+    return out
+
+
 # B_2k / 2k for k = 1..7, the coefficients of the digamma asymptotic series
 _DIGAMMA_ASYMPTOTIC = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12)
 
@@ -233,11 +234,14 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
       power series in z, whose cost grows like 1/(1 - z).
 
     Every series raises ConvergenceError when HYP2F1_MAX_TERMS terms do not reach
-    the target.  Against mpmath.hyp2f1 on z in [0.75, 1 - 1e-10] the
-    relative error measured is below 4e-12 for every (a, b, c) of the
-    modulation series (n <= 12), and below 1e-10 for generic parameters
-    with integer s, with a terminating series, and with s just outside
-    delta of an integer (tests/test_specfun.py).
+    the target, and so does a Gamma factor of the connection formulas past
+    math.gamma's range (an argument above ~171.6) or a product of their
+    reciprocals below the normal float range.  Against mpmath.hyp2f1
+    on z in [0.75, 1 - 1e-10] the relative error measured is below 4e-12
+    for every (a, b, c) of the modulation series (n <= 12), and below
+    1e-10 for generic parameters with integer s, with a terminating
+    series, and with s just outside delta of an integer
+    (tests/test_specfun.py).
     """
     if c <= 0.0 and c == int(c):
         raise ValueError(f"hyp2f1 pole: c={c} is a non-positive integer")
@@ -262,15 +266,22 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     s = c - a - b
     m = round(s)
     cancellation = math.inf
-    if abs(s - m) <= 1e-15 * max(1.0, abs(a), abs(b), abs(c)):
-        if m < 0:
-            return w**s * hyp2f1(c - a, c - b, c, z)
-        value, cancellation = _hyp2f1_log(a, b, c, m, w)
-    elif abs(s - m) >= HYP2F1_NEAR_INTEGER:
-        value, cancellation = _hyp2f1_connection(a, b, c, s, w)
-    if cancellation <= HYP2F1_MAX_CANCELLATION:
-        return value
-    return w**s * _hyp2f1_series(c - a, c - b, c, z)
+    try:
+        if abs(s - m) <= 1e-15 * max(1.0, abs(a), abs(b), abs(c)):
+            if m < 0:
+                return w**s * hyp2f1(c - a, c - b, c, z)
+            value, cancellation = _hyp2f1_log(a, b, c, m, w)
+        elif abs(s - m) >= HYP2F1_NEAR_INTEGER:
+            value, cancellation = _hyp2f1_connection(a, b, c, s, w)
+        if cancellation <= HYP2F1_MAX_CANCELLATION:
+            return value
+        return w**s * _hyp2f1_series(c - a, c - b, c, z)
+    except OverflowError:
+        # math.gamma past ~171.6, or 1/Gamma products below the float range;
+        # the Euler series returns a value at some such points, but not to 1e-10
+        raise ConvergenceError(
+            f"hyp2f1({a}, {b}; {c}; {z}): a Gamma factor or power of 1 - z leaves the float range"
+        ) from None
 
 
 def _hyp2f1_connection(a: float, b: float, c: float, s: float, w: float):
@@ -279,8 +290,8 @@ def _hyp2f1_connection(a: float, b: float, c: float, s: float, w: float):
     #   = 2F1(a,b;1-s;w) / (Gamma(c-a) Gamma(c-b) Gamma(1-s))
     #   - w^s 2F1(c-a,c-b;1+s;w) / (Gamma(a) Gamma(b) Gamma(1+s))
     # returns the value and the cancellation between the two terms
-    first = _rgamma(c - a) * _rgamma(c - b) * _rgamma(1.0 - s)
-    second = _rgamma(a) * _rgamma(b) * _rgamma(1.0 + s)
+    first = _rgamma_product(c - a, c - b, 1.0 - s)
+    second = _rgamma_product(a, b, 1.0 + s)
     if first:
         first *= _hyp2f1_series(a, b, 1.0 - s, w)
     if second:
@@ -299,7 +310,7 @@ def _hyp2f1_log(a: float, b: float, c: float, m: int, w: float):
     # h_k = ln w - psi(k+1) - psi(k+m+1) + psi(a+k+m) + psi(b+k+m);
     # returns the value and the cancellation among all the terms
     am, bm = a + m, b + m
-    finite = _rgamma(am) * _rgamma(bm) * sum(
+    finite = _rgamma_product(am, bm) * sum(
         rising_factorial(a, k) * rising_factorial(b, k) * math.factorial(m - k - 1)
         / math.factorial(k) * (-w) ** k
         for k in range(m)

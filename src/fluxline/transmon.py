@@ -4,8 +4,10 @@ All energies are stored as frequency equivalents E/h in MHz and all fluxes
 in units of the flux quantum, matching the usual device datasheets.  The
 module provides the closed-form flux dependence of the Josephson energy,
 the standard transmon asymptotic frequency, and the exact f01/f12 on flux
-arrays: Mathieu characteristic values at n_g = 0 (Koch et al., PRA 76,
-042319 (2007)), and the charge-basis diagonalization, which serves as the
+arrays at zero offset charge, where a transmon's charge dispersion is
+exponentially small: Mathieu characteristic values (Koch et al., PRA 76,
+042319 (2007)), with the charge-basis diagonalization above MATHIEU_Q_MAX
+and where a Mathieu value is NaN.  The charge basis also serves as the
 numerical oracle for everything built on top.
 """
 
@@ -32,7 +34,7 @@ __all__ = [
     "diagonalize",
 ]
 
-DEFAULT_BASIS_SIZE = 41
+MIN_BASIS_SIZE = 41
 
 # the low levels spread over ~q^(1/4) charge states; half-widths of 4.3 to
 # 4.6 q^(1/4) (q = 300 to 1e5) reach 1e-8 MHz, so 6 q^(1/4) has margin
@@ -69,10 +71,9 @@ class TransmonRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class FluxPoint:
-    """External flux (units of Phi0) and offset charge."""
+    """External flux, in units of Phi0."""
 
     phi: float
-    n_g: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,6 @@ class SpectrumResult:
     f01: float
     f12: float
     anharmonicity: float
-    basis_size: int | None  # None: the default path of :func:`levels`
     converged: bool
 
 
@@ -110,33 +110,30 @@ def f01_asymptotic(params: TransmonParams, phi):
     return np.sqrt(8.0 * ej * params.e_c) - params.e_c
 
 
-def _charge_basis_levels(e_c: float, ej: float, n_g: float, basis_size: int) -> np.ndarray:
-    # H = 4 E_C (n - n_g)^2 - E_J/2 (|n><n+1| + h.c.) in the charge basis
-    half = basis_size // 2
+def _charge_basis_levels(e_c: float, ej: float, size: int) -> np.ndarray:
+    # H = 4 E_C n^2 - E_J/2 (|n><n+1| + h.c.) in the charge basis at n_g = 0
+    half = size // 2
     n = np.arange(-half, half + 1, dtype=float)
-    diag = 4.0 * e_c * (n - n_g) ** 2
-    off = np.full(basis_size - 1, -0.5 * ej)
+    diag = 4.0 * e_c * n**2
+    off = np.full(size - 1, -0.5 * ej)
     return _eigh_tridiagonal()(diag, off, select="i", select_range=(0, 2))[0]
 
 
-def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None = None):
-    """Exact f01, f12 (MHz) and a convergence flag, arrays of the shape of phi.
+def levels(params: TransmonParams, phi):
+    """Exact f01, f12 (MHz) at n_g = 0 and a convergence flag, arrays of the shape of phi.
 
-    A point is exact when q = E_J/(2 E_C) <= MATHIEU_Q_MAX, n_g = 0, no
-    basis size is given and scipy's Mathieu values there are finite; its
-    levels are f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2), flagged
-    converged.  Every other point is diagonalized in the charge basis and
-    flagged unconverged when f01 moves by CONVERGENCE_TOL_MHZ with four
-    fewer states; that is flagged, not raised.  Unless given, the basis has
-    2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1 states, and at least
-    DEFAULT_BASIS_SIZE.  A non-finite flux, or one whose pi phi overflows,
-    raises ValueError naming it.
+    A point is exact when q = E_J/(2 E_C) <= MATHIEU_Q_MAX and scipy's
+    Mathieu values there are finite; its levels are f01 = E_C (b_2 - a_0)
+    and f12 = E_C (a_2 - b_2), flagged converged.  Every other point is
+    diagonalized in a charge basis of 2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1
+    states, and at least MIN_BASIS_SIZE, and flagged unconverged when
+    f01 moves by CONVERGENCE_TOL_MHZ with four fewer states; that is
+    flagged, not raised.  A non-finite flux, or one whose pi phi
+    overflows, raises ValueError naming it.
 
     A call whose points are all exact returns the Mathieu values as they
     come, and a scalar flux gives numpy scalars.
     """
-    if basis_size is not None and (basis_size < 11 or basis_size % 2 == 0):
-        raise ValueError(f"basis_size must be odd and >= 11, got {basis_size}")
     # a flux past ~5.7e307 overflows pi phi into a NaN q, rejected by name below
     with np.errstate(over="ignore", invalid="ignore"):
         ej = effective_ej(params, np.asarray(phi, dtype=float))
@@ -148,25 +145,24 @@ def levels(params: TransmonParams, phi, n_g: float = 0.0, basis_size: int | None
     # near q = 820.57.  The sum is finite when both levels are; one isfinite
     # on it, and no .all() on a numpy scalar, keep a scalar call ~3 us cheaper
     exact = (q <= MATHIEU_Q_MAX) & np.isfinite(f01 + f12)
-    if n_g == 0.0 and basis_size is None and (exact.all() if isinstance(exact, np.ndarray) else exact):
+    if exact.all() if isinstance(exact, np.ndarray) else exact:
         return f01, f12, exact
     ej, q = np.ravel(ej), np.ravel(q)
-    f01, f12 = np.ravel(f01), np.ravel(f12)
-    converged = np.ravel(exact) & (n_g == 0.0 and basis_size is None)
+    f01, f12, converged = np.ravel(f01), np.ravel(f12), np.ravel(exact)
     for i in np.flatnonzero(~converged):
         if not math.isfinite(q[i]):
             value = np.ravel(phi)[i]
             requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"
             raise ValueError(f"flux must {requirement}, got phi = {value}")
-        size = basis_size or max(DEFAULT_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
-        lv = _charge_basis_levels(params.e_c, ej[i], n_g, size)
-        smaller = _charge_basis_levels(params.e_c, ej[i], n_g, size - 4)
+        size = max(MIN_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
+        lv = _charge_basis_levels(params.e_c, ej[i], size)
+        smaller = _charge_basis_levels(params.e_c, ej[i], size - 4)
         f01[i], f12[i] = lv[1] - lv[0], lv[2] - lv[1]
         converged[i] = abs(f01[i] - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ
     return tuple(a.reshape(np.shape(phi)) for a in (f01, f12, converged))
 
 
-def diagonalize(params: TransmonParams, point: FluxPoint, basis_size: int | None = None) -> SpectrumResult:
+def diagonalize(params: TransmonParams, point: FluxPoint) -> SpectrumResult:
     """The two lowest transitions at one flux point, as :func:`levels` gives them."""
-    f01, f12, converged = levels(params, point.phi, point.n_g, basis_size)
-    return SpectrumResult(float(f01), float(f12), float(f12 - f01), basis_size, bool(converged))
+    f01, f12, converged = levels(params, point.phi)
+    return SpectrumResult(float(f01), float(f12), float(f12 - f01), bool(converged))

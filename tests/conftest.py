@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fluxline.transmon import TransmonParams
+from fluxline.transmon import CONVERGENCE_TOL_MHZ, TransmonParams, _charge_basis_levels, effective_ej
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -31,6 +32,20 @@ DEVICE_TABLE = {
     "q2": (185.0, 2160.0, 9300.0, 3919.0, 3050.0, -208.0),
     "q3": (186.0, 2250.0, 8860.0, 3870.0, 2936.0, -210.0),
 }
+
+
+def charge_basis(p, phi, size):
+    """f01, f12 and the converged flag of a size-state charge basis, in the shape of phi.
+
+    Converged as levels flags it: f01 moves by less than CONVERGENCE_TOL_MHZ
+    with four fewer states.
+    """
+    rows = []
+    for ej in np.ravel(effective_ej(p, np.asarray(phi, dtype=float))):
+        lv, smaller = _charge_basis_levels(p.e_c, ej, size), _charge_basis_levels(p.e_c, ej, size - 4)
+        f01 = lv[1] - lv[0]
+        rows.append((f01, lv[2] - lv[1], abs(f01 - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ))
+    return tuple(np.reshape(column, np.shape(phi)) for column in zip(*rows))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ import pytest
 
 from fluxline import fitting
 from fluxline.fitting import (
-    LINEAR_MODEL,
     RAMSEY_MODEL,
     RB_MODEL,
     T1_MODEL,
@@ -34,6 +33,13 @@ from conftest import FIXTURES
 
 SEED = 20210901
 NOISE_FRACTION = 0.02  # of the signal span, per the roundtrip contract
+
+# a straight line, for the engine's sanity checks
+LINEAR_MODEL = Model(
+    names=("slope", "intercept"),
+    fn=lambda x, th: th[0] * x + th[1],
+    jac=lambda x, th: np.column_stack([x, np.ones_like(x)]),
+)
 
 
 def noisy(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -560,7 +566,7 @@ class TestTuningNormalization:
 class TestBetaModelArrays:
     def test_equals_per_sample_harmonic_loop(self, q0):
         # the scalar loop the array model replaced, as the reference
-        s = harmonic_series(q0, 8).s
+        s = harmonic_series(q0, 8)
         amps = np.linspace(0.0, 1.4, 29)
         for phi_dc, beta in [(0.0, 0.51), (0.2, -0.3)]:
             model = beta_model(q0, phi_dc)

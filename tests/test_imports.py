@@ -110,13 +110,22 @@ def test_fit_loads_no_rf_or_chain_layer(tmp_path, kind):
     assert not loaded & {"fluxline.rf_network", "fluxline.signal_chain"}
 
 
+SUBMODULES = ("transmon", "modulation", "specfun", "rf_network", "fitting", "signal_chain", "config")
+
+
 def test_every_exported_name_resolves(tmp_path):
+    # the package's lazy names, then every name in each submodule's __all__
     code = (
+        "import importlib\n"
         "import fluxline\n"
         "from fluxline import *\n"
         "missing = [n for n in fluxline.__all__ if n not in globals()]\n"
         "assert not missing, missing\n"
         "assert set(fluxline.__all__) <= set(dir(fluxline))\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    module = importlib.import_module('fluxline.' + name)\n"
+        "    missing = [n for n in module.__all__ if not hasattr(module, n)]\n"
+        "    assert not missing, (name, missing)\n"
     )
     _fresh(code, tmp_path)
 

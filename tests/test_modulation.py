@@ -13,10 +13,9 @@ from fluxline.modulation import (
     FluxDrive,
     _harmonic_tuple,
     SymmetricSquidError,
+    C_VECTOR,
     avg_frequency,
-    c_vector,
     harmonic_series,
-    modulation_constants,
     s_coeff,
     second_order_shift,
     time_average_oracle,
@@ -24,12 +23,12 @@ from fluxline.modulation import (
 from fluxline.specfun import bessel_j0
 from fluxline.transmon import FluxPoint, TransmonParams, diagonalize
 
-from conftest import EXAMPLE_CONFIG
+from conftest import EXAMPLE_CONFIG, charge_basis
 
 
 class TestConstants:
     def test_c_vector_entries(self):
-        c = c_vector()
+        c = C_VECTOR
         assert len(c) == 9
         assert c[0] == 4.0
         assert c[2] == -0.25
@@ -37,19 +36,14 @@ class TestConstants:
         assert c[8] == -446287.0 / 2**20
         assert c[8] == pytest.approx(-0.425612, abs=1e-6)
 
-    def test_modulation_constants(self, q0):
-        const = modulation_constants(q0)
-        ej_rms = math.hypot(2140.0, 9040.0)
-        assert const.xi == pytest.approx(math.sqrt(2.0 * 182.0 / ej_rms), rel=1e-12)
-        assert const.ej_tilde == pytest.approx(2.0 * 2140.0 * 9040.0 / ej_rms**2, rel=1e-12)
-        assert 0.0 < const.ej_tilde < 1.0
-
     @given(st.floats(min_value=100.0, max_value=20000.0))
     def test_ej_tilde_is_one_iff_symmetric(self, ej):
+        # ej_tilde = 1 exactly at E_J1 = E_J2, the series boundary
         p = TransmonParams(e_c=ej / 60.0, e_j1=ej, e_j2=ej)
-        assert modulation_constants(p).ej_tilde == 1.0
+        with pytest.raises(SymmetricSquidError):
+            s_coeff(p, 0)
         q = TransmonParams(e_c=ej / 60.0, e_j1=ej, e_j2=1.5 * ej)
-        assert modulation_constants(q).ej_tilde < 1.0
+        assert math.isfinite(s_coeff(q, 0))
 
 
 class TestHarmonicCoefficients:
@@ -61,7 +55,7 @@ class TestHarmonicCoefficients:
         assert abs(f_min - 2981.0) < 15.0
 
     def test_leading_coefficient_dominates(self, q0):
-        s = harmonic_series(q0, 8).s
+        s = harmonic_series(q0, 8)
         assert all(abs(s[0]) > abs(v) for v in s[1:])
 
     def test_harmonics_decay(self, q0):
@@ -80,7 +74,7 @@ class TestHarmonicCoefficients:
         p = TransmonParams(e_c=185.0, e_j1=11300.0 * ratio / (1.0 + ratio), e_j2=11300.0 / (1.0 + ratio))
         _harmonic_tuple.cache_clear()
         t0 = perf_counter()
-        s = harmonic_series(p, 8).s
+        s = harmonic_series(p, 8)
         assert perf_counter() - t0 < 0.05
         assert all(math.isfinite(v) for v in s)
 
@@ -187,7 +181,7 @@ class TestAvgFrequency:
 
     def test_equals_harmonic_loop(self, q0):
         # the scalar loop the one-call form replaced, as the reference
-        s = harmonic_series(q0, 8).s
+        s = harmonic_series(q0, 8)
         for phi_dc, phi_ac in [(0.0, 0.1), (0.3, 0.25), (0.5, 0.0)]:
             total = 0.0
             for n, sn in enumerate(s):
@@ -252,13 +246,12 @@ class TestOracle:
         drive = FluxDrive(phi_dc, phi_ac)
         a = time_average_oracle(q0, drive)
         assert time_average_oracle(q0, drive) == a  # bit-identical
-        # reference: the per-point charge-basis loop the oracle replaced
+        # reference: the per-point 41-state charge-basis loop the oracle replaced
         total = 0.0
         for th in 2.0 * np.pi * np.arange(512) / 512:
             phi = phi_dc + phi_ac * math.cos(th)
-            total += diagonalize(q0, FluxPoint(phi=phi), basis_size=41).f01
+            total += charge_basis(q0, phi, 41)[0]
         assert abs(a - total / 512) < 1e-9
-        assert abs(time_average_oracle(q0, drive, basis_size=41) - total / 512) < 1e-9
 
 
 class TestSeriesVsOracle:

