@@ -4,9 +4,11 @@ The static tuning curve f01(phi) is expanded in flux harmonics,
 
     f_avg = sum_n  s_n cos(2 pi n phi_dc) J0(2 pi n phi_ac),
 
-where the coefficients s_n depend only on (E_C, E_J1, E_J2) through a
-nine-term perturbation series in xi = sqrt(2 E_C / E_Jrms) with
-hypergeometric resummation over the SQUID asymmetry.  A brute-force
+where the coefficients s_n are the Fourier cosine coefficients of the
+nine-term perturbation series F(phi) = E_C sum_k C_k xi(phi)^(k-1) in
+xi(phi) = sqrt(2 E_C / E_J(phi)), taken from one rfft of F on a uniform
+flux grid (the paper's hypergeometric form of the same coefficients is
+the tests' reference).  A brute-force
 time-averaging oracle built on the exact levels at n_g = 0
 (:func:`transmon.levels`: Mathieu values, with the charge basis above
 MATHIEU_Q_MAX) is provided to validate the truncated series.
@@ -20,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import bessel_j0, hyp2f1, rising_factorial
-from .transmon import TransmonParams, levels
+from .specfun import ConvergenceError, bessel_j0
+from .transmon import TransmonParams, effective_ej, levels
 
 __all__ = [
     "FluxDrive",
@@ -93,46 +95,62 @@ C_VECTOR = (
 )
 
 
-def s_coeff(params: TransmonParams, n: int) -> float:
-    """Harmonic coefficient s_n in MHz.
+# past this many flux samples (r = E_J1/E_J2 ~ 0.99984) the series raises
+MAX_SAMPLES = 2**18
 
-    The k-th series constant pairs with xi^(k-1), so the leading entry
-    carries sqrt(8 E_Jrms E_C); the k = 1 entry is the flux-independent
-    -E_C term and therefore drops out of every n >= 1 harmonic (its
-    Gamma-ratio factor (0)_n vanishes).
-    """
-    if n < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {n}")
-    # direct squares, not hypot: ej_tilde must be exactly 1.0 for a
-    # symmetric SQUID so the series boundary is detected reliably
-    sq = params.e_j1 * params.e_j1 + params.e_j2 * params.e_j2
-    xi = math.sqrt(2.0 * params.e_c / math.sqrt(sq))
-    ej_tilde = 2.0 * params.e_j1 * params.e_j2 / sq
-    z = ej_tilde**2
-    if z >= 1.0:
-        raise SymmetricSquidError(
-            "symmetric SQUID: harmonic series boundary z=1; use "
-            "time_average_oracle instead"
+
+def _sample_count(params: TransmonParams, order: int) -> int:
+    """The rfft size for harmonics 0..order: a power of two set by E_J1/E_J2."""
+    r = params.e_j1 / params.e_j2  # the constructor orders e_j1 <= e_j2
+    # harmonic n carries the alias s_(M-n) ~ r^(M-n) s_0, which M - n >=
+    # ln(1e-18)/ln r puts below rounding; M >= 2n puts n on the grid at all
+    need = max(64, 2 * order, order + math.log(1e-18) / math.log(r))
+    m = 1 << (math.ceil(need) - 1).bit_length()
+    if m > MAX_SAMPLES:
+        raise ConvergenceError(
+            f"harmonic series of E_J1/E_J2 = {r:.6g} needs more than {MAX_SAMPLES} "
+            "flux samples; use time_average_oracle instead"
         )
-    total = 0.0
-    for k, ck in enumerate(C_VECTOR):
-        ratio = rising_factorial((k - 1) / 4.0, n)  # 1 at n = 0
-        if ratio == 0.0:
-            continue
-        a = 0.5 * n + (k - 1) / 8.0
-        b = 0.5 * (n + 1) + (k - 1) / 8.0
-        total += ck * xi ** (k - 1) * ratio * hyp2f1(a, b, n + 1.0, z)
-    prefactor = 1.0 if n == 0 else 2.0  # harmonics +n and -n pair up for n >= 1
-    return (prefactor / math.factorial(n)) * params.e_c * (-0.5 * ej_tilde) ** n * total
+    return m
 
 
 @lru_cache(maxsize=128)
 def _harmonic_tuple(params: TransmonParams, order: int) -> tuple[float, ...]:
-    return tuple(s_coeff(params, n) for n in range(order + 1))
+    if params.e_j1 == params.e_j2:
+        raise SymmetricSquidError(
+            "symmetric SQUID: harmonic series boundary z=1; use "
+            "time_average_oracle instead"
+        )
+    m = _sample_count(params, order)
+    xi = np.sqrt(2.0 * params.e_c / effective_ej(params, np.arange(m) / m))
+    # sum_k C_k xi^(k-1) = (sum_k C_k xi^k) / xi, by Horner
+    total = np.full(m, C_VECTOR[-1])
+    for ck in C_VECTOR[-2::-1]:
+        total = total * xi + ck
+    # F is real and even: its coefficients are the real parts, and the
+    # harmonics +n and -n pair up for n >= 1
+    c = np.fft.rfft(params.e_c * total / xi)[: order + 1].real / m
+    c[1:] *= 2.0
+    return tuple(c.tolist())
+
+
+def s_coeff(params: TransmonParams, n: int) -> float:
+    """Harmonic coefficient s_n in MHz, from the cached series of :func:`harmonic_series`.
+
+    s_n is the n-th Fourier cosine coefficient of the nine-term series
+    F(phi) = E_C sum_k C_k xi(phi)^(k-1), taken with the others from one
+    rfft of F; the k = 1 entry, -E_C, enters s_0 alone.
+    """
+    if n < 0:
+        raise ValueError(f"harmonic index must be >= 0, got {n}")
+    return _harmonic_tuple(params, max(n, DEFAULT_ORDER))[n]
 
 
 def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> tuple[float, ...]:
-    """The coefficients s_0..s_order of the flux-harmonic expansion (MHz), cached."""
+    """The coefficients s_0..s_order of the flux-harmonic expansion (MHz), cached.
+
+    SymmetricSquidError at E_J1 = E_J2, ConvergenceError past MAX_SAMPLES.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
     return _harmonic_tuple(params, order)

@@ -252,8 +252,8 @@ class TestModulateCommand:
 
 
     def test_near_symmetric_squid_exits_0_with_finite_series(self, tmp_path):
-        # E_J1/E_J2 = 0.99, z ~ 0.9999: the cold series takes the 1 - z
-        # connection formulas of hyp2f1 and the command completes
+        # E_J1/E_J2 = 0.99: the cold series takes an 8192-sample rfft of
+        # the xi-series and the command completes
         doc = json.loads(EXAMPLE_CONFIG.read_text())
         doc["qubits"][0].update(e_j1_mhz=5600, e_j2_mhz=5656)
         cfg = tmp_path / "near_sym.json"
@@ -269,7 +269,7 @@ class TestModulateCommand:
         rows = np.array([ln.split(",") for ln in out.read_text().splitlines()[1:]], dtype=float)
         assert rows.shape == (3, 5) and np.isfinite(rows).all()
         # the 0.5%-of-span budget holds at phi_ac = 0.1 (0.47%); below it
-        # the eight-harmonic truncation of the series, not hyp2f1, misses
+        # the eight-harmonic truncation of the series, not its coefficients, misses
         # it (7.7% at phi_ac = 0, 1.0% at 0.05; see CHANGES.md)
         params = load_config(cfg).qubit("q0").params
         f_max, f_min = levels(params, np.array([0.0, 0.5]))[0]
@@ -311,6 +311,22 @@ class TestModulateCommand:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["modulate"], ["fit", "beta", str(FIXTURES / "beta_q0.csv")]],
+                             ids=["modulate", "fit-beta"])
+    def test_squid_past_the_series_cap_exits_3(self, tmp_path, capsys, command):
+        # E_J1/E_J2 = 0.9999 needs more flux samples than the series takes
+        doc = json.loads(EXAMPLE_CONFIG.read_text())
+        doc["qubits"][0].update(e_j1_mhz=9999, e_j2_mhz=10000)
+        cfg = tmp_path / "past_cap.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(*command, str(cfg), "--qubit", "q0")
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "error: harmonic series of E_J1/E_J2 = 0.9999 needs more than 262144 flux samples; "
+            "use time_average_oracle instead\n"
+        )
 
     def test_series_convergence_error_exits_3(self, monkeypatch, capsys):
         def not_converged(*args):

@@ -3,6 +3,7 @@
 import math
 from time import perf_counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from fluxline.config import load_config
 from fluxline.modulation import (
     FluxDrive,
+    MAX_SAMPLES,
     _harmonic_tuple,
+    _sample_count,
     SymmetricSquidError,
     C_VECTOR,
     avg_frequency,
@@ -20,7 +23,7 @@ from fluxline.modulation import (
     second_order_shift,
     time_average_oracle,
 )
-from fluxline.specfun import bessel_j0
+from fluxline.specfun import ConvergenceError, bessel_j0
 from fluxline.transmon import FluxPoint, TransmonParams, diagonalize
 
 from conftest import EXAMPLE_CONFIG, charge_basis
@@ -68,10 +71,10 @@ class TestHarmonicCoefficients:
 
     @pytest.mark.parametrize("ratio", [0.99, 0.999])
     def test_near_symmetric_series_is_cheap_cold(self, ratio):
-        # z = 0.9999 and 0.999999: the 1 - z connection formulas of hyp2f1
-        # keep a cold series at a few ms (the power series took seconds,
-        # or raised ConvergenceError, from ratio 0.985 on)
-        p = TransmonParams(e_c=185.0, e_j1=11300.0 * ratio / (1.0 + ratio), e_j2=11300.0 / (1.0 + ratio))
+        # the rfft takes 8192 and 65536 flux samples here, a few ms cold
+        # (a 2F1 power series per coefficient took seconds, or raised
+        # ConvergenceError, from ratio 0.985 on)
+        p = _device(ratio)
         _harmonic_tuple.cache_clear()
         t0 = perf_counter()
         s = harmonic_series(p, 8)
@@ -83,6 +86,95 @@ class TestHarmonicCoefficients:
             harmonic_series(q0, 0)
         with pytest.raises(ValueError):
             avg_frequency(q0, FluxDrive(0.0, 0.0), 13)
+
+
+def _device(ratio: float, e_c: float = 185.0, e_j_sum: float = 11300.0) -> TransmonParams:
+    return TransmonParams(e_c=e_c, e_j1=e_j_sum * ratio / (1.0 + ratio), e_j2=e_j_sum / (1.0 + ratio))
+
+
+def _hypergeometric_series(params: TransmonParams, order: int) -> list[float]:
+    """s_0..s_order from the paper's closed form, with 2F1 from mpmath at 40 digits.
+
+    Expanding (1 + ej_tilde cos 2 pi phi)^(-(k-1)/4) term by term turns the
+    k-th entry of the xi-series into a Gauss 2F1 in z = ej_tilde^2 per
+    harmonic; the k = 1 entry carries (0)_n and enters s_0 alone.
+    """
+    with mpmath.workdps(40):
+        e_c, e_j1, e_j2 = (mpmath.mpf(v) for v in (params.e_c, params.e_j1, params.e_j2))
+        sq = e_j1 * e_j1 + e_j2 * e_j2
+        xi = mpmath.sqrt(2 * e_c / mpmath.sqrt(sq))
+        ej_tilde = 2 * e_j1 * e_j2 / sq
+        out = []
+        for n in range(order + 1):
+            total = mpmath.mpf(0)
+            for k, ck in enumerate(C_VECTOR):
+                ratio = mpmath.rf(mpmath.mpf(k - 1) / 4, n)
+                if ratio:
+                    a = mpmath.mpf(n) / 2 + mpmath.mpf(k - 1) / 8
+                    total += ck * xi ** (k - 1) * ratio * mpmath.hyp2f1(a, a + 0.5, n + 1, ej_tilde**2)
+            prefactor = 1 if n == 0 else 2  # harmonics +n and -n pair up
+            out.append(float(prefactor * e_c * (-ej_tilde / 2) ** n * total / mpmath.factorial(n)))
+    return out
+
+
+class TestHypergeometricReference:
+    """The rfft coefficients against the paper's hypergeometric closed form."""
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.24, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999])
+    def test_coefficients(self, ratio):
+        p = _device(ratio)
+        want = np.array(_hypergeometric_series(p, 8))
+        tol = 1e-12 * np.abs(want).max()
+        for params in (p, TransmonParams(e_c=p.e_c, e_j1=p.e_j2, e_j2=p.e_j1)):
+            _harmonic_tuple.cache_clear()
+            assert np.abs(np.array(harmonic_series(params, 8)) - want).max() <= tol
+            assert np.abs(np.array([s_coeff(params, n) for n in range(9)]) - want).max() <= tol
+
+    def test_twelve_harmonics(self, q0):
+        want = np.array(_hypergeometric_series(q0, 12))
+        got = np.array(harmonic_series(q0, 12))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestSampleCount:
+    """M: a power of two >= 64 set by E_J1/E_J2, capped at MAX_SAMPLES."""
+
+    def test_rule(self):
+        ratios = [0.01, 0.24, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999, 0.9998]
+        counts = [_sample_count(_device(r), 8) for r in ratios]
+        assert all(m >= 64 and m & (m - 1) == 0 for m in counts)
+        assert counts == sorted(counts)
+        assert counts[:2] == [64, 64] and counts[-1] == MAX_SAMPLES
+        # no more samples than the aliasing bound needs
+        for r, m in zip(ratios, counts):
+            assert m == 64 or m / 2 < 8 + math.log(1e-18) / math.log(r)
+
+    @given(st.floats(min_value=1e-3, max_value=1.0 - 1e-6), st.floats(min_value=1e-3, max_value=1.0 - 1e-6))
+    def test_non_decreasing_and_capped(self, r1, r2):
+        # ratios past the cap raise, here and in every series built on them
+        def count(r):
+            p = _device(r)
+            try:
+                return _sample_count(p, 8)
+            except ConvergenceError:
+                assert 8 + math.log(1e-18) / math.log(p.e_j1 / p.e_j2) > MAX_SAMPLES
+                return math.inf
+
+        lo, hi = sorted((r1, r2))
+        assert count(lo) <= count(hi)
+
+    def test_past_the_cap_raises_naming_ratio_and_oracle(self):
+        _harmonic_tuple.cache_clear()
+        message = r"^harmonic series of E_J1/E_J2 = 0\.9999 needs more than 262144 flux samples; use time_average_oracle instead$"
+        with pytest.raises(ConvergenceError, match=message):
+            harmonic_series(_device(0.9999), 8)
+        with pytest.raises(ConvergenceError, match=message):
+            avg_frequency(_device(0.9999), FluxDrive(0.0, 0.1))
+
+    def test_large_harmonic_index(self, q0):
+        # s_coeff takes any n >= 0: past the aliasing bound (~29 harmonics
+        # here) its grid still holds 2n samples, so harmonic n is on it
+        assert abs(s_coeff(q0, 200)) < 1e-12 * abs(s_coeff(q0, 0))
 
 
 class TestFluxDrive:
