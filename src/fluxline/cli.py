@@ -16,6 +16,7 @@ load scipy.special on their first level; ``fit`` (its own numpy engine),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -203,17 +204,7 @@ def cmd_diplexer(args) -> int:
     _write_csv(args.out, ["frequency_mhz", "s31_db", "s32_db", "s12_db"], rows)
     payload = {
         "passed": report.passed,
-        "items": [
-            {
-                "name": item.name,
-                "passed": item.passed,
-                "measured": item.measured,
-                "target": item.target,
-                "margin": item.margin,
-                "worst_freq_mhz": item.worst_freq_mhz,
-            }
-            for item in report.items
-        ],
+        "items": [dataclasses.asdict(item) for item in report.items],
     }
     _emit_json(args.report_out, payload)
     return 0

@@ -50,6 +50,8 @@ class LineBudget:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma_db < 0:
             raise ValueError(f"gamma_db must be >= 0, got {self.gamma_db}")
+        if self.v_p < 0:  # a peak amplitude
+            raise ValueError(f"v_p must be >= 0, got {self.v_p}")
         if self.r_ohm <= 0:
             raise ValueError(f"r_ohm must be > 0, got {self.r_ohm}")
         if self.m_fH <= 0:

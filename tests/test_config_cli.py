@@ -371,6 +371,7 @@ class TestCrosstalkCommand:
         ("--gamma-db", "nan", "gamma_db must be finite"),
         ("--gamma-db", "inf", "gamma_db must be finite"),
         ("--v-p", "nan", "v_p must be finite"),
+        ("--v-p", "-0.3", "v_p must be >= 0, got -0.3"),
         ("--r-ohm", "nan", "r_ohm must be finite"),
         ("--linewidth-hz", "-5", "linewidth_hz must be finite and > 0"),
         ("--linewidth-hz", "0", "linewidth_hz must be finite and > 0"),

@@ -71,6 +71,11 @@ class TestLineBudget:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             LineBudget(**fields)
 
+    def test_negative_peak_amplitude_rejected(self):
+        with pytest.raises(ValueError, match=r"^v_p must be >= 0, got -0.3$"):
+            LineBudget(gamma_db=85.0, v_p=-0.3)
+        assert LineBudget(gamma_db=85.0, v_p=0.0).v_p == 0.0
+
 
 class TestFluxFromCurrent:
     def test_pi_pulse_flux(self):

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0 as scipy_j0
@@ -16,9 +16,8 @@ from fluxline.specfun import (
     HYP2F1_MAX_CANCELLATION,
     HYP2F1_NEAR_INTEGER,
     ConvergenceError,
-    _digamma,
+    _gamma_ratio,
     _hyp2f1_connection,
-    _rgamma,
     bessel_j0,
     bessel_j1,
     hyp2f1,
@@ -32,39 +31,53 @@ J0_FIRST_ZERO = 2.404825557695773
 
 class TestGamma:
     def test_exact_values(self):
-        assert _rgamma(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert _rgamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
-        assert _rgamma(5.0) == pytest.approx(1.0 / 24.0, rel=1e-12)
+        assert _gamma_ratio((), (1.0,)) == pytest.approx(1.0, rel=1e-12)
+        assert _gamma_ratio((0.5,), ()) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+        assert _gamma_ratio((5.0,), ()) == pytest.approx(24.0, rel=1e-12)
+        # negative non-integer arguments carry the sign of Gamma
+        assert _gamma_ratio((-0.5,), ()) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
+        assert _gamma_ratio((), (-1.5,)) == pytest.approx(0.75 / math.sqrt(math.pi), rel=1e-12)
+        assert _gamma_ratio((6.0,), (3.0, -0.5), math.log(2.0)) == pytest.approx(
+            -60.0 / math.sqrt(math.pi), rel=1e-12
+        )
+        # exactly 0 at a pole of the denominator, whatever the numerator
+        assert [_gamma_ratio((2.5, 180.2), (1.0, -float(n))) for n in range(6)] == [0.0] * 6
 
     @given(st.floats(min_value=1e-3, max_value=10.0))
     def test_recurrence(self, z):
-        # Gamma(z + 1) = z Gamma(z)
-        assert _rgamma(z) == pytest.approx(z * _rgamma(z + 1.0), rel=1e-10)
+        # Gamma(z + 1) = z Gamma(z), also at -z off the poles
+        assert _gamma_ratio((z + 1.0,), (z,)) == pytest.approx(z, rel=1e-10)
+        if abs(z - round(z)) > 1e-3:
+            assert _gamma_ratio((1.0 - z,), (-z,)) == pytest.approx(-z, rel=1e-10)
 
     @given(st.floats(min_value=0.05, max_value=8.0), st.integers(min_value=0, max_value=12))
     def test_rising_factorial_matches_gamma_ratio(self, x, n):
-        assert rising_factorial(x, n) == pytest.approx(
-            _rgamma(x) / _rgamma(x + n), rel=1e-9
-        )
+        assert rising_factorial(x, n) == pytest.approx(_gamma_ratio((x + n,), (x,)), rel=1e-9)
 
     def test_reciprocal_gamma_against_mpmath(self):
-        # 1e-15 to 1e-1 either side of the poles 0, -1, ..., -29, and a
-        # subnormal argument, where Gamma itself overflows
+        # 1e-15 to 1e-1 either side of the poles 0, -1, ..., -29 (where
+        # log|Gamma| reaches ~70, so its rounding nears 1e-14 relative)
         offsets = np.logspace(-15, -1, 15)
         near_poles = (-np.arange(30)[:, None] + np.concatenate([offsets, -offsets])).ravel()
-        x = np.concatenate([np.linspace(-6.9, 12.0, 380), [1e-3, -1e-3, -1.0 + 1e-5, -4.0 - 1e-9, 2.2e-311], near_poles])
+        x = np.concatenate([np.linspace(-6.9, 12.0, 380), [1e-3, -1e-3, -1.0 + 1e-5, -4.0 - 1e-9], near_poles])
         with mpmath.workdps(40):
             for v in x:
-                assert _rgamma(float(v)) == pytest.approx(float(mpmath.rgamma(v)), rel=1e-14, abs=0.0)
-        # exact zeros at the poles of Gamma
-        assert [_rgamma(-float(n)) for n in range(6)] == [0.0] * 6
+                assert _gamma_ratio((), (float(v),)) == pytest.approx(float(mpmath.rgamma(v)), rel=1e-14, abs=0.0)
+            # one exponent: ratios whose factors leave the float range on
+            # their own; the rounding of log-Gammas that sum to ~1500-2800
+            # leaves ~2e-13 relative
+            for num, den, scale in [((180.2, 0.3), (178.9,), 0.0), ((0.5, 300.0), (299.5, 1.5), -2.0),
+                                    ((175.5, -3.25), (1.0, 177.5), -0.2 * math.log(1e-10))]:
+                want = mpmath.fprod(mpmath.gamma(x) for x in num) * mpmath.exp(scale)
+                want /= mpmath.fprod(mpmath.gamma(x) for x in den)
+                assert _gamma_ratio(num, den, scale) == pytest.approx(float(want), rel=3e-13, abs=0.0)
+        # a subnormal argument: scipy's log-Gamma is inf there, so the
+        # ratio is 0, within 2.2e-311 of 1/Gamma
+        assert _gamma_ratio((), (2.2e-311,)) == 0.0
 
-    def test_digamma_against_mpmath(self):
-        x = np.concatenate([np.linspace(-6.95, 40.0, 470), [1e-4, 1.4616321449683622, -0.5, -2.0 + 1e-6]])
-        for v in x:
-            assert _digamma(float(v)) == pytest.approx(float(mpmath.digamma(v)), rel=1e-12, abs=1e-14)
-        with pytest.raises(ValueError):
-            _digamma(-3.0)
+    def test_ratio_past_the_float_range_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            _gamma_ratio((180.2,), ())
 
     def test_rising_factorial_at_poles(self):
         # Gamma-ratio limit at the pole of the denominator
@@ -285,6 +298,8 @@ class TestHyp2f1:
         st.floats(min_value=0.0, max_value=0.95),
     )
     @settings(max_examples=80)
+    # b the smallest normal float: 1/Gamma(b) ~ b alone is at the edge of the float range
+    @example(a=0.5, b=2.2250738585072014e-308, c=1.0, z=0.875)
     def test_symmetry_in_a_b(self, a, b, c, z):
         assert hyp2f1(a, b, c, z) == pytest.approx(hyp2f1(b, a, c, z), rel=1e-12)
 
@@ -392,11 +407,17 @@ class TestHyp2f1NearOne:
                 hyp2f1(0.625, 1.25, 1.875 + offset, 1 - 1e-10)
 
     @pytest.mark.parametrize("a, b, c, z", [
-        (1.3, 0.7, 180.2, 0.9),  # connection formula, Gamma(c - a) past its range
-        (0.5, 0.5, 200.0, 0.8),  # logarithmic case
+        (1.3, 0.7, 180.2, 0.9),  # connection formula, Gamma(c - a) past the float range
         (2.0, 1.0, 175.5, 0.95),
-        (-4.87, -2.83, 112.5, 0.915),  # 1/Gamma products underflow: 2.5e-141 against 1.115
-        (-4.14, -3.1, 99.0, 0.78),  # a subnormal partial product: 1.050 against 1.104
+        (-4.87, -2.83, 112.5, 0.915),  # 1/(Gamma(c - a) Gamma(c - b)) below it
+        (-4.14, -3.1, 99.0, 0.78),
+    ])
+    def test_gamma_factors_past_the_float_range(self, a, b, c, z):
+        # each Gamma ratio is formed in one exponent of log-Gammas
+        assert hyp2f1(a, b, c, z) == pytest.approx(mp_hyp2f1(a, b, c, z), rel=1e-10)
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (0.5, 0.5, 200.0, 0.8),  # logarithmic case: (m - k - 1)! for m = 199
     ])
     def test_gamma_out_of_range_is_a_convergence_error(self, a, b, c, z):
         # the Euler series is not summed instead, as it misses 1e-10 on
