@@ -110,6 +110,14 @@ def test_fit_loads_no_rf_or_chain_layer(tmp_path, kind):
     assert not loaded & {"fluxline.rf_network", "fluxline.signal_chain"}
 
 
+@pytest.mark.parametrize("argv", [MODULATE, fit_argv("beta")], ids=["modulate", "fit-beta"])
+def test_bessel_callers_load_no_polynomial_package_or_scipy(tmp_path, argv):
+    # the Bessel kernels are Horner's rule on numpy ufuncs alone
+    code = cli_run(*argv)
+    assert loaded_by(code, tmp_path) == set()
+    assert not {m for m in loaded_by(code, tmp_path, "numpy") if m.startswith("numpy.polynomial")}
+
+
 SUBMODULES = ("transmon", "modulation", "specfun", "rf_network", "fitting", "signal_chain", "config")
 
 

@@ -119,11 +119,8 @@ class TestBessel:
     @given(st.floats(min_value=0.1, max_value=40.0))
     @settings(max_examples=60)
     def test_j1_is_minus_j0_derivative(self, x):
-        from hypothesis import assume
-
-        # keep the stencil away from the series/asymptotic crossover, and
-        # wide enough that eps-level wobble of J0 is not amplified by 1/h
-        assume(abs(x - 12.0) > 1e-2)
+        # h wide enough that eps-level wobble of J0 is not amplified by 1/h;
+        # the kernels meet at the crossover to ~1e-15, so no x is left out
         h = 1e-4
         deriv = (bessel_j0(x + h) - bessel_j0(x - h)) / (2.0 * h)
         assert bessel_j1(x) == pytest.approx(-deriv, abs=1e-7)
@@ -133,114 +130,118 @@ class TestBessel:
         assert bessel_j1(-3.7) == -bessel_j1(3.7)
 
     def test_crossover_continuity(self):
-        below = bessel_j0(11.999999999)
-        above = bessel_j0(12.000000001)
-        assert below == pytest.approx(above, abs=1e-9)
+        # the two kernels meet at X0 = 8 to within their error
+        for fn in (bessel_j0, bessel_j1):
+            assert fn(7.999999999) == pytest.approx(fn(8.000000001), abs=1e-9)
+            assert fn(np.nextafter(8.0, 9.0)) == pytest.approx(fn(8.0), abs=4e-15)
 
 
-def scalar_bessel(x, nu):
-    """The scalar loop the array kernels replaced: the same ascending series
-    up to |x| = 12 and Hankel expansion beyond, each truncated on its own."""
-    ax = abs(x)
-    if ax <= 12.0:
-        q = 0.25 * ax * ax
-        term = 1.0 if nu == 0 else 0.5 * ax
-        total = term
-        for k in range(1, 200):
-            term *= -q / (k * (k + nu))
-            total += term
-            if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-                break
-    else:
-        mu, w, p, q, prev = 4.0 * nu * nu, 1.0, 1.0, 0.0, math.inf
-        for k in range(1, 40):
-            w *= (mu - (2 * k - 1) ** 2) / (8.0 * k * ax)
-            if abs(w) >= prev:
-                break
-            prev = abs(w)
-            sign = -1.0 if (k // 2) % 2 else 1.0
-            if k % 2 == 1:
-                q += sign * w
-            else:
-                p += sign * w
-        chi = ax - (0.5 * nu + 0.25) * math.pi
-        total = math.sqrt(2.0 / (math.pi * ax)) * (p * math.cos(chi) - q * math.sin(chi))
-    return -total if nu == 1 and x < 0.0 else total
+def mp_besselj(nu, x):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselj(nu, float(v))) for v in np.ravel(x)])
 
 
-def hankel_sums(ax, nu):
-    """P and Q of scalar_bessel's Hankel expansion at ax > 12."""
-    mu, w, p, q, prev = 4.0 * nu * nu, 1.0, 1.0, 0.0, math.inf
-    for k in range(1, 40):
-        w *= (mu - (2 * k - 1) ** 2) / (8.0 * k * ax)
-        if abs(w) >= prev:
-            break
-        prev = abs(w)
-        sign = -1.0 if (k // 2) % 2 else 1.0
-        if k % 2 == 1:
-            q += sign * w
-        else:
-            p += sign * w
-    return p, q
+def chebyshev_monomials(f, degree):
+    """Coefficients in y, highest power first, of the polynomial of the given
+    degree that interpolates f at the first-kind Chebyshev points of [-1, 1]:
+    its Chebyshev coefficients as cosine sums, then T_j as exact integer
+    monomial lists (T_j+1 = 2y T_j - T_j-1).  No fit, no linear algebra."""
+    n = degree + 1
+    theta = [mpmath.pi * (2 * k + 1) / (2 * n) for k in range(n)]
+    values = [f(mpmath.cos(th)) for th in theta]
+    cheb = [2 * mpmath.fsum(v * mpmath.cos(j * th) for v, th in zip(values, theta)) / n for j in range(n)]
+    cheb[0] /= 2
+    mono = [mpmath.mpf(0)] * n
+    t_prev, t_j = [1], [0, 1]
+    for j, c in enumerate(cheb):
+        if j >= 2:
+            t_prev, t_j = t_j, [2 * u - v for u, v in zip([0] + t_j, t_prev + [0, 0])]
+        for i, k in enumerate(t_prev if j == 0 else t_j):
+            mono[i] += c * k
+    return tuple(float(v) for v in reversed(mono))
 
 
-def exact_reference(x, nu):
-    """scalar_bessel at x >= 0, bit for bit: beyond 12 its Hankel sums are
-    finished with numpy's cos and sin, as in the array kernel."""
-    out = np.array([scalar_bessel(float(v), nu) for v in x])
-    big = x > 12.0
-    p, q = np.array([hankel_sums(float(v), nu) for v in x[big]]).reshape(-1, 2).T
-    chi = x[big] - (0.5 * nu + 0.25) * math.pi
-    out[big] = np.sqrt(2.0 / (math.pi * x[big])) * (p * np.cos(chi) - q * np.sin(chi))
-    return out
+def bessel_coefficients():
+    """specfun's Bessel tables from mpmath at 40 digits: h(y) = (1 - J0(x))/t
+    and g(y) = J1(x)/x with x = X0 sqrt(t), t = (1 + y)/2; P and x Q of the
+    Hankel form with x = X0/sqrt(u), u = (1 + y)/2."""
+    x0 = specfun._BESSEL_X0
+
+    def small(nu):
+        def f(y):
+            t = (1 + y) / 2
+            x = x0 * mpmath.sqrt(t)
+            return (1 - mpmath.besselj(0, x)) / t if nu == 0 else mpmath.besselj(1, x) / x
+        return f
+
+    def hankel(nu, part):
+        def f(y):
+            x = x0 / mpmath.sqrt((1 + y) / 2)
+            chi = x - (2 * nu + 1) * mpmath.pi / 4
+            j, yv = mpmath.besselj(nu, x), mpmath.bessely(nu, x)
+            scale = mpmath.sqrt(mpmath.pi * x / 2)
+            if part == "p":
+                return scale * (j * mpmath.cos(chi) + yv * mpmath.sin(chi))
+            return x * scale * (yv * mpmath.cos(chi) - j * mpmath.sin(chi))
+        return f
+
+    with mpmath.workdps(40):
+        return (
+            tuple(chebyshev_monomials(small(nu), 14) for nu in (0, 1)),
+            tuple(chebyshev_monomials(hankel(nu, "p"), 11) for nu in (0, 1)),
+            tuple(chebyshev_monomials(hankel(nu, "q"), 11) for nu in (0, 1)),
+        )
 
 
 class TestBesselArrays:
-    # both sides of the crossover at 12, negative arguments and zero
+    # both sides of the crossover at X0 = 8, negative arguments and zero
     X = np.concatenate(
-        [np.linspace(-40.0, 40.0, 4001), 12.0 + np.linspace(-1e-6, 1e-6, 21), [0.0, -12.0]]
+        [np.linspace(-40.0, 40.0, 4001), 8.0 + np.linspace(-1e-6, 1e-6, 21), [0.0, -8.0]]
     )
 
-    @pytest.mark.parametrize("nu,fn", [(0, bessel_j0), (1, bessel_j1)])
-    def test_elementwise_equals_scalar_loop(self, nu, fn):
-        got = fn(self.X)
-        want = np.array([scalar_bessel(float(x), nu) for x in self.X])
-        series = np.abs(self.X) <= 12.0
-        # identical arithmetic in the series range; beyond it numpy's and
-        # the math module's cos/sin may differ in the last bit
-        assert (got[series] == want[series]).all()
-        np.testing.assert_allclose(got[~series], want[~series], rtol=0.0, atol=1e-15)
-        # an element's value does not depend on the array it comes in
-        assert all(fn(float(x)) == g for x, g in zip(self.X, got))
-
-    def test_against_scipy(self):
-        np.testing.assert_allclose(bessel_j0(self.X), scipy_j0(self.X), rtol=0.0, atol=2e-12)
-        np.testing.assert_allclose(bessel_j1(self.X), scipy_j1(self.X), rtol=0.0, atol=2e-12)
-
     # first three positive zeros of J0 and J1 (DLMF table 10.21.1), where
-    # the series total is smallest against its terms
+    # the absolute error is largest against the value
     ZEROS = {
         0: [2.404825557695773, 5.520078110286311, 8.653727912911013],
         1: [3.831705970207512, 7.015586669815619, 10.17346813506272],
     }
 
     @pytest.mark.parametrize("nu,fn", [(0, bessel_j0), (1, bessel_j1)])
-    def test_early_exits_keep_every_value(self, nu, fn):
-        # the kernels stop summing once every row has met its own stop
-        # rule: the Hankel range densely, the series range at random, tiny
-        # arguments, and the neighbourhoods of the zeros.  Rows near 12
-        # keep the Hankel loop going to its last term, so its part above
-        # 40, where the loop leaves early, is also taken on its own
-        zeros = np.array(self.ZEROS[nu])
-        hankel = np.linspace(12.0, 500.0, 20001)
+    def test_against_mpmath(self, nu, fn):
+        # a dense grid on [-100, 100], the crossover, tiny arguments and the
+        # neighbourhoods of the zeros, each within 2e-15 absolute
         x = np.concatenate([
-            hankel,
-            np.random.default_rng(20261018).uniform(0.0, 80.0, 20000),
-            [1e-300, 1e-8],
-            (zeros[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
+            np.linspace(-100.0, 100.0, 8001),
+            np.linspace(7.0, 9.0, 801),
+            8.0 + np.linspace(-1e-6, 1e-6, 21),
+            [1e-300, -1e-8, 1e-3],
+            (np.array(self.ZEROS[nu])[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
         ])
-        for batch in (x, hankel[hankel >= 40.0]):
-            assert np.array_equal(fn(batch), exact_reference(batch, nu))
+        got = fn(x)
+        np.testing.assert_allclose(got, mp_besselj(nu, x), rtol=0.0, atol=2e-15)
+        # an element's value does not depend on the array it comes in
+        assert all(fn(float(v)) == g for v, g in zip(x, got))
+
+    @pytest.mark.parametrize("nu,fn", [(0, bessel_j0), (1, bessel_j1)])
+    def test_large_arguments_against_mpmath(self, nu, fn):
+        # the phase x - (2 nu + 1) pi/4 is not rounded: up to 1e6 the error
+        # stays at the rounding of the amplitude (the earlier kernels' ~4e-14
+        # came from rounding it)
+        x = np.concatenate([np.geomspace(100.0, 1e6, 801), -np.geomspace(100.0, 1e6, 41)])
+        np.testing.assert_allclose(fn(x), mp_besselj(nu, x), rtol=0.0, atol=2e-16)
+
+    @given(st.floats(min_value=-100.0, max_value=100.0))
+    @settings(max_examples=200)
+    def test_property_against_mpmath(self, x):
+        assert abs(bessel_j0(x) - mp_besselj(0, x)[0]) <= 2e-15
+        assert abs(bessel_j1(x) - mp_besselj(1, x)[0]) <= 2e-15
+
+    def test_coefficients_derive_from_mpmath(self):
+        assert bessel_coefficients() == (specfun._J_SMALL, specfun._HANKEL_P, specfun._HANKEL_XQ)
+
+    def test_against_scipy(self):
+        np.testing.assert_allclose(bessel_j0(self.X), scipy_j0(self.X), rtol=0.0, atol=2e-12)
+        np.testing.assert_allclose(bessel_j1(self.X), scipy_j1(self.X), rtol=0.0, atol=2e-12)
 
     @pytest.mark.parametrize("fn", [bessel_j0, bessel_j1])
     def test_value_independent_of_batch(self, fn):
@@ -263,6 +264,13 @@ class TestBesselArrays:
             warnings.simplefilter("error")
             x = np.array([5e305, 1e307, 1.7e308])
             assert np.isfinite(bessel_j0(x)).all() and np.isfinite(bessel_j1(-x)).all()
+        # against the leading Hankel term, its phase reduced at 420 digits
+        # (a phase rounded to a float, or an amplitude overflowing to 0, misses)
+        with mpmath.workdps(420):
+            for nu, fn in [(0, bessel_j0), (1, bessel_j1)]:
+                want = [mpmath.sqrt(2 / (mpmath.pi * v)) * mpmath.cos(v - (2 * nu + 1) * mpmath.pi / 4)
+                        for v in map(mpmath.mpf, x)]
+                np.testing.assert_allclose(fn(x), [float(w) for w in want], rtol=1e-12)
 
     def test_parity_zero_and_types(self):
         x = np.linspace(0.0, 30.0, 301)
@@ -329,6 +337,13 @@ class TestHyp2f1:
             hyp2f1(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             hyp2f1(1.0, 1.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("z", [0.5, 0.9])
+    def test_value_past_the_float_range_is_a_convergence_error(self, z):
+        # c subnormal: 2F1 - 1 ~ a b z / c is past the float range, on the
+        # plain series (z = 0.5) and on the connection formula (z = 0.9)
+        with pytest.raises(ConvergenceError, match=rf"^hyp2f1\(0.3, 0.4; 1e-310; {z}\) = inf is not a finite float$"):
+            hyp2f1(0.3, 0.4, 1e-310, z)
 
     def test_nonconvergence_reports_term_count(self, monkeypatch):
         monkeypatch.setattr(specfun, "HYP2F1_MAX_TERMS", 5)
