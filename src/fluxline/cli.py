@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input/validation error, 3 numerical
-non-convergence (fit or series).  JSON output is strict: non-finite values
-are written as null.  All numeric output is rounded to 12 significant
+Exit codes: 0 success, 2 input/validation error (an array too large to
+allocate included), 3 numerical non-convergence (fit or series).  JSON
+output is strict: non-finite values are written as null.  All numeric output is rounded to 12 significant
 digits with '.' decimals, in CSV by :func:`fmt` and in JSON by
 :func:`_json_ready`, so repeated runs are byte-identical.
 
@@ -371,7 +371,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # MemoryError: an array numpy cannot allocate, such as --points 1e12
         return _error(exc, 2)
     except _convergence_error() as exc:
         return _error(exc, 3)

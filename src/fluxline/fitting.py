@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
-from .specfun import bessel_j0, bessel_j1
-from .transmon import TransmonParams, levels
+from .specfun import _bessel, bessel_j0
+from .transmon import TransmonParams, _f01
 
 __all__ = [
     "DataSeries",
@@ -156,16 +156,17 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
     lam, nu = _DAMPING_0, 2.0
     while True:
         jtj = jac.T @ jac
-        col_norm = np.sqrt(np.diag(jtj))
+        col_norm = np.sqrt(jtj.diagonal())
         neg_grad = -(jac.T @ r)
         if (np.abs(neg_grad) <= GRADIENT_TOL * math.sqrt(cost) * col_norm).all():
             return theta, r, jac, nfev, True
         scale = np.maximum(scale, col_norm)
         scale[scale == 0.0] = 1.0
         d2 = scale * scale
-        damping = np.diag(d2)
         while True:
-            step = np.linalg.solve(jtj + lam * damping, neg_grad)
+            damped = jtj.copy()
+            damped.flat[:: theta.size + 1] += lam * d2
+            step = np.linalg.solve(damped, neg_grad)
             trial = theta + step
             r_trial = residuals(trial)
             nfev += 1
@@ -206,12 +207,16 @@ def least_squares(model: Model, data: DataSeries, initial_guess) -> FitResult:
         raise ValueError(
             f"need at least {n_par} points for {n_par} parameters, got {data.x.size}"
         )
-    sig = _sigma(data)
+    sig = data.sigma
 
     def residuals(theta):
-        return (model.fn(data.x, theta) - data.y) / sig
+        r = model.fn(data.x, theta) - data.y
+        return r if sig is None else r / sig
 
-    jacobian = lambda theta: model.jac(data.x, theta) / sig[:, None]
+    def jacobian(theta):
+        jac = model.jac(data.x, theta)
+        return jac if sig is None else jac / sig[:, None]
+
     # a far trial step may overflow the residuals and their cost: no warning,
     # since the engine counts a non-finite trial as a rise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,10 +241,6 @@ def least_squares(model: Model, data: DataSeries, initial_guess) -> FitResult:
         flags=flags,
         model=model,
     )
-
-
-def _sigma(data: DataSeries) -> np.ndarray:
-    return data.sigma if data.sigma is not None else np.ones_like(data.y)
 
 
 def _standard_errors(jac: np.ndarray, cost: float, data: DataSeries) -> np.ndarray:
@@ -515,17 +516,24 @@ def _in_u(model: Model, fixed_e_c: float | None) -> Model:
 
 def _remember_last(fn: Callable) -> Callable:
     """fn(current, th) that returns its previous value, not a new one, when
-    called again with equal arguments."""
+    called again with arguments of the same shape and bits.  It keeps their
+    bytes, not the arrays: an array changed in place is a new argument."""
     last = []
 
     def call(current, th):
-        if last and np.array_equal(last[0], current) and np.array_equal(last[1], th):
-            return last[2]
+        key = _bits(current), _bits(th)
+        if last and last[0] == key:
+            return last[1]
         value = fn(current, th)
-        last[:] = [np.array(current), np.array(th), value]
+        last[:] = [key, value]
         return value
 
     return call
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
 
 
 def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -> FitResult:
@@ -538,7 +546,10 @@ def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -
     theta0[:2] *= 8.0 * _tuning_theta(theta0, fixed_e_c)[2]
     fit = least_squares(_in_u(replace(model, jac=jac), fixed_e_c), data, theta0)
     theta = _energies(list(fit.params.values()), fixed_e_c)
-    errs = _standard_errors(jac(data.x, theta) / _sigma(data)[:, None], fit.residual_norm**2, data)
+    energy_jac = jac(data.x, theta)
+    if data.sigma is not None:
+        energy_jac = energy_jac / data.sigma[:, None]
+    errs = _standard_errors(energy_jac, fit.residual_norm**2, data)
     return replace(
         fit,
         params=dict(zip(model.names, (float(v) for v in theta))),
@@ -587,7 +598,7 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
     def f01(current, th, scale=1.0):
         ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
         params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
-        return levels(params, current / amps_per_phi0 + off)[0]
+        return _f01(params, current / amps_per_phi0 + off)
 
     fn = _remember_last(f01)
 
@@ -672,8 +683,8 @@ def fit_tuning_curve(
     straight, and report the energies, with standard errors from the
     energies' Jacobian at the optimum.  The period and flux offset start
     from the sinusoid that fits the data best (_sinusoid_peak).  A
-    refinement Jacobian costs one levels call, with both junction energies
-    scaled by 1 + 1e-6, plus the chain rule (see _tuning_jac): the levels
+    refinement Jacobian costs one exact-f01 call (levels without its f12),
+    with both junction energies scaled by 1 + 1e-6, plus the chain rule (see _tuning_jac): the levels
     at the parameters are those of the residuals just evaluated there.
     The frequencies must lie within +-1e60 MHz, and a fixed E_C between
     1e-6 and 1/4 of the data's largest frequency.
@@ -739,7 +750,9 @@ def fit_tuning_curve(
 
 def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta, from
-    the harmonic series of order DEFAULT_ORDER."""
+    the harmonic series of order DEFAULT_ORDER.  An evaluation at one beta
+    takes J0 and J1 of its arguments in one kernel pass, and the Jacobian
+    at the beta just evaluated reuses that J1."""
     wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
     cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 
@@ -749,14 +762,21 @@ def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     # one Bessel call, each equal to the curve of that beta alone
     def fn(amp, th):
         beta = np.abs(th[0])
+        if np.ndim(beta) == 0:
+            return curve_and_j1(amp, th)[0]
         column = (-1,) + (1,) * np.ndim(beta)
         arg = (wn.reshape(column) * beta)[..., None] * amp
         return (cn.reshape(column + (1,)) * bessel_j0(arg)).sum(axis=0)
 
+    @_remember_last
+    def curve_and_j1(amp, th):
+        j0, j1 = _bessel((wn * abs(th[0]))[:, None] * amp, (0, 1))
+        return (cn[:, None] * j0).sum(axis=0), j1[1:]
+
     def jac(amp, th):
         sign = 1.0 if th[0] >= 0 else -1.0
-        arg = (wn[1:] * abs(th[0]))[:, None] * amp
-        col = (cn[1:, None] * (-bessel_j1(arg) * wn[1:, None] * amp)).sum(axis=0)
+        j1 = curve_and_j1(amp, th)[1]
+        col = (cn[1:, None] * (-j1 * wn[1:, None] * amp)).sum(axis=0)
         return (sign * col)[:, None]
 
     return Model(names=("beta",), fn=fn, jac=jac)
@@ -767,9 +787,10 @@ def _beta_scan(model: Model, data: DataSeries, amp_max: float):
     multimodal: 30 candidate betas and their weighted sums of squares,
     scored by one model evaluation over all of them."""
     candidates = np.linspace(0.05, 1.5, 30) / amp_max
-    sig = _sigma(data)
-    curves = model.fn(data.x, (candidates,))
-    return candidates, np.sum(((curves - data.y) / sig) ** 2, axis=1)
+    residuals = model.fn(data.x, (candidates,)) - data.y
+    if data.sigma is not None:
+        residuals = residuals / data.sigma
+    return candidates, np.sum(residuals**2, axis=1)
 
 
 def fit_beta(data: DataSeries, params: TransmonParams, phi_dc: float = 0.0) -> FitResult:

@@ -9,8 +9,8 @@ nine-term perturbation series F(phi) = E_C sum_k C_k xi(phi)^(k-1) in
 xi(phi) = sqrt(2 E_C / E_J(phi)), taken from one rfft of F on a uniform
 flux grid (the paper's hypergeometric form of the same coefficients is
 the tests' reference).  A brute-force
-time-averaging oracle built on the exact levels at n_g = 0
-(:func:`transmon.levels`: Mathieu values, with the charge basis above
+time-averaging oracle built on the exact f01 at n_g = 0 (that of
+:func:`transmon.levels`: Mathieu values, with the charge basis above
 MATHIEU_Q_MAX) is provided to validate the truncated series.
 """
 
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .specfun import ConvergenceError, bessel_j0
-from .transmon import TransmonParams, effective_ej, levels
+from .transmon import TransmonParams, _f01, effective_ej
 
 __all__ = [
     "FluxDrive",
@@ -208,18 +208,27 @@ def second_order_shift(params: TransmonParams, phi_ac) -> float | np.ndarray:
 def time_average_oracle(params: TransmonParams, drive: FluxDrive, n_steps: int = 512) -> float | np.ndarray:
     """Average of the exact f01 over one modulation period (MHz).
 
-    Uniform sampling in drive phase (the periodic trapezoidal rule, which
-    is spectrally accurate here); no drive frequency enters.
-    All samples of every drive come from one :func:`levels` call, with the
-    drive phase along the last axis, and each drive's samples are summed
-    by ``np.sum`` over that axis, a fixed summation order, so results are
-    bit-reproducible.  Elementwise over the drive's phi_dc and phi_ac; a
-    scalar drive gives a float.
+    Uniform sampling in drive phase theta_j = 2 pi j / n_steps (the
+    periodic trapezoidal rule, which is spectrally accurate here); no
+    drive frequency enters.  The flux phi_dc + phi_ac cos theta_j is even
+    in theta, so only j = 0..n_steps // 2 are evaluated, and every sample
+    but theta = 0 and theta = pi (even n_steps only) counts twice.
+    All samples of every drive come from one call for the exact f01 (that
+    of :func:`transmon.levels`, without its f12), with the drive phase
+    along the last axis; each drive's weighted samples are summed by
+    ``np.sum`` over that axis, a fixed summation order that does not
+    depend on the other drives of the batch, so a drive of an array gives
+    the bits of the same drive alone.  Elementwise over the drive's phi_dc
+    and phi_ac; a scalar drive gives a float.
     """
     if n_steps < 256:
         raise ValueError(f"n_steps must be >= 256, got {n_steps}")
-    theta = 2.0 * np.pi * np.arange(n_steps) / n_steps
+    half = n_steps // 2
+    theta = 2.0 * np.pi * np.arange(half + 1) / n_steps
+    weight = np.full(half + 1, 2.0)
+    weight[0] = 1.0
+    if n_steps % 2 == 0:
+        weight[-1] = 1.0  # theta = pi is its own mirror
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
     phi = phi_dc[..., None] + phi_ac[..., None] * np.cos(theta)
-    f01 = levels(params, phi)[0]
-    return _float_or_array(np.sum(f01, axis=-1) / n_steps)
+    return _float_or_array(np.sum(_f01(params, phi) * weight, axis=-1) / n_steps)

@@ -89,40 +89,62 @@ def _horner(coeffs, y):
     return out
 
 
-def _bessel(x, nu: int):
-    # a scalar in, a float out
+def _polys(tables, orders, y):
+    # table[nu] at y for each table and each nu in orders, table by table.
+    # One order: a Horner pass per polynomial on its Python floats, since
+    # scalar operands are numpy's fastest loops.  More: one pass over their
+    # coefficients stacked as columns, cheaper on the few hundred arguments
+    # of a fit_beta evaluation, each row with its own operations.
+    if len(orders) == 1:
+        return [_horner(table[orders[0]], y) for table in tables]
+    return _horner(_stacked(tables, orders), y)
+
+
+@functools.lru_cache(maxsize=None)
+def _stacked(tables, orders):
+    return np.array([table[nu] for table in tables for nu in orders]).T[..., None]
+
+
+def _bessel(x, orders):
+    """[J_nu(x) for nu in orders], each nu 0 or 1, in one pass: the orders
+    share the argument transform, the masks, cos x and sin x, each bit for
+    bit what it gives alone.  A scalar in, floats out."""
     xs = np.asarray(x, dtype=float)
     ax = np.abs(xs.ravel())
-    out = np.empty_like(ax)
+    out = np.empty((len(orders), ax.size))
     small = ax <= _BESSEL_X0
     if small.any():
         xa = ax[small]
         t = np.square(xa / _BESSEL_X0)
-        g = _horner(_J_SMALL[nu], 2.0 * t - 1.0)
-        out[small] = xa * g if nu else 1.0 - t * g  # J0(0) = 1 exactly
+        for row, nu, g in zip(out, orders, _polys((_J_SMALL,), orders, 2.0 * t - 1.0)):
+            row[small] = xa * g if nu else 1.0 - t * g  # J0(0) = 1 exactly
     if not small.all():
-        xa = ax[~small]
+        large = ~small
+        xa = ax[large]
         r = _BESSEL_X0 / xa  # for huge x, r and r^2 underflow quietly towards 0
-        y = 2.0 * r * r - 1.0
-        q = _horner(_HANKEL_XQ[nu], y) / xa
-        p = _horner(_HANKEL_P[nu], y)
+        pq = _polys((_HANKEL_P, _HANKEL_XQ), orders, 2.0 * r * r - 1.0)
         # J0 = ((P+Q) cos x + (P-Q) sin x)/sqrt(pi x), J1 = ((P+Q) sin x - (P-Q) cos x)/sqrt(pi x)
         cos, sin = np.cos(xa), np.sin(xa)
-        v = (p + q) * sin - (p - q) * cos if nu else (p + q) * cos + (p - q) * sin
-        out[~small] = v * np.sqrt(r * (1.0 / (_BESSEL_X0 * math.pi)))
-    if nu == 1:
-        out = np.where(xs.ravel() < 0.0, -out, out)
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        scale = np.sqrt(r * (1.0 / (_BESSEL_X0 * math.pi)))
+        for row, nu, p, xq in zip(out, orders, pq[: len(orders)], pq[len(orders) :]):
+            q = xq / xa
+            row[large] = ((p + q) * sin - (p - q) * cos if nu else (p + q) * cos + (p - q) * sin) * scale
+    if 1 in orders:
+        negative = xs.ravel() < 0.0
+        for row, nu in zip(out, orders):
+            if nu:
+                np.negative(row, out=row, where=negative)
+    return [float(row[0]) if xs.ndim == 0 else row.reshape(xs.shape) for row in out]
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero, elementwise."""
-    return _bessel(x, 0)
+    return _bessel(x, (0,))[0]
 
 
 def bessel_j1(x):
     """Bessel function of the first kind, order one (odd in x), elementwise."""
-    return _bessel(x, 1)
+    return _bessel(x, (1,))[0]
 
 
 def _nonpositive_int(x: float) -> bool:

@@ -134,21 +134,36 @@ def levels(params: TransmonParams, phi):
     A call whose points are all exact returns the Mathieu values as they
     come, and a scalar flux gives numpy scalars.
     """
+    return _levels(params, phi, True)
+
+
+def _f01(params: TransmonParams, phi):
+    """levels(params, phi)[0], bit for bit, without computing the a_2 of f12."""
+    return _levels(params, phi, False)[0]
+
+
+def _levels(params: TransmonParams, phi, upper: bool):
+    # f01, f12 (None unless upper) and the flags of levels
     # a flux past ~5.7e307 overflows pi phi into a NaN q, rejected by name below
     with np.errstate(over="ignore", invalid="ignore"):
         ej = effective_ej(params, np.asarray(phi, dtype=float))
     q = ej / (2.0 * params.e_c)
     mathieu_a, mathieu_b = _mathieu()
-    e0, e1, e2 = mathieu_a(0, q), mathieu_b(2, q), mathieu_a(2, q)
-    f01, f12 = params.e_c * (e1 - e0), params.e_c * (e2 - e1)
+    e0, e1 = mathieu_a(0, q), mathieu_b(2, q)
+    f01 = params.e_c * (e1 - e0)
+    f12 = params.e_c * (mathieu_a(2, q) - e1) if upper else None
     # scipy returns NaN for a_0 on part of q in [667.25, 733.07] and for b_2
-    # near q = 820.57.  The sum is finite when both levels are; one isfinite
-    # on it, and no .all() on a numpy scalar, keep a scalar call ~3 us cheaper
-    exact = (q <= MATHIEU_Q_MAX) & np.isfinite(f01 + f12)
+    # near q = 820.57.  Its a_2 was finite wherever f01 was on q in [0, 1000]
+    # (steps of 5e-4, and 1e-5 and 1e-6 in those windows), so f01 alone
+    # marks the same points.  The sum is finite when both levels are; one
+    # isfinite on it, and no .all() on a numpy scalar, keep a scalar call
+    # ~3 us cheaper
+    exact = (q <= MATHIEU_Q_MAX) & np.isfinite(f01 + f12 if upper else f01)
     if exact.all() if isinstance(exact, np.ndarray) else exact:
         return f01, f12, exact
     ej, q = np.ravel(ej), np.ravel(q)
-    f01, f12, converged = np.ravel(f01), np.ravel(f12), np.ravel(exact)
+    f01, converged = np.ravel(f01), np.ravel(exact)
+    f12 = np.ravel(f12) if upper else None
     for i in np.flatnonzero(~converged):
         if not math.isfinite(q[i]):
             value = np.ravel(phi)[i]
@@ -157,9 +172,12 @@ def levels(params: TransmonParams, phi):
         size = max(MIN_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
         lv = _charge_basis_levels(params.e_c, ej[i], size)
         smaller = _charge_basis_levels(params.e_c, ej[i], size - 4)
-        f01[i], f12[i] = lv[1] - lv[0], lv[2] - lv[1]
+        f01[i] = lv[1] - lv[0]
+        if upper:
+            f12[i] = lv[2] - lv[1]
         converged[i] = abs(f01[i] - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ
-    return tuple(a.reshape(np.shape(phi)) for a in (f01, f12, converged))
+    shape = np.shape(phi)
+    return f01.reshape(shape), None if f12 is None else f12.reshape(shape), converged.reshape(shape)
 
 
 def diagonalize(params: TransmonParams, point: FluxPoint) -> SpectrumResult:

@@ -670,6 +670,20 @@ class TestHugeFiniteInputs:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "1000000000000000"],
+        ["modulate", str(EXAMPLE_CONFIG), "--qubit", "q0", "--points", "1000000000000000"],
+        ["modulate", str(EXAMPLE_CONFIG), "--qubit", "q0", "--with-oracle", "--oracle-steps", "1000000000000000"],
+        ["diplexer", str(EXAMPLE_CONFIG), "--points", "1000000000000000"],
+    ], ids=["spectrum", "modulate", "oracle-steps", "diplexer"])
+    def test_unallocatable_array_exits_2(self, capsys, argv):
+        # 1e15 points ask numpy for petabytes, past any address space, so the
+        # first allocation fails at once: one error line, not a traceback
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
     def test_tuning_frequencies_near_1e200(self, tmp_path, capsys):
         # the start guess squared them into an OverflowError traceback
         data = tmp_path / "huge.csv"

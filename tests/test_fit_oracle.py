@@ -94,6 +94,19 @@ def test_fixtures(monkeypatch):
         assert_agrees(*both_engines(monkeypatch, fit), kind)
 
 
+
+@pytest.mark.parametrize("options", [{}, {"fixed_e_c": 182.0}, {"use_diagonalization": True}],
+                         ids=["free-ec", "fixed-ec", "refined"])
+def test_tuning_errors_are_the_energies(monkeypatch, options):
+    # on either engine a tuning fit walked in U reports the energies'
+    # standard errors, from their Jacobian at the optimum: assert_agrees
+    # bounds each parameter by MINPACK's errors, which must be these
+    data = read_fixture("tuning_q0.csv")
+    for res in both_engines(monkeypatch, lambda: fitting.fit_tuning_curve(data, **options)):
+        theta = np.array([res.params[name] for name in res.model.names])
+        want = fitting._standard_errors(res.model.jac(data.x, theta), res.residual_norm**2, data)
+        np.testing.assert_allclose([res.std_errors[name] for name in res.model.names], want, rtol=1e-12)
+
 def device_fits(ratio, rng):
     """The five fits of one new device's bring-up, on seeded data."""
     e_c, total = rng.uniform(170.0, 200.0), rng.uniform(9500.0, 12500.0)

@@ -503,20 +503,39 @@ class TestBetaScan:
         assert candidates[np.argmin(sse)] == want_candidates[np.argmin(want_sse)]
 
     def test_one_bessel_call(self, q0, monkeypatch):
-        from fluxline import fitting
+        from fluxline import fitting, specfun
 
-        calls = []
+        calls, per_jacobian = [], []
 
-        def counting(x):
-            calls.append(np.shape(x))
-            return bessel_j0(x)
+        def counting(name, kernel):
+            def call(x, *orders):
+                calls.append((name, np.shape(x)) + orders)
+                return kernel(x, *orders)
 
-        monkeypatch.setattr(fitting, "bessel_j0", counting)
+            return call
+
+        engine = fitting.least_squares
+
+        def counting_engine(model, data, initial_guess):
+            def jac(x, th):
+                before = len(calls)
+                value = model.jac(x, th)
+                per_jacobian.append(len(calls) - before)
+                return value
+
+            return engine(replace(model, jac=jac), data, initial_guess)
+
+        monkeypatch.setattr(fitting, "bessel_j0", counting("j0", bessel_j0))
+        monkeypatch.setattr(fitting, "_bessel", counting("kernel", specfun._bessel))
+        monkeypatch.setattr(fitting, "least_squares", counting_engine)
         data = self.fixture()
         res = fit_beta(data, q0)
-        # the scan, then one call per residual evaluation of the solve
-        assert calls[0] == (9, 30, data.x.size)
-        assert len(calls) == 1 + res.iterations
+        # the scan takes J0 alone, then each residual evaluation of the solve
+        # takes J0 and J1 in one kernel pass
+        assert calls[0] == ("j0", (9, 30, data.x.size))
+        assert calls[1:] == [("kernel", (9, data.x.size), (0, 1))] * res.iterations
+        # and a Jacobian, always at the beta just evaluated, takes none
+        assert per_jacobian and per_jacobian == [0] * len(per_jacobian)
 
 
 class TestResultCarriesModel:
@@ -547,6 +566,43 @@ class TestResultCarriesModel:
         # a degenerate result carries its model too: the constant start guess
         flat = fit_rb(DataSeries(x=t, y=np.full_like(t, 0.7)))
         assert flat.model is RB_MODEL and np.allclose(flat.curve(t), 0.7, rtol=0, atol=1e-15)
+
+
+class TestUnitWeights:
+    FITS = [
+        ("t1_53us.csv", fit_t1),
+        ("ramsey_10us.csv", fit_ramsey),
+        ("rb_decay.csv", fit_rb),
+        ("tuning_q0.csv", fit_tuning_curve),
+        ("tuning_q0.csv", lambda data: fit_tuning_curve(data, fixed_e_c=182.0)),
+        ("tuning_q0.csv", lambda data: fit_tuning_curve(data, use_diagonalization=True)),
+        ("beta_q0.csv", "beta"),
+    ]
+    IDS = ["t1", "ramsey", "rb", "tuning", "tuning-fixed-ec", "tuning-refined", "beta"]
+
+    @staticmethod
+    def run(q0, source, fit, sigma):
+        x, y = np.loadtxt(FIXTURES / source, delimiter=",", skiprows=1, unpack=True)
+        data = DataSeries(x=x, y=y, sigma=None if sigma is None else sigma(y))
+        return x, data.sigma, fit_beta(data, q0) if fit == "beta" else fit(data)
+
+    @pytest.mark.parametrize("source,fit", FITS, ids=IDS)
+    def test_sigma_ones_walks_the_unweighted_path(self, q0, source, fit):
+        # an unweighted fit skips the division by sigma; sigma = 1 divides
+        # by ones, which changes no bit of the path
+        _, _, plain = self.run(q0, source, fit, None)
+        _, _, ones = self.run(q0, source, fit, np.ones_like)
+        assert (ones.params, ones.residual_norm, ones.iterations) == (plain.params, plain.residual_norm, plain.iterations)
+
+    @pytest.mark.parametrize("source,fit", FITS, ids=IDS)
+    def test_weighted_errors_come_from_the_jacobian(self, q0, source, fit):
+        # weighted, the errors are those of the weighted Jacobian alone, in
+        # the reported parameters (the energies, for a tuning fit walked in U)
+        x, sigma, res = self.run(q0, source, fit, lambda y: 0.05 + 0.01 * np.arange(y.size))
+        theta = np.array([res.params[name] for name in res.model.names])
+        jac = res.model.jac(x, theta) / sigma[:, None]
+        want = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
+        np.testing.assert_allclose([res.std_errors[name] for name in res.model.names], want, rtol=1e-6)
 
 
 class TestTuningNormalization:
@@ -667,35 +723,41 @@ class TestTuningInU:
     @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
     @pytest.mark.parametrize("ratio", [0.24, 0.8, 0.98])
     def test_refinement_jacobian_takes_one_levels_call(self, monkeypatch, ratio, fixed):
+        from fluxline import transmon
+
         data, e_c = bench_like_tuning(ratio, np.random.default_rng([SEED, int(round(100 * ratio))]))
-        stages, levels_calls = [], []
+        stages, f01_calls = [], []
         engine = fitting.least_squares
 
         def counting_engine(model, data, initial_guess):
             njev = []
 
             def jac(x, th):
-                njev.append(None)
-                return model.jac(x, th)
+                before = len(f01_calls)
+                value = model.jac(x, th)
+                njev.append(len(f01_calls) - before)
+                return value
 
             result = engine(replace(model, jac=jac), data, initial_guess)
-            stages.append((result.iterations, len(njev), len(levels_calls)))
+            stages.append((result.iterations, njev, len(f01_calls)))
             return result
 
-        def counting_levels(*args, **kwargs):
-            levels_calls.append(None)
-            return levels(*args, **kwargs)
+        def counting_f01(*args, **kwargs):
+            f01_calls.append(None)
+            return transmon._f01(*args, **kwargs)
 
         monkeypatch.setattr(fitting, "least_squares", counting_engine)
-        monkeypatch.setattr(fitting, "levels", counting_levels)
+        monkeypatch.setattr(fitting, "_f01", counting_f01)
         res = fit_tuning_curve(data, fixed_e_c=e_c if fixed else None, use_diagonalization=True)
         (_, _, closed_form_calls), (nfev, njev, total_calls) = stages
         assert closed_form_calls == 0
         assert res.iterations == nfev
-        # one call per residual evaluation and one per Jacobian: the levels
-        # at the parameters are those of the residuals just taken there, and
-        # the standard errors reuse the Jacobian at the optimum
-        assert len(levels_calls) == total_calls == nfev + njev
+        # one f01-only levels call per residual evaluation and one per
+        # Jacobian: the levels at the parameters are those of the residuals
+        # just taken there, and the standard errors reuse the Jacobian at
+        # the optimum
+        assert njev and njev == [1] * len(njev)
+        assert len(f01_calls) == total_calls == nfev + len(njev)
 
     def test_closed_form_stage_budget(self, monkeypatch):
         # the ratio of the shipped devices, where the closed-form stage

@@ -24,7 +24,7 @@ from fluxline.modulation import (
     time_average_oracle,
 )
 from fluxline.specfun import ConvergenceError, bessel_j0
-from fluxline.transmon import FluxPoint, TransmonParams, diagonalize
+from fluxline.transmon import FluxPoint, TransmonParams, diagonalize, levels
 
 from conftest import EXAMPLE_CONFIG, charge_basis
 
@@ -344,6 +344,26 @@ class TestOracle:
             phi = phi_dc + phi_ac * math.cos(th)
             total += charge_basis(q0, phi, 41)[0]
         assert abs(a - total / 512) < 1e-9
+
+
+    @pytest.mark.parametrize("n_steps", [256, 257, 512, 2048])
+    def test_half_period_equals_full_period_sum(self, n_steps):
+        # the oracle samples theta in [0, pi] and counts the mirrored samples
+        # twice; the full-period sum it replaced agrees within 1e-11 MHz,
+        # odd n_steps (no sample at theta = pi) and a device past
+        # MATHIEU_Q_MAX (the charge basis) included
+        rng = np.random.default_rng([20210901, n_steps])
+        devices = [TransmonParams(e_c=182.0, e_j1=2140.0, e_j2=9040.0),
+                   TransmonParams(e_c=185.0, e_j1=5500.0, e_j2=5600.0)]
+        if n_steps == 256:
+            devices.append(TransmonParams(e_c=100.0, e_j1=1.0e5, e_j2=1.2e5))
+        theta = 2.0 * np.pi * np.arange(n_steps) / n_steps
+        for p in devices:
+            phi_dc, phi_ac = rng.uniform(-0.5, 0.5, 6), rng.uniform(0.0, 0.5, 6)
+            got = time_average_oracle(p, FluxDrive(phi_dc, phi_ac), n_steps)
+            phi = phi_dc[:, None] + phi_ac[:, None] * np.cos(theta)
+            want = np.sum(levels(p, phi)[0], axis=-1) / n_steps
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
 
 
 class TestSeriesVsOracle:

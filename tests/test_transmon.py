@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import mathieu_a, mathieu_b
 
+from fluxline import transmon
 from fluxline.transmon import (
     MATHIEU_Q_MAX,
     FluxPoint,
@@ -270,6 +271,50 @@ class TestLevels:
             with pytest.raises(ValueError, match=r"^flux must keep pi phi finite, got phi = 1e\+308$"):
                 levels(q0, [0.1, 1e308])
         assert caught == []
+
+
+class TestF01Only:
+    """The private f01-only path of the oracle and the tuning refinement."""
+
+    # symmetric SQUIDs at E_C = 0.5: q = E_J(phi) = E_Jsum cos(pi phi).  Up to
+    # q = 1100 (the charge basis past MATHIEU_Q_MAX), and dense grids down
+    # from q = 667.30, 733.20 and 820.58, where scipy's a_0 or b_2 is NaN at
+    # scattered q
+    CASES = {
+        "to-q-1100": (1100.0, np.linspace(0.0, 0.5, 1101)),
+        "a0-nan-667": (667.30, np.linspace(0.0, 0.004, 4001)),
+        "a0-nan-733": (733.20, np.linspace(0.0, 0.006, 20001)),
+        "b2-nan-820": (820.58, np.linspace(0.0, 0.0022, 20001)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_levels_bit_for_bit(self, case):
+        e_sum, phi = self.CASES[case]
+        p = TransmonParams(e_c=0.5, e_j1=e_sum / 2.0, e_j2=e_sum / 2.0)
+        q = effective_ej(p, phi)
+        mathieu_nan = ~np.isfinite(mathieu_b(2, q) - mathieu_a(0, q))
+        if case == "to-q-1100":
+            assert (q > MATHIEU_Q_MAX).any() and not mathieu_nan.any()
+        else:
+            assert mathieu_nan.any()  # the grid meets scipy's NaN window
+        want = levels(p, phi)[0]
+        got = transmon._f01(p, phi)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+        for value in phi[::97]:
+            scalar = transmon._f01(p, value)
+            assert np.shape(scalar) == () and scalar == levels(p, value)[0]
+
+    def test_takes_no_a2(self, monkeypatch):
+        orders = []
+        mathieu_a, mathieu_b = transmon._mathieu()
+
+        def counting_a(m, q):
+            orders.append(m)
+            return mathieu_a(m, q)
+
+        monkeypatch.setattr(transmon, "_mathieu", lambda: (counting_a, mathieu_b))
+        transmon._f01(TransmonParams(e_c=200.0, e_j1=2000.0, e_j2=9000.0), np.linspace(0.0, 0.5, 11))
+        assert orders == [0]
 
 
 class TestAsymptoticScalar:
