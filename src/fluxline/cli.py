@@ -7,7 +7,7 @@ digits with '.' decimals, in CSV by :func:`fmt` and in JSON by
 :func:`_json_ready`, so repeated runs are byte-identical.
 
 Imports are per subcommand: the module loads numpy and :mod:`fluxline.config`
-(home of DiplexerSpec and AttenuationChain; it loads transmon), and each
+(home of DiplexerSpec and AttenuationChain; it loads no other layer), and each
 ``cmd_*`` the layers it runs.  ``spectrum`` and ``modulate --with-oracle``
 load scipy.special on their first level; ``fit`` (its own numpy engine),
 ``crosstalk``, ``diplexer`` and ``modulate`` load no scipy at all.
@@ -251,23 +251,22 @@ def _load_fit_csv(path: str, kind: str):
 
 
 def cmd_fit(args) -> int:
+    if args.kind == "beta" and not args.qubit:
+        raise ConfigError("beta fits require --qubit")
     from . import fitting
 
     data = _load_fit_csv(args.data, args.kind)
-    try:
-        if args.kind == "t1":
-            result = fitting.fit_t1(data)
-        elif args.kind == "ramsey":
-            result = fitting.fit_ramsey(data)
-        elif args.kind == "rb":
-            result = fitting.fit_rb(data)
-        elif args.kind == "tuning":
-            result = fitting.fit_tuning_curve(data, fixed_e_c=args.fixed_ec)
-        else:  # beta
-            q = _load(args).qubit(args.qubit)
-            result = fitting.fit_beta(data, q.params, phi_dc=args.phi_dc)
-    except fitting.FitError as exc:
-        return _error(exc, 3)
+    if args.kind == "t1":
+        result = fitting.fit_t1(data)
+    elif args.kind == "ramsey":
+        result = fitting.fit_ramsey(data)
+    elif args.kind == "rb":
+        result = fitting.fit_rb(data)
+    elif args.kind == "tuning":
+        result = fitting.fit_tuning_curve(data, fixed_e_c=args.fixed_ec)
+    else:  # beta
+        q = _load(args).qubit(args.qubit)
+        result = fitting.fit_beta(data, q.params, phi_dc=args.phi_dc)
 
     _emit_json(args.out, {"kind": args.kind, **result.to_dict()})
 
@@ -366,15 +365,13 @@ def _convergence_error() -> type:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "fit" and args.kind == "beta" and not args.qubit:
-        sys.stderr.write("error: beta fits require --qubit\n")
-        return 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError, MemoryError) as exc:
-        # MemoryError: an array numpy cannot allocate, such as --points 1e12
+    except (ValueError, MemoryError) as exc:
+        # ConfigError is a ValueError; MemoryError: an array numpy cannot
+        # allocate, such as --points 1e12
         return _error(exc, 2)
-    except _convergence_error() as exc:
+    except _convergence_error() as exc:  # fitting.FitError included
         return _error(exc, 3)
 
 

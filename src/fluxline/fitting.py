@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
-from .specfun import _bessel, bessel_j0
+from .specfun import ConvergenceError, _bessel, bessel_j0
 from .transmon import TransmonParams, _f01
 
 __all__ = [
@@ -68,7 +68,7 @@ STEP_TOL = 1e-12
 _DAMPING_0 = 1e-6
 
 
-class FitError(RuntimeError):
+class FitError(ConvergenceError):
     """Structural fit failure (not mere non-convergence)."""
 
 
