@@ -55,7 +55,7 @@ def main():
 
     # flux tuning curve for q0, 1.2 mA per flux quantum
     cur = np.linspace(-0.75e-3, 0.75e-3, 80)
-    model = tuning_curve_model(None)
+    model = tuning_curve_model()
     y = model.fn(cur, np.array([2140.0, 9040.0, 182.0, 1.2e-3, 0.05]))
     y = y + rng.normal(0.0, 1.0, cur.size)
     write("tuning_q0.csv", ("current_a", "frequency_mhz"), cur, y)

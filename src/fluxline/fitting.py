@@ -24,8 +24,10 @@ parameters from the residuals just evaluated there; both tuning models
 share the chain rule through E_J(phi) for the rest.  Both stages of the
 tuning fit walk U_i = 8 E_C E_Ji in place of the junction energies, where
 the closed form's E_C-E_J valley is nearly straight, and report the
-energies.  The engine loads no scipy; the test suite checks it against
-MINPACK's lmder through scipy.
+energies.  Both tuning models take (e_j1, e_j2, e_c, amps_per_phi0,
+phi_offset); a fixed E_C is held in one place, _hold_e_c, which _fit_in_u
+wraps around them.  The engine loads no scipy; the test suite checks it
+against MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -418,15 +420,10 @@ def fit_rb(data: DataSeries) -> FitResult:
 
 # --- flux tuning curve -------------------------------------------------------
 
-def _tuning_theta(th, fixed_e_c: float | None):
-    """(e_j1, e_j2, e_c, amps_per_phi0, phi_offset) from a parameter vector."""
-    if fixed_e_c is None:
-        return tuple(th)
-    ej1, ej2, amps_per_phi0, off = th
-    return ej1, ej2, fixed_e_c, amps_per_phi0, off
+_TUNING_NAMES = ("e_j1", "e_j2", "e_c", "amps_per_phi0", "phi_offset")
 
 
-def _tuning_jac(fixed_e_c: float | None, derivatives) -> Callable:
+def _tuning_jac(derivatives) -> Callable:
     """The Jacobian of a tuning model f(E_J(phi), E_C).
 
     derivatives(current, th, ec, ej) gives df/dE_J and df/dE_C at each
@@ -437,7 +434,7 @@ def _tuning_jac(fixed_e_c: float | None, derivatives) -> Callable:
     """
 
     def jac(current, th):
-        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        ej1, ej2, ec, amps_per_phi0, off = th
         phi = current / amps_per_phi0 + off
         c2 = np.cos(2.0 * np.pi * phi)
         s2 = np.sin(2.0 * np.pi * phi)
@@ -448,18 +445,16 @@ def _tuning_jac(fixed_e_c: float | None, derivatives) -> Callable:
         dej_d2 = (ej2 + math.copysign(a1, ej2) * c2) / ej
         dej_dphi = -2.0 * np.pi * a1 * a2 * s2 / ej
         dphi_da = -current / amps_per_phi0**2
-        cols = [df_dej * dej_d1, df_dej * dej_d2]
-        if fixed_e_c is None:
-            cols.append(df_dec)
-        cols.extend([df_dej * dej_dphi * dphi_da, df_dej * dej_dphi])
-        return np.column_stack(cols)
+        return np.column_stack(
+            [df_dej * dej_d1, df_dej * dej_d2, df_dec, df_dej * dej_dphi * dphi_da, df_dej * dej_dphi]
+        )
 
     return jac
 
 
-def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
+def tuning_curve_model() -> Model:
     def fn(current, th):
-        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        ej1, ej2, ec, amps_per_phi0, off = th
         phi = current / amps_per_phi0 + off
         a1, a2 = abs(ej1), abs(ej2)
         ej_sq = a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(2.0 * np.pi * phi)
@@ -471,8 +466,18 @@ def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
         f_plus_ec = np.sqrt(8.0 * ec * ej)
         return f_plus_ec / (2.0 * ej), f_plus_ec / (2.0 * ec) - 1.0
 
-    names = ("e_j1", "e_j2") + (() if fixed_e_c is not None else ("e_c",)) + ("amps_per_phi0", "phi_offset")
-    return Model(names=names, fn=fn, jac=_tuning_jac(fixed_e_c, derivatives))
+    return Model(names=_TUNING_NAMES, fn=fn, jac=_tuning_jac(derivatives))
+
+
+def _hold_e_c(model: Model, e_c: float) -> Model:
+    """A tuning model with E_C held at e_c: the model less its third
+    parameter, e_c, and that column of its Jacobian."""
+
+    def full(th):
+        return np.concatenate([th[:2], [e_c], th[2:]])
+
+    return Model(model.names[:2] + model.names[3:], lambda current, th: model.fn(current, full(th)),
+                 lambda current, th: np.delete(model.jac(current, full(th)), 2, axis=1))
 
 
 # Both stages of the tuning fit walk U_i = 8 E_C E_Ji in place of the
@@ -483,14 +488,14 @@ def tuning_curve_model(fixed_e_c: float | None = None) -> Model:
 # devices and up to 221, becomes nearly straight (Transtrum & Sethna 2012
 # on such changes of variables for Levenberg-Marquardt).
 
-def _energies(u, fixed_e_c: float | None) -> np.ndarray:
+def _energies(u) -> np.ndarray:
     """Tuning-model parameters from their U form: E_Ji = U_i / (8 E_C)."""
     theta = np.array(u, dtype=float)
-    theta[:2] /= 8.0 * _tuning_theta(theta, fixed_e_c)[2]
+    theta[:2] /= 8.0 * theta[2]
     return theta
 
 
-def _in_u(model: Model, fixed_e_c: float | None) -> Model:
+def _in_u(model: Model) -> Model:
     """model with its junction energies replaced by U_i = 8 E_C E_Ji.
 
     One column map serves both tuning models: d/dU_i = (d/dE_Ji) / 8 E_C,
@@ -498,20 +503,15 @@ def _in_u(model: Model, fixed_e_c: float | None) -> Model:
     """
 
     def jac(current, u):
-        theta = _energies(u, fixed_e_c)
+        theta = _energies(u)
         j = model.jac(current, theta)
-        ec = _tuning_theta(theta, fixed_e_c)[2]
+        ec = theta[2]
         u_jac = j.copy()
         u_jac[:, :2] /= 8.0 * ec
-        if fixed_e_c is None:
-            u_jac[:, 2] -= (j[:, :2] @ theta[:2]) / ec
+        u_jac[:, 2] -= (j[:, :2] @ theta[:2]) / ec
         return u_jac
 
-    return Model(
-        names=("u1", "u2") + model.names[2:],
-        fn=lambda current, u: model.fn(current, _energies(u, fixed_e_c)),
-        jac=jac,
-    )
+    return Model(("u1", "u2") + model.names[2:], lambda current, u: model.fn(current, _energies(u)), jac)
 
 
 def _remember_last(fn: Callable) -> Callable:
@@ -537,16 +537,20 @@ def _bits(a) -> tuple:
 
 
 def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -> FitResult:
-    """least_squares on a tuning model, walked in U; the result in the
-    model's own parameters, with standard errors from its Jacobian at the
-    optimum.  The engine took that Jacobian last, so it is remembered, not
-    evaluated again."""
-    jac = _remember_last(model.jac)
-    theta0 = np.array(theta0, dtype=float)
-    theta0[:2] *= 8.0 * _tuning_theta(theta0, fixed_e_c)[2]
-    fit = least_squares(_in_u(replace(model, jac=jac), fixed_e_c), data, theta0)
-    theta = _energies(list(fit.params.values()), fixed_e_c)
-    energy_jac = jac(data.x, theta)
+    """least_squares on a tuning model from theta0, walked in U, with E_C
+    held at fixed_e_c if set; the result in the parameters of the model (so
+    held), with standard errors from its Jacobian at the optimum.  The engine
+    took that Jacobian last, so it is remembered, not evaluated again."""
+    model = replace(model, jac=_remember_last(model.jac))
+    walk = _in_u(model)
+    u0 = np.array(theta0, dtype=float)
+    u0[:2] *= 8.0 * u0[2]
+    if fixed_e_c is not None:
+        model, walk, u0 = _hold_e_c(model, fixed_e_c), _hold_e_c(walk, fixed_e_c), np.delete(u0, 2)
+    fit = least_squares(walk, data, u0)
+    theta = np.array(list(fit.params.values()))
+    theta[:2] /= 8.0 * (theta[2] if fixed_e_c is None else fixed_e_c)
+    energy_jac = model.jac(data.x, theta)
     if data.sigma is not None:
         energy_jac = energy_jac / data.sigma[:, None]
     errs = _standard_errors(energy_jac, fit.residual_norm**2, data)
@@ -584,7 +588,7 @@ _FIXED_EC_MIN_PER_FMAX = 1e-6
 _FREQUENCY_MAX_MHZ = 1e60
 
 
-def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Model:
+def _levels_tuning_model() -> Model:
     """The tuning curve on the exact f01 of :func:`transmon.levels`.
 
     At n_g = 0, f01 = E_C g(q) with q = E_J(phi)/(2 E_C), so one more
@@ -596,7 +600,7 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
     """
 
     def f01(current, th, scale=1.0):
-        ej1, ej2, ec, amps_per_phi0, off = _tuning_theta(th, fixed_e_c)
+        ej1, ej2, ec, amps_per_phi0, off = th
         params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
         return _f01(params, current / amps_per_phi0 + off)
 
@@ -607,7 +611,7 @@ def _levels_tuning_model(fixed_e_c: float | None, names: tuple[str, ...]) -> Mod
         df = f01(current, th, 1.0 + _LEVELS_EJ_STEP) - f0
         return df / (_LEVELS_EJ_STEP * ej), f0 / ec - df / (_LEVELS_EJ_STEP * ec)
 
-    return Model(names=names, fn=fn, jac=_tuning_jac(fixed_e_c, derivatives))
+    return Model(names=_TUNING_NAMES, fn=fn, jac=_tuning_jac(derivatives))
 
 
 # the frequencies _sinusoid_peak tries, in rfft bins from the top bin: a
@@ -694,7 +698,6 @@ def fit_tuning_curve(
     if fixed_e_c is not None and not (math.isfinite(fixed_e_c) and fixed_e_c > 0):
         raise ValueError(f"fixed_e_c must be finite and > 0, got {fixed_e_c}")
     cur, f = _sorted_by_x(data)
-    model = tuning_curve_model(fixed_e_c)
 
     fmax0, fmin0 = float(f.max()), float(f.min())
     if not max(fmax0, -fmin0) < _FREQUENCY_MAX_MHZ:
@@ -718,12 +721,10 @@ def fit_tuning_curve(
     ej1_0 = max(0.5 * (ej_sum0 - ej_diff0), 1.0)
     ej2_0 = 0.5 * (ej_sum0 + ej_diff0)
 
-    theta0 = [ej1_0, ej2_0] + ([] if fixed_e_c is not None else [ec0]) + [a0, off0]
-    result = _fit_in_u(model, data, theta0, fixed_e_c)
+    result = _fit_in_u(tuning_curve_model(), data, [ej1_0, ej2_0, ec0, a0, off0], fixed_e_c)
     if use_diagonalization:
-        result = _fit_in_u(
-            _levels_tuning_model(fixed_e_c, model.names), data, list(result.params.values()), fixed_e_c
-        )
+        start = [result.params.get(name, fixed_e_c) for name in _TUNING_NAMES]
+        result = _fit_in_u(_levels_tuning_model(), data, start, fixed_e_c)
 
     # the flags judge the stage returned.  Span judged with the fitted
     # period: the start guess searches only within a bin of the top rfft

@@ -299,7 +299,7 @@ def test_criterion_7_fit_roundtrips(q0):
     # tuning curve from the q0 record (noisy variant holds e_c fixed: the
     # flux dependence alone leaves e_c vs E_J nearly degenerate under noise)
     cur = np.linspace(-0.75e-3, 0.75e-3, 160)
-    clean = tuning_curve_model(None).fn(cur, np.array([2140.0, 9040.0, 182.0, 1.2e-3, 0.05]))
+    clean = tuning_curve_model().fn(cur, np.array([2140.0, 9040.0, 182.0, 1.2e-3, 0.05]))
     run(
         "tuning clean",
         fit_tuning_curve,

@@ -517,7 +517,7 @@ class TestFitCommand:
             "t1": fitting.T1_MODEL,
             "ramsey": fitting.RAMSEY_MODEL,
             "rb": fitting.RB_MODEL,
-            "tuning": fitting.tuning_curve_model(182.0 if options else None),
+            "tuning": fitting._hold_e_c(fitting.tuning_curve_model(), 182.0) if options else fitting.tuning_curve_model(),
             "beta": fitting.beta_model(load_config(EXAMPLE_CONFIG).qubit("q0").params, 0.0),
         }[kind]
         params = json.loads(fit.read_text())["params"]

@@ -184,23 +184,23 @@ class TestJacobians:
         (RB_MODEL, np.arange(1.0, 700.0, 30.0), np.array([0.5, 0.995, 0.5])),
         (LINEAR_MODEL, np.linspace(-3.0, 3.0, 13), np.array([1.7, -0.3])),
         (
-            tuning_curve_model(None),
+            tuning_curve_model(),
             np.linspace(-0.7e-3, 0.7e-3, 25),
             np.array([2140.0, 9040.0, 182.0, 1.2e-3, 0.05]),
         ),
         (
-            tuning_curve_model(182.0),
+            fitting._hold_e_c(tuning_curve_model(), 182.0),
             np.linspace(-0.7e-3, 0.7e-3, 25),
             np.array([2140.0, 9040.0, 1.2e-3, 0.05]),
         ),
         # junction energies enter as magnitudes: their columns carry their signs
         (
-            tuning_curve_model(None),
+            tuning_curve_model(),
             np.linspace(-0.7e-3, 0.7e-3, 25),
             np.array([-2140.0, 9040.0, 182.0, 1.2e-3, 0.05]),
         ),
         (
-            tuning_curve_model(182.0),
+            fitting._hold_e_c(tuning_curve_model(), 182.0),
             np.linspace(-0.7e-3, 0.7e-3, 25),
             np.array([2140.0, -9040.0, 1.2e-3, 0.05]),
         ),
@@ -323,7 +323,7 @@ class TestTuningCurve:
 
     def make_data(self, noise_rng=None, n=80):
         cur = np.linspace(-0.75e-3, 0.75e-3, n)
-        y = tuning_curve_model(None).fn(cur, self.TRUTH)
+        y = tuning_curve_model().fn(cur, self.TRUTH)
         if noise_rng is not None:
             y = noisy(y, noise_rng)
         return DataSeries(x=cur, y=y)
@@ -400,7 +400,7 @@ class TestTuningCurve:
 
     def test_short_span_flagged(self):
         cur = np.linspace(0.0, 0.1e-3, 30)
-        y = tuning_curve_model(None).fn(cur, self.TRUTH)
+        y = tuning_curve_model().fn(cur, self.TRUTH)
         res = fit_tuning_curve(DataSeries(x=cur, y=y))
         assert any("span" in f for f in res.flags)
 
@@ -694,17 +694,22 @@ class TestTuningInU:
     ]
     IDS = ["free-ec", "fixed-ec", "free-ec-mixed-sign", "fixed-ec-mixed-sign"]
 
+    @staticmethod
+    def walk(model, fixed):
+        """model walked in U, with E_C held at fixed unless that is None."""
+        model = fitting._in_u(model)
+        return model if fixed is None else fitting._hold_e_c(model, fixed)
+
     @pytest.mark.parametrize("fixed,u", CASES, ids=IDS)
     def test_closed_form_u_columns_match_finite_differences(self, fixed, u):
-        model = fitting._in_u(tuning_curve_model(fixed), fixed)
+        model = self.walk(tuning_curve_model(), fixed)
         analytic = model.jac(self.X, u)
         numeric = finite_difference_jacobian(model, self.X, u)
         assert np.allclose(analytic, numeric, atol=1e-6 * np.abs(analytic).max(), rtol=1e-6)
 
     @pytest.mark.parametrize("fixed,u", CASES, ids=IDS)
     def test_exact_levels_u_columns_match_forward_differences(self, fixed, u):
-        names = tuning_curve_model(fixed).names
-        model = fitting._in_u(fitting._levels_tuning_model(fixed, names), fixed)
+        model = self.walk(fitting._levels_tuning_model(), fixed)
         reference = forward_jacobian(lambda t: model.fn(self.X, t), u)
         jac = model.jac(self.X, u)
         # the tolerance of TestExactLevelsJacobian, per column
@@ -713,12 +718,24 @@ class TestTuningInU:
 
     def test_u_coordinates_map_back_to_the_energies(self):
         u = self.CASES[0][1]
-        theta = fitting._energies(u, None)
+        theta = fitting._energies(u)
         np.testing.assert_allclose(theta, [2140.0, 9040.0, 182.0, 1.2e-3, 0.05], rtol=1e-15)
         # the closed form in U: f = (U1^2 + U2^2 + 2 U1 U2 cos 2 pi phi)^(1/4) - E_C
         phi = self.X / 1.2e-3 + 0.05
         closed = (u[0] ** 2 + u[1] ** 2 + 2.0 * u[0] * u[1] * np.cos(2.0 * np.pi * phi)) ** 0.25 - 182.0
-        np.testing.assert_allclose(fitting._in_u(tuning_curve_model(None), None).fn(self.X, u), closed, rtol=1e-13)
+        np.testing.assert_allclose(fitting._in_u(tuning_curve_model()).fn(self.X, u), closed, rtol=1e-13)
+
+    @pytest.mark.parametrize("make", [tuning_curve_model, fitting._levels_tuning_model],
+                             ids=["closed-form", "exact-levels"])
+    @pytest.mark.parametrize("theta", [np.array([2140.0, 9040.0, 1.2e-3, 0.05]), np.array([-2140.0, 9040.0, 1.2e-3, 0.05])],
+                             ids=["same-sign", "mixed-sign"])
+    def test_held_e_c_is_the_five_parameter_model(self, make, theta):
+        # bit for bit: the model at E_C = 182 inserted third, less its E_C column
+        model, held = make(), fitting._hold_e_c(make(), 182.0)
+        full = np.array([theta[0], theta[1], 182.0, theta[2], theta[3]])
+        assert held.names == ("e_j1", "e_j2", "amps_per_phi0", "phi_offset")
+        assert np.array_equal(held.fn(self.X, theta), model.fn(self.X, full))
+        assert np.array_equal(held.jac(self.X, theta), model.jac(self.X, full)[:, [0, 1, 3, 4]])
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
     @pytest.mark.parametrize("ratio", [0.24, 0.8, 0.98])
