@@ -537,10 +537,10 @@ def _bits(a) -> tuple:
 
 
 def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -> FitResult:
-    """least_squares on a tuning model from theta0, walked in U, with E_C
-    held at fixed_e_c if set; the result in the parameters of the model (so
-    held), with standard errors from its Jacobian at the optimum.  The engine
-    took that Jacobian last, so it is remembered, not evaluated again."""
+    """least_squares on a tuning model from the five-vector theta0, walked in
+    U, with E_C held at fixed_e_c if set; the result in the model's own
+    parameters (less e_c if held), with standard errors from their Jacobian
+    at the optimum, which the engine took last: remembered, not re-evaluated."""
     model = replace(model, jac=_remember_last(model.jac))
     walk = _in_u(model)
     u0 = np.array(theta0, dtype=float)
