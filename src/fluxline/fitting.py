@@ -21,13 +21,13 @@ suite cross-checks each against forward differences.  All are analytic
 but the one of the tuning refinement on exact levels, which differentiates
 the levels in E_J with one extra levels call and takes the levels at the
 parameters from the residuals just evaluated there; both tuning models
-share the chain rule through E_J(phi) for the rest.  Both stages of the
-tuning fit walk U_i = 8 E_C E_Ji in place of the junction energies, where
-the closed form's E_C-E_J valley is nearly straight, and report the
-energies.  Both tuning models take (e_j1, e_j2, e_c, amps_per_phi0,
-phi_offset); a fixed E_C is held in one place, _hold_e_c, which _fit_in_u
-wraps around them.  The engine loads no scipy; the test suite checks it
-against MINPACK's lmder through scipy.
+share the chain rule through E_J(phi) for the rest.  E_J(phi) and the
+closed-form f01 come from transmon.  Both stages walk U_i = 8 E_C E_Ji
+in place of the junction energies, where the closed form's E_C-E_J valley
+is nearly straight, and report the energies.  Both tuning models take
+(e_j1, e_j2, e_c, amps_per_phi0, phi_offset); a fixed E_C is held in one
+place, _hold_e_c, which _fit_in_u wraps around them.  The engine loads
+no scipy; the test suite checks it against MINPACK's lmder through scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
 from .specfun import ConvergenceError, _bessel, bessel_j0
-from .transmon import TransmonParams, _f01
+from .transmon import TransmonParams, _closed_form_f01, _f01, _squid_ej
 
 __all__ = [
     "DataSeries",
@@ -427,23 +427,21 @@ def _tuning_jac(derivatives) -> Callable:
     """The Jacobian of a tuning model f(E_J(phi), E_C).
 
     derivatives(current, th, ec, ej) gives df/dE_J and df/dE_C at each
-    current; the chain rule through
-    E_J(phi) = sqrt(E_J1^2 + E_J2^2 + 2 E_J1 E_J2 cos 2 pi phi) and
-    phi = I/a + phi_0 gives the columns.  The junction energies enter as
-    magnitudes, so their columns carry their signs.
+    current; the chain rule through transmon's E_J(phi) at phi = I/a + phi_0
+    gives the columns, with S, D = |E_J2| +- |E_J1|: dE_J/d|E_J1|, d|E_J2| =
+    (S cos^2 pi phi -+ D sin^2 pi phi) / E_J, dE_J/dphi = -4 pi |E_J1 E_J2|
+    sin pi phi cos pi phi / E_J.  The junction columns carry their signs.
     """
 
     def jac(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
-        phi = current / amps_per_phi0 + off
-        c2 = np.cos(2.0 * np.pi * phi)
-        s2 = np.sin(2.0 * np.pi * phi)
         a1, a2 = abs(ej1), abs(ej2)
-        ej = np.sqrt(np.maximum(a1**2 + a2**2 + 2.0 * a1 * a2 * c2, 1e-12))
+        ej, c, s = _squid_ej(a1, a2, current / amps_per_phi0 + off)
         df_dej, df_dec = derivatives(current, th, ec, ej)
-        dej_d1 = (ej1 + math.copysign(a2, ej1) * c2) / ej
-        dej_d2 = (ej2 + math.copysign(a1, ej2) * c2) / ej
-        dej_dphi = -2.0 * np.pi * a1 * a2 * s2 / ej
+        sum_c2, diff_s2 = (a1 + a2) * c * c, (a2 - a1) * s * s
+        dej_d1 = math.copysign(1.0, ej1) * (sum_c2 - diff_s2) / ej
+        dej_d2 = math.copysign(1.0, ej2) * (sum_c2 + diff_s2) / ej
+        dej_dphi = -4.0 * np.pi * a1 * a2 * s * c / ej
         dphi_da = -current / amps_per_phi0**2
         return np.column_stack(
             [df_dej * dej_d1, df_dej * dej_d2, df_dec, df_dej * dej_dphi * dphi_da, df_dej * dej_dphi]
@@ -455,12 +453,9 @@ def _tuning_jac(derivatives) -> Callable:
 def tuning_curve_model() -> Model:
     def fn(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
-        phi = current / amps_per_phi0 + off
-        a1, a2 = abs(ej1), abs(ej2)
-        ej_sq = a1**2 + a2**2 + 2.0 * a1 * a2 * np.cos(2.0 * np.pi * phi)
-        ej = np.sqrt(np.maximum(ej_sq, 1e-12))
-        # clip keeps the residuals finite while the optimizer explores
-        return np.sqrt(np.maximum(8.0 * ec * ej, 1e-12)) - ec
+        ej = _squid_ej(abs(ej1), abs(ej2), current / amps_per_phi0 + off)[0]
+        # unclipped: E_C E_J < 0 gives NaN, which the engine counts as a rise
+        return _closed_form_f01(ej, ec)
 
     def derivatives(current, th, ec, ej):
         f_plus_ec = np.sqrt(8.0 * ec * ej)
@@ -481,12 +476,12 @@ def _hold_e_c(model: Model, e_c: float) -> Model:
 
 
 # Both stages of the tuning fit walk U_i = 8 E_C E_Ji in place of the
-# junction energies.  There the closed form reads
-# f = (U1^2 + U2^2 + 2 U1 U2 cos 2 pi phi)^(1/4) - E_C: E_C enters only as an
-# offset, and the curved E_C-E_J valley of the energies, where the
-# closed-form stage took 33 residual evaluations on average on bench
-# devices and up to 221, becomes nearly straight (Transtrum & Sethna 2012
-# on such changes of variables for Levenberg-Marquardt).
+# junction energies.  There 8 E_C E_J(phi) depends on U1, U2 and phi alone,
+# so E_C enters the closed form only as an offset, and the curved E_C-E_J
+# valley of the energies, where the closed-form stage took 33 residual
+# evaluations on average on bench devices and up to 221, becomes nearly
+# straight (Transtrum & Sethna 2012 on such changes of variables for
+# Levenberg-Marquardt).
 
 def _energies(u) -> np.ndarray:
     """Tuning-model parameters from their U form: E_Ji = U_i / (8 E_C)."""

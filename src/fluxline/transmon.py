@@ -90,10 +90,15 @@ def effective_ej(params: TransmonParams, phi):
     E_J(phi) = E_Jsum sqrt(cos^2(pi phi) + d^2 sin^2(pi phi)); 1-periodic
     and even in phi, maximal at phi = 0, minimal at phi = 0.5; elementwise.
     """
-    d = params.asymmetry
+    return _squid_ej(params.e_j1, params.e_j2, phi)[0]
+
+
+def _squid_ej(a, b, phi):
+    """E_J(phi), cos pi phi and sin pi phi; junction energies a, b >= 0 in either order."""
+    d = (b - a) / (a + b)
     c = np.cos(np.pi * phi)
     s = np.sin(np.pi * phi)
-    return params.e_j_sum * np.sqrt(c * c + d * d * s * s)
+    return (a + b) * np.sqrt(c * c + d * d * s * s), c, s
 
 
 def f01_asymptotic(params: TransmonParams, phi):
@@ -107,7 +112,12 @@ def f01_asymptotic(params: TransmonParams, phi):
             f"effective E_J = {lowest:.3g} MHz at phi = {np.ravel(phi)[np.argmin(ej)]} is "
             "outside the transmon regime (degenerate SQUID near half flux?)"
         )
-    return np.sqrt(8.0 * ej * params.e_c) - params.e_c
+    return _closed_form_f01(ej, params.e_c)
+
+
+def _closed_form_f01(ej, e_c):
+    """sqrt(8 E_J E_C) - E_C, elementwise and unchecked."""
+    return np.sqrt(8.0 * ej * e_c) - e_c
 
 
 def _charge_basis_levels(e_c: float, ej: float, size: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from fluxline.fitting import (
 )
 from fluxline.modulation import harmonic_series
 from fluxline.specfun import bessel_j0, bessel_j1
-from fluxline.transmon import TransmonParams, levels
+from fluxline.transmon import TransmonParams, f01_asymptotic, levels
 
 from conftest import FIXTURES
 
@@ -210,7 +210,8 @@ class TestJacobians:
     def test_analytic_matches_finite_difference(self, model, x, theta):
         analytic = model.jac(x, theta)
         numeric = finite_difference_jacobian(model, x, theta)
-        scale = np.abs(analytic).max()
+        # per column: a wrong small column hides under the largest one's scale
+        scale = np.abs(analytic).max(axis=0)
         assert np.allclose(analytic, numeric, atol=1e-6 * scale, rtol=1e-6)
 
     def test_beta_model_jacobian(self, q0):
@@ -327,6 +328,24 @@ class TestTuningCurve:
         if noise_rng is not None:
             y = noisy(y, noise_rng)
         return DataSeries(x=cur, y=y)
+
+    # ratio 0.999 within 0.02 of half flux, where f01_asymptotic is still
+    # defined and E_J(phi) written with cos 2 pi phi cancels
+    NEAR_HALF = 0.5 + np.concatenate([-np.geomspace(0.02, 1e-3, 20), np.geomspace(1e-3, 0.02, 20)])
+
+    @pytest.mark.parametrize("e_c,a,b,amps_per_phi0,off,phi", [
+        (182.0, 2140.0, 9040.0, 1.2e-3, 0.05, np.linspace(-0.6, 0.7, 41)),
+        (185.0, 11256.0 * 0.999 / 1.999, 11256.0 / 1.999, 0.9e-3, 0.48, NEAR_HALF),
+    ], ids=["fixture-device", "ratio-0.999-near-half-flux"])
+    def test_closed_form_is_transmons(self, e_c, a, b, amps_per_phi0, off, phi):
+        # one formula: the model is f01_asymptotic bit for bit, for junction
+        # energies of either sign in either order
+        current = (phi - off) * amps_per_phi0
+        for ej1, ej2 in [(a, b), (b, a)]:
+            want = f01_asymptotic(TransmonParams(e_c, ej1, ej2), current / amps_per_phi0 + off)
+            for s1, s2 in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
+                theta = np.array([s1 * ej1, s2 * ej2, e_c, amps_per_phi0, off])
+                assert np.array_equal(tuning_curve_model().fn(current, theta), want), (ej1, ej2, s1, s2)
 
     def test_noise_free_roundtrip_free_ec(self):
         res = fit_tuning_curve(self.make_data())
@@ -705,7 +724,8 @@ class TestTuningInU:
         model = self.walk(tuning_curve_model(), fixed)
         analytic = model.jac(self.X, u)
         numeric = finite_difference_jacobian(model, self.X, u)
-        assert np.allclose(analytic, numeric, atol=1e-6 * np.abs(analytic).max(), rtol=1e-6)
+        # per column, as in TestJacobians
+        assert np.allclose(analytic, numeric, atol=1e-6 * np.abs(analytic).max(axis=0), rtol=1e-6)
 
     @pytest.mark.parametrize("fixed,u", CASES, ids=IDS)
     def test_exact_levels_u_columns_match_forward_differences(self, fixed, u):
