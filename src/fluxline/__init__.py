@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-transmon      flux-dependent spectrum: Mathieu levels, charge-basis oracle
+transmon      flux-dependent spectrum: Mathieu levels from numpy tables
 modulation    time-averaged frequency under RF flux modulation
 signal_chain  attenuation/crosstalk budgets
 rf_network    lumped-element filters and the cryogenic diplexer model

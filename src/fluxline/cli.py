@@ -8,9 +8,9 @@ digits with '.' decimals, in CSV by :func:`fmt` and in JSON by
 
 Imports are per subcommand: the module loads numpy and :mod:`fluxline.config`
 (home of DiplexerSpec and AttenuationChain; it loads no other layer), and each
-``cmd_*`` the layers it runs.  ``spectrum`` and ``modulate --with-oracle``
-load scipy.special on their first level; ``fit`` (its own numpy engine),
-``crosstalk``, ``diplexer`` and ``modulate`` load no scipy at all.
+``cmd_*`` the layers it runs.  No subcommand loads scipy: the exact levels
+of ``spectrum`` and ``modulate --with-oracle`` are numpy polynomial tables,
+and ``fit`` has its own numpy engine.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ xi(phi) = sqrt(2 E_C / E_J(phi)), taken from one rfft of F on a uniform
 flux grid (the paper's hypergeometric form of the same coefficients is
 the tests' reference).  A brute-force
 time-averaging oracle built on the exact f01 at n_g = 0 (that of
-:func:`transmon.levels`: Mathieu values, with the charge basis above
-MATHIEU_Q_MAX) is provided to validate the truncated series.
+:func:`transmon.levels`, the Mathieu values from numpy tables) is provided
+to validate the truncated series.
 """
 
 from __future__ import annotations

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from ._poly import horner
+
 __all__ = ["rising_factorial", "bessel_j0", "bessel_j1", "hyp2f1", "ConvergenceError"]
 
 
@@ -80,15 +82,6 @@ _HANKEL_XQ = ((7.660588700004678e-13, -2.4959955008932025e-12, 6.607770877051606
                -6.633568600166279e-07, 1.4569614819268144e-05, -0.0007697167057643086, 0.3742149922195917))
 
 
-def _horner(coeffs, y):
-    out = y * coeffs[0]
-    out += coeffs[1]
-    for c in coeffs[2:]:
-        out *= y
-        out += c
-    return out
-
-
 def _polys(tables, orders, y):
     # table[nu] at y for each table and each nu in orders, table by table.
     # One order: a Horner pass per polynomial on its Python floats, since
@@ -96,8 +89,8 @@ def _polys(tables, orders, y):
     # coefficients stacked as columns, cheaper on the few hundred arguments
     # of a fit_beta evaluation, each row with its own operations.
     if len(orders) == 1:
-        return [_horner(table[orders[0]], y) for table in tables]
-    return _horner(_stacked(tables, orders), y)
+        return [horner(table[orders[0]], y) for table in tables]
+    return horner(_stacked(tables, orders), y)
 
 
 @functools.lru_cache(maxsize=None)

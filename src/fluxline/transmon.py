@@ -5,16 +5,17 @@ in units of the flux quantum, matching the usual device datasheets.  The
 module provides the closed-form flux dependence of the Josephson energy,
 the standard transmon asymptotic frequency, and the exact f01/f12 on flux
 arrays at zero offset charge, where a transmon's charge dispersion is
-exponentially small: Mathieu characteristic values (Koch et al., PRA 76,
-042319 (2007)), with the charge-basis diagonalization above MATHIEU_Q_MAX
-and where a Mathieu value is NaN.  The charge basis also serves as the
-numerical oracle for everything built on top.
+exponentially small.  There the levels are Mathieu characteristic values
+(Koch et al., PRA 76, 042319 (2007)), which :func:`levels` takes from
+fixed-degree polynomial tables in numpy alone, within 1e-13 relative of a
+40-digit solve for every q = E_J/(2 E_C) >= 0.  The test suite derives the
+tables again and keeps a charge-basis diagonalization as the oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 # the pure-data parameter type lives with the other document types, so that
 # loading a config needs no numpy; re-exported here under its old name
 from .config import TransmonParams
+from ._poly import horner
 
 __all__ = [
     "TransmonParams",
@@ -34,35 +36,98 @@ __all__ = [
     "diagonalize",
 ]
 
-MIN_BASIS_SIZE = 41
-
-# the low levels spread over ~q^(1/4) charge states; half-widths of 4.3 to
-# 4.6 q^(1/4) (q = 300 to 1e5) reach 1e-8 MHz, so 6 q^(1/4) has margin
-BASIS_HALF_WIDTH_PER_Q4 = 6.0
-
-# scipy's Mathieu values hold up to here (checked against a 241-state
-# charge-basis solve); at q = 2980 its a_2 is off by 434 E_C
-MATHIEU_Q_MAX = 1000.0
-
-# |f01(N) - f01(N-4)| below this marks the diagonalization as converged
-CONVERGENCE_TOL_MHZ = 1e-3
-
-
-# scipy.special and scipy.linalg are imported on first use (about 0.4 and
-# 0.06 s), so the parts of the package that never need a level do not pay
-# for them; the caches keep that import off the per-call path of levels
-@functools.cache
-def _mathieu():
-    from scipy.special import mathieu_a, mathieu_b
-
-    return mathieu_a, mathieu_b
-
-
-@functools.cache
-def _eigh_tridiagonal():
-    from scipy.linalg import eigh_tridiagonal
-
-    return eigh_tridiagonal
+# Exact levels at n_g = 0: f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2),
+# Mathieu characteristic values at q = E_J/(2 E_C), in seven segments of q,
+# each with a degree-16 polynomial per level evaluated by Horner's rule.
+# Segment k holds the q below _LEVEL_Q_EDGES[k] and at or above the edge
+# before it; the last holds q >= 64.  Below q = 16 the polynomials are in
+# q: f01/E_C = P01(y), f12/E_C = q^2 P12(y) (a_2 - b_2 -> q^2/2 as q -> 0).
+# From q = 16 on they are in t = q^(-1/2), t in [1/8, 1/4] and [0, 1/8]:
+# f01/E_C = sqrt(q) P01(y), f12/E_C = sqrt(q) P12(y), where DLMF 28.8.1
+# gives a_m ~ -2q + 2(2m+1) sqrt(q) - ...  y maps the segment onto [-1, 1].
+# Each polynomial is the Chebyshev interpolant of the levels solved from the
+# charge-basis tridiagonal at 40 digits, in monomials of y, highest power
+# first; tests/test_transmon.py derives them again
+_LEVEL_Q_EDGES = (1.0, 2.5, 5.0, 9.5, 16.0, 64.0)
+_LEVEL_SEGMENTS = ((0.0, 1.0), (1.0, 2.5), (2.5, 5.0), (5.0, 9.5), (9.5, 16.0), (0.125, 0.25), (0.0, 0.125))
+_LEVEL_T_FROM = 5  # the first segment in t; q = 16 starts it
+# calls on at most this many fluxes go point by point on Python floats
+_LEVELS_PER_POINT_MAX = 16
+# y = x a + b on each segment, x being q or t
+_LEVEL_AFFINE = tuple((2.0 / (hi - lo), -(hi + lo) / (hi - lo)) for lo, hi in _LEVEL_SEGMENTS)
+_F01 = (
+    (-4.17737580638167e-11, 9.32589967514099e-10, -1.3963963006705e-09, -1.1759193244341415e-08,
+     4.349445827054731e-08, 5.385731771886464e-08, -6.840633806403223e-07, 9.058597222776365e-07,
+     7.21550582472168e-06, -3.1162825938236774e-05, -3.018880038347811e-05, 0.0006097741123966005,
+     -0.0012410744853493707, -0.010326137881879341, 0.0863916176475028, 0.19582826625792768,
+     4.1009547606924395),
+    (-5.389506776645507e-10, 6.730042069722841e-10, 4.955373390295047e-09, -2.459198488569642e-08,
+     6.785582533758242e-08, -8.437989306968625e-08, -3.7628012812943444e-07, 3.1795648218889338e-06,
+     -1.3046333831714918e-05, 3.194759398382692e-05, -3.1473373191637e-07, -0.0005232051933334258,
+     0.0037184746445166885, -0.017374391038930608, 0.041118367412044235, 0.6545572432097326,
+     4.964034865962171),
+    (-3.4659405493849634e-10, 1.450440044588874e-09, -3.790753181285647e-09, 1.0495950378159701e-08,
+     -2.4122289345576372e-08, 1.8094773466743183e-08, 2.0819832967337894e-07, -1.7244009239052485e-06,
+     9.468770447686133e-06, -4.4727364131604264e-05, 0.00019659959106721128, -0.0008168417157194915,
+     0.0029886789847807945, -0.006718588526621, -0.0325027658850904, 1.1345587307449723, 6.801837426159534),
+    (2.43110022921377e-10, -1.1264690831184268e-09, 3.774061028873391e-09, -1.459860689018653e-08,
+     5.6685624891375256e-08, -2.1365372017566463e-07, 8.182188786078585e-07, -3.23303712763391e-06,
+     1.293800495537454e-05, -4.9943526377835456e-05, 0.00017144918136739523, -0.00043565792448734583,
+     5.2251659337903724e-05, 0.009983324149455037, -0.11065297963185762, 1.6574079249257836,
+     9.676824113411145),
+    (2.33933566502157e-11, -1.0553268980506106e-10, 3.964813265743521e-10, -1.923403652483268e-09,
+     9.297527861224023e-09, -4.1981999073395644e-08, 1.75812172109704e-07, -6.57299241098265e-07,
+     1.998528163502354e-06, -3.2150640343683116e-06, -1.6856757925421096e-05, 0.00023714849390637656,
+     -0.0019245881090603385, 0.014139498354970978, -0.1166349790534081, 1.8312567168140803,
+     13.197514523906474),
+    (-1.1344856243913818e-10, 1.9347382089650236e-11, 1.4412353522657902e-09, -1.6477073666616595e-09,
+     -1.183133458438884e-08, 2.5048608590029915e-08, 9.759039593242e-08, -2.2298876138887787e-07,
+     -1.0107751289721049e-06, 6.389395701119715e-07, 1.0114628360595591e-05, 2.6555400119363375e-05,
+     3.238627616915336e-05, -5.517366005038923e-05, -0.0015022648631433726, -0.06976619563711399,
+     3.802397495006023),
+    (2.0451495933696985e-12, 2.338484819161647e-11, 5.2250267828396025e-11, 1.8338262896300535e-11,
+     -4.800511350006756e-11, -3.049145985353711e-11, 2.2372822849232802e-11, -1.3599253742881145e-11,
+     -2.7994326053419025e-10, -2.402165332136987e-09, -2.3363716307195377e-08, -2.5656071400125293e-07,
+     -3.2655999237917644e-06, -5.094740304181791e-05, -0.0011120699879999729, -0.06458320268915305,
+     3.9364809501454783),
+)
+_F12 = (
+    (2.145120103398773e-11, -3.55346132763799e-10, 4.309784278062952e-10, 4.551635000432031e-09,
+     -1.4960290248383742e-08, -2.3991626487692766e-08, 2.367732064137743e-07, -2.3196803793711461e-07,
+     -2.509010012679718e-06, 8.872321584192554e-06, 1.3625960427346855e-05, -0.00016077937505937164,
+     0.0001877422123643255, 0.002227840121437234, -0.009906495796311223, -0.024937576436279654,
+     0.4868455192364938),
+    (1.772389618244492e-10, -1.0407370071009112e-10, -2.190690774239065e-09, 8.91337100405328e-09,
+     -1.954087367247049e-08, 4.321142890078628e-09, 2.056350481809231e-07, -1.1381621447760965e-06,
+     3.523344192063867e-06, -4.591325517609452e-06, -2.095080526457882e-05, 0.00017952175015055927,
+     -0.0007218947963215675, 0.0014991097468753912, 0.003082385601690418, -0.059165682557854204,
+     0.39444019489354365),
+    (1.4487422655048403e-10, -5.123058593022968e-10, 9.306534857743453e-10, -1.5517129071561195e-09,
+     -3.4040321983838153e-10, 2.5271268662603005e-08, -1.6700280123950116e-07, 7.814692756078238e-07,
+     -3.011497434842933e-06, 1.0089107091236394e-05, -2.7823764440581265e-05, 4.132628214518339e-05,
+     0.00011766096814773201, -0.0013336192774182037, 0.009510303467641871, -0.061370952357748615,
+     0.2670413604248684),
+    (1.3104125773484838e-10, 1.1782333396689497e-09, -5.545852318669426e-09, 2.0787206357670413e-09,
+     2.5837263902426834e-08, -1.9598081244847503e-08, -2.749582372029523e-07, 9.64789285227785e-07,
+     -1.9935167258641987e-08, -9.55166874483437e-06, 3.434750233007595e-05, -6.820311983129132e-05,
+     0.00024112932379533562, -0.001945395462816167, 0.011973790087256795, -0.05106862619604867,
+     0.14864615131998524),
+    (-9.221398138770781e-11, 8.012571003177414e-11, 8.726861336691323e-10, -3.609264677237751e-09,
+     9.546644384425946e-09, -1.750514857934734e-08, 2.763040400001246e-10, 1.5503487698084572e-07,
+     -6.795406771376416e-07, 1.197570373183962e-06, 4.9402200528984555e-06, -5.982089286047053e-05,
+     0.00036435402860106856, -0.0017346909587302528, 0.007089313922804932, -0.025340730825170143,
+     0.07321246542313127),
+    (1.070193688725604e-09, 1.1906515225262198e-08, -2.736570434126618e-08, -1.0898765856600733e-07,
+     3.003160345890646e-07, 4.784559065175718e-07, -2.7476285243675e-06, -2.0175620806814783e-06,
+     2.4808178677500628e-05, 4.377815547601855e-05, -0.00010399488242869615, -0.0005351630892395701,
+     -0.0010792268077989052, -0.0017721553893119686, -0.007257307240146213, -0.15228324303851118,
+     3.5893022012069142),
+    (3.409395348180356e-10, -3.8991178517058686e-10, -3.3698753306744107e-09, -2.7933704077944273e-09,
+     2.5649262927100686e-09, 2.9112911954904352e-09, -1.6488242787063478e-09, -3.2776167403945404e-09,
+     -8.800640147302894e-09, -5.795778281832637e-08, -4.045734842731304e-07, -3.0898259150643153e-06,
+     -2.6778897191156045e-05, -0.0002772217291260997, -0.003870666264729602, -0.13200341373950178,
+     3.8716140738469496),
+)
 
 
 class TransmonRegimeError(ValueError):
@@ -96,8 +161,9 @@ def effective_ej(params: TransmonParams, phi):
 def _squid_ej(a, b, phi):
     """E_J(phi), cos pi phi and sin pi phi; junction energies a, b >= 0 in either order."""
     d = (b - a) / (a + b)
-    c = np.cos(np.pi * phi)
-    s = np.sin(np.pi * phi)
+    x = np.pi * phi
+    c = np.cos(x)
+    s = np.sin(x)
     return (a + b) * np.sqrt(c * c + d * d * s * s), c, s
 
 
@@ -120,74 +186,86 @@ def _closed_form_f01(ej, e_c):
     return np.sqrt(8.0 * ej * e_c) - e_c
 
 
-def _charge_basis_levels(e_c: float, ej: float, size: int) -> np.ndarray:
-    # H = 4 E_C n^2 - E_J/2 (|n><n+1| + h.c.) in the charge basis at n_g = 0
-    half = size // 2
-    n = np.arange(-half, half + 1, dtype=float)
-    diag = 4.0 * e_c * n**2
-    off = np.full(size - 1, -0.5 * ej)
-    return _eigh_tridiagonal()(diag, off, select="i", select_range=(0, 2))[0]
-
-
 def levels(params: TransmonParams, phi):
     """Exact f01, f12 (MHz) at n_g = 0 and a convergence flag, arrays of the shape of phi.
 
-    A point is exact when q = E_J/(2 E_C) <= MATHIEU_Q_MAX and scipy's
-    Mathieu values there are finite; its levels are f01 = E_C (b_2 - a_0)
-    and f12 = E_C (a_2 - b_2), flagged converged.  Every other point is
-    diagonalized in a charge basis of 2 ceil(BASIS_HALF_WIDTH_PER_Q4 q^(1/4)) + 1
-    states, and at least MIN_BASIS_SIZE, and flagged unconverged when
-    f01 moves by CONVERGENCE_TOL_MHZ with four fewer states; that is
-    flagged, not raised.  A non-finite flux, or one whose pi phi
-    overflows, raises ValueError naming it.
-
-    A call whose points are all exact returns the Mathieu values as they
-    come, and a scalar flux gives numpy scalars.
+    f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2), Mathieu characteristic
+    values at q = E_J(phi)/(2 E_C), from the module's polynomial tables:
+    within 1e-13 relative of a 40-digit solve at every q >= 0, with no
+    basis to truncate, so the flag is always true.  A non-finite flux, or
+    one whose pi phi overflows, raises ValueError naming it.  A scalar
+    flux gives numpy scalars, each bit for bit the element of an array
+    call at that flux.
     """
-    return _levels(params, phi, True)
+    f01, f12 = _levels(params, phi, True)
+    return f01, f12, np.ones(f01.shape, dtype=bool) if isinstance(f01, np.ndarray) else np.True_
 
 
 def _f01(params: TransmonParams, phi):
-    """levels(params, phi)[0], bit for bit, without computing the a_2 of f12."""
+    """levels(params, phi)[0], bit for bit, without evaluating the f12 table."""
     return _levels(params, phi, False)[0]
 
 
 def _levels(params: TransmonParams, phi, upper: bool):
-    # f01, f12 (None unless upper) and the flags of levels
+    # f01 and f12 (None unless upper) at n_g = 0
+    phi = np.asarray(phi, dtype=float)
+    e_c = params.e_c
+    if phi.size <= _LEVELS_PER_POINT_MAX:
+        # point by point on Python floats, ~1 us a point against ~15 us for
+        # a numpy pass of any size.  A finite pi phi keeps E_J finite and
+        # quiet, so it needs no errstate
+        flat = phi.ravel().tolist()
+        for i, value in enumerate(flat):
+            if not math.isfinite(math.pi * value):
+                _reject(phi, i)
+        if not phi.ndim:
+            q = float(effective_ej(params, flat[0]) / (2.0 * e_c))
+            f01, f12 = _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, upper, math.sqrt)
+            return np.float64(f01), None if f12 is None else np.float64(f12)
+        q = (effective_ej(params, phi) / (2.0 * e_c)).ravel().tolist()
+        rows = [_segment_levels(bisect_right(_LEVEL_Q_EDGES, x), x, e_c, upper, math.sqrt) for x in q]
+        f01 = np.array([row[0] for row in rows]).reshape(phi.shape)
+        return f01, np.array([row[1] for row in rows]).reshape(phi.shape) if upper else None
     # a flux past ~5.7e307 overflows pi phi into a NaN q, rejected by name below
     with np.errstate(over="ignore", invalid="ignore"):
-        ej = effective_ej(params, np.asarray(phi, dtype=float))
-    q = ej / (2.0 * params.e_c)
-    mathieu_a, mathieu_b = _mathieu()
-    e0, e1 = mathieu_a(0, q), mathieu_b(2, q)
-    f01 = params.e_c * (e1 - e0)
-    f12 = params.e_c * (mathieu_a(2, q) - e1) if upper else None
-    # scipy returns NaN for a_0 on part of q in [667.25, 733.07] and for b_2
-    # near q = 820.57.  Its a_2 was finite wherever f01 was on q in [0, 1000]
-    # (steps of 5e-4, and 1e-5 and 1e-6 in those windows), so f01 alone
-    # marks the same points.  The sum is finite when both levels are; one
-    # isfinite on it, and no .all() on a numpy scalar, keep a scalar call
-    # ~3 us cheaper
-    exact = (q <= MATHIEU_Q_MAX) & np.isfinite(f01 + f12 if upper else f01)
-    if exact.all() if isinstance(exact, np.ndarray) else exact:
-        return f01, f12, exact
-    ej, q = np.ravel(ej), np.ravel(q)
-    f01, converged = np.ravel(f01), np.ravel(exact)
-    f12 = np.ravel(f12) if upper else None
-    for i in np.flatnonzero(~converged):
-        if not math.isfinite(q[i]):
-            value = np.ravel(phi)[i]
-            requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"
-            raise ValueError(f"flux must {requirement}, got phi = {value}")
-        size = max(MIN_BASIS_SIZE, 2 * math.ceil(BASIS_HALF_WIDTH_PER_Q4 * q[i] ** 0.25) + 1)
-        lv = _charge_basis_levels(params.e_c, ej[i], size)
-        smaller = _charge_basis_levels(params.e_c, ej[i], size - 4)
-        f01[i] = lv[1] - lv[0]
-        if upper:
-            f12[i] = lv[2] - lv[1]
-        converged[i] = abs(f01[i] - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ
-    shape = np.shape(phi)
-    return f01.reshape(shape), None if f12 is None else f12.reshape(shape), converged.reshape(shape)
+        q = effective_ej(params, phi) / (2.0 * e_c)
+    lo, hi = q.min(), q.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        _reject(phi, np.flatnonzero(~np.isfinite(q.ravel()))[0])
+    first, last = bisect_right(_LEVEL_Q_EDGES, lo), bisect_right(_LEVEL_Q_EDGES, hi)
+    if first == last:
+        f01, f12 = _segment_levels(first, q, e_c, upper, np.sqrt)
+    else:
+        # one numpy pass per segment present
+        segment = np.searchsorted(_LEVEL_Q_EDGES, q, side="right")
+        f01, f12 = np.empty_like(q), np.empty_like(q) if upper else None
+        for k in range(first, last + 1):
+            at = segment == k
+            if at.any():
+                f01[at], upper_k = _segment_levels(k, q[at], e_c, upper, np.sqrt)
+                if upper:
+                    f12[at] = upper_k
+    return f01, f12
+
+
+def _reject(phi, i):
+    value = np.ravel(phi)[i]
+    requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"
+    raise ValueError(f"flux must {requirement}, got phi = {value}")
+
+
+def _segment_levels(k, q, e_c, upper, sqrt):
+    # f01 and f12 (None unless upper) on segment k, q a float or an array
+    a, b = _LEVEL_AFFINE[k]
+    if k < _LEVEL_T_FROM:
+        y = q * a + b
+        scale01, scale12 = e_c, q * q * e_c
+    else:
+        s = sqrt(q)
+        y = a / s + b
+        scale01 = scale12 = s * e_c
+    f01 = horner(_F01[k], y) * scale01
+    return f01, horner(_F12[k], y) * scale12 if upper else None
 
 
 def diagonalize(params: TransmonParams, point: FluxPoint) -> SpectrumResult:

@@ -1,9 +1,11 @@
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from fluxline.transmon import CONVERGENCE_TOL_MHZ, TransmonParams, _charge_basis_levels, effective_ej
+from fluxline.transmon import TransmonParams, effective_ej
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
@@ -34,10 +36,24 @@ DEVICE_TABLE = {
 }
 
 
+# |f01(N) - f01(N-4)| below this marks a size-N charge basis as converged
+CONVERGENCE_TOL_MHZ = 1e-3
+
+
+def _charge_basis_levels(e_c: float, ej: float, size: int) -> np.ndarray:
+    # H = 4 E_C n^2 - E_J/2 (|n><n+1| + h.c.) in the charge basis at n_g = 0
+    half = size // 2
+    n = np.arange(-half, half + 1, dtype=float)
+    diag = 4.0 * e_c * n**2
+    off = np.full(size - 1, -0.5 * ej)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 2))[0]
+
+
 def charge_basis(p, phi, size):
     """f01, f12 and the converged flag of a size-state charge basis, in the shape of phi.
 
-    Converged as levels flags it: f01 moves by less than CONVERGENCE_TOL_MHZ
+    The oracle of the exact levels, independent of transmon's tables: a
+    point is converged when its f01 moves by less than CONVERGENCE_TOL_MHZ
     with four fewer states.
     """
     rows = []
@@ -46,6 +62,26 @@ def charge_basis(p, phi, size):
         f01 = lv[1] - lv[0]
         rows.append((f01, lv[2] - lv[1], abs(f01 - (smaller[1] - smaller[0])) < CONVERGENCE_TOL_MHZ))
     return tuple(np.reshape(column, np.shape(phi)) for column in zip(*rows))
+
+
+def chebyshev_monomials(f, degree):
+    """Coefficients in y, highest power first, of the polynomial of the given
+    degree that interpolates f at the first-kind Chebyshev points of [-1, 1]:
+    its Chebyshev coefficients as cosine sums, then T_j as exact integer
+    monomial lists (T_j+1 = 2y T_j - T_j-1).  No fit, no linear algebra."""
+    n = degree + 1
+    theta = [mpmath.pi * (2 * k + 1) / (2 * n) for k in range(n)]
+    values = [f(mpmath.cos(th)) for th in theta]
+    cheb = [2 * mpmath.fsum(v * mpmath.cos(j * th) for v, th in zip(values, theta)) / n for j in range(n)]
+    cheb[0] /= 2
+    mono = [mpmath.mpf(0)] * n
+    t_prev, t_j = [1], [0, 1]
+    for j, c in enumerate(cheb):
+        if j >= 2:
+            t_prev, t_j = t_j, [2 * u - v for u, v in zip([0] + t_j, t_prev + [0, 0])]
+        for i, k in enumerate(t_prev if j == 0 else t_j):
+            mono[i] += c * k
+    return tuple(float(v) for v in reversed(mono))
 
 
 @pytest.fixture(scope="session")

@@ -42,6 +42,7 @@ SPECTRUM = ("spectrum", CONFIG, "--qubit", "q0", "--points", "5", "--out", "s.cs
 CROSSTALK = ("crosstalk", CONFIG, "--qubit", "q0", "--gamma-db", "85", "--v-p", "0.3", "--out", "x.json")
 DIPLEXER = ("diplexer", CONFIG, "--out", "d.csv", "--report-out", "d.json")
 MODULATE = ("modulate", CONFIG, "--qubit", "q0", "--points", "3", "--out", "m.csv")
+MODULATE_ORACLE = (*MODULATE, "--with-oracle")
 
 
 def test_package_and_config_load_no_scipy(tmp_path):
@@ -59,15 +60,16 @@ def test_cli_module_loads_no_scipy(tmp_path):
     assert loaded_by("import fluxline.cli\n", tmp_path) == set()
 
 
-@pytest.mark.parametrize("argv", [CROSSTALK, DIPLEXER, MODULATE], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [CROSSTALK, DIPLEXER, MODULATE, MODULATE_ORACLE],
+                         ids=["crosstalk", "diplexer", "modulate", "modulate-oracle"])
 def test_numpy_only_subcommands_load_no_scipy(tmp_path, argv):
+    # the oracle's exact levels are transmon's numpy tables
     assert loaded_by(cli_run(*argv), tmp_path) == set()
 
 
 def test_spectrum_loads_no_optimizer(tmp_path):
-    loaded = loaded_by(cli_run(*SPECTRUM), tmp_path)
-    assert "scipy.special" in loaded  # the Mathieu levels
-    assert not {m for m in loaded if m.startswith("scipy.optimize")}
+    # nor any other scipy module: the Mathieu levels are numpy tables
+    assert loaded_by(cli_run(*SPECTRUM), tmp_path) == set()
 
 
 @pytest.mark.parametrize("argv, unused", [

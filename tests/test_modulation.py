@@ -350,8 +350,8 @@ class TestOracle:
     def test_half_period_equals_full_period_sum(self, n_steps):
         # the oracle samples theta in [0, pi] and counts the mirrored samples
         # twice; the full-period sum it replaced agrees within 1e-11 MHz,
-        # odd n_steps (no sample at theta = pi) and a device past
-        # MATHIEU_Q_MAX (the charge basis) included
+        # odd n_steps (no sample at theta = pi) and a device with q up to
+        # 1100 included
         rng = np.random.default_rng([20210901, n_steps])
         devices = [TransmonParams(e_c=182.0, e_j1=2140.0, e_j2=9040.0),
                    TransmonParams(e_c=185.0, e_j1=5500.0, e_j2=5600.0)]

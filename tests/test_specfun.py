@@ -24,6 +24,8 @@ from fluxline.specfun import (
     rising_factorial,
 )
 
+from conftest import chebyshev_monomials
+
 # first positive zero of J0, frozen from a bisection root-find on the
 # ascending series (see test_first_zero_from_series)
 J0_FIRST_ZERO = 2.404825557695773
@@ -139,26 +141,6 @@ class TestBessel:
 def mp_besselj(nu, x):
     with mpmath.workdps(30):
         return np.array([float(mpmath.besselj(nu, float(v))) for v in np.ravel(x)])
-
-
-def chebyshev_monomials(f, degree):
-    """Coefficients in y, highest power first, of the polynomial of the given
-    degree that interpolates f at the first-kind Chebyshev points of [-1, 1]:
-    its Chebyshev coefficients as cosine sums, then T_j as exact integer
-    monomial lists (T_j+1 = 2y T_j - T_j-1).  No fit, no linear algebra."""
-    n = degree + 1
-    theta = [mpmath.pi * (2 * k + 1) / (2 * n) for k in range(n)]
-    values = [f(mpmath.cos(th)) for th in theta]
-    cheb = [2 * mpmath.fsum(v * mpmath.cos(j * th) for v, th in zip(values, theta)) / n for j in range(n)]
-    cheb[0] /= 2
-    mono = [mpmath.mpf(0)] * n
-    t_prev, t_j = [1], [0, 1]
-    for j, c in enumerate(cheb):
-        if j >= 2:
-            t_prev, t_j = t_j, [2 * u - v for u, v in zip([0] + t_j, t_prev + [0, 0])]
-        for i, k in enumerate(t_prev if j == 0 else t_j):
-            mono[i] += c * k
-    return tuple(float(v) for v in reversed(mono))
 
 
 def bessel_coefficients():

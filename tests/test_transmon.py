@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +12,6 @@ from scipy.special import mathieu_a, mathieu_b
 
 from fluxline import transmon
 from fluxline.transmon import (
-    MATHIEU_Q_MAX,
     FluxPoint,
     TransmonParams,
     TransmonRegimeError,
@@ -21,8 +21,92 @@ from fluxline.transmon import (
     levels,
 )
 
-from conftest import DEVICE_TABLE, charge_basis
+from conftest import DEVICE_TABLE, charge_basis, chebyshev_monomials
 
+
+def sector(q, even, size):
+    """Diagonal and squared off-diagonal of the n_g = 0 charge-basis
+    tridiagonal in units of E_C (4 n^2 on the diagonal, -q = -E_J/(2 E_C)
+    off it), on the states even in n (c_n = c_-n, whose eigenvalues are
+    a_0, a_2, ...) or odd (c_n = -c_-n: b_2, b_4, ...)."""
+    if even:
+        return [4 * n * n for n in range(size)], [2 * q * q] + [q * q] * (size - 2)
+    return [4 * n * n for n in range(1, size + 1)], [q * q] * (size - 1)
+
+
+def characteristic_value(q, even, index):
+    """a_(2 index) (even) or b_(2 index + 2) (odd) at q > 0, to the working
+    precision of mpmath: Sturm bisection in floats brackets the index-th
+    eigenvalue of the sector, Newton on det(T - lambda) from the pivots of
+    its LDL^T refines it.  12 + 8 q^(1/4) states agree with 20 + 14 q^(1/4)
+    to 1e-40 up to q = 1.4e7, the largest q of a table node."""
+    size = 12 + int(8 * float(q) ** 0.25)
+    diag, off2 = sector(float(q), even, size)
+    lo, hi = -3.0 * float(q) - 1.0, 3.0 * float(q) + 8.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        pivot, below = None, 0
+        for i, a in enumerate(diag):
+            pivot = a - mid if i == 0 else a - mid - off2[i - 1] / pivot
+            pivot = pivot or 1e-300  # step past an exact zero
+            below += pivot < 0
+        lo, hi = (lo, mid) if below > index else (mid, hi)
+    diag, off2 = sector(mpmath.mpf(q), even, size)
+    lam = mpmath.mpf(0.5 * (lo + hi))
+    for _ in range(8):
+        # d/dlambda log det(T - lambda), from the pivots and their derivatives
+        pivot, slope = diag[0] - lam, mpmath.mpf(-1)
+        total = slope / pivot
+        for a, b2 in zip(diag[1:], off2):
+            ratio = b2 / pivot
+            slope = ratio * slope / pivot - 1
+            pivot = a - lam - ratio
+            total += slope / pivot
+        lam -= 1 / total
+        if abs(1 / total) < mpmath.eps * 1e3 * (1 + abs(lam)):
+            return lam
+    raise AssertionError(f"Newton did not converge at q = {q}")
+
+
+def levels_over_ec(q):
+    """(f01, f12)/E_C = (b_2 - a_0, a_2 - b_2) at q > 0, at mpmath's precision."""
+    a0, b2, a2 = (characteristic_value(q, even, index) for even, index in [(True, 0), (False, 0), (True, 1)])
+    return b2 - a0, a2 - b2
+
+
+def level_tables():
+    """transmon's _F01 and _F12 from the charge basis at 40 digits: on a
+    segment [lo, hi] of q below q = 16, f01/E_C and f12/(E_C q^2) at
+    q = lo + (hi - lo)(1 + y)/2; on a segment of t = q^(-1/2), f01/E_C and
+    f12/E_C times t at q = 1/t^2; each interpolated at the degree of the
+    tables."""
+    degree = len(transmon._F01[0]) - 1
+    f01, f12 = [], []
+    with mpmath.workdps(40):
+        for k, (lo, hi) in enumerate(transmon._LEVEL_SEGMENTS):
+            nodes = {}
+
+            def at(y, which, lo=mpmath.mpf(lo), hi=mpmath.mpf(hi), in_t=k >= transmon._LEVEL_T_FROM):
+                if y not in nodes:
+                    x = lo + (hi - lo) * (1 + y) / 2
+                    if in_t:
+                        g01, g12 = levels_over_ec(1 / (x * x))
+                        nodes[y] = (g01 * x, g12 * x)
+                    else:
+                        g01, g12 = levels_over_ec(x)
+                        nodes[y] = (g01, g12 / (x * x))
+                return nodes[y][which]
+
+            f01.append(chebyshev_monomials(lambda y: at(y, 0), degree))
+            f12.append(chebyshev_monomials(lambda y: at(y, 1), degree))
+    return tuple(f01), tuple(f12)
+
+
+def at_q(q, e_c=1.0):
+    """Parameters with q = E_J/(2 E_C) exactly at phi = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the regime advisory below q ~ 10
+        return TransmonParams(e_c=e_c, e_j1=q * e_c, e_j2=q * e_c)
 
 
 class TestParams:
@@ -165,7 +249,7 @@ class TestDiagonalize:
 
 class TestLevels:
     @settings(deadline=None, max_examples=60)
-    @example(math.log(2000.0), 400.0, 1.0, [0.0, 0.5])  # q = MATHIEU_Q_MAX
+    @example(math.log(2000.0), 400.0, 1.0, [0.0, 0.5])  # q = 1000
     @given(
         st.floats(min_value=math.log(0.05), max_value=math.log(2000.0)),
         st.floats(min_value=50.0, max_value=400.0),
@@ -188,26 +272,19 @@ class TestLevels:
         np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
         np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
 
-    def test_fallback_above_mathieu_limit(self):
-        # q = E_J/(2 E_C) = 3000 at phi = 0 and 2853 at phi = 0.1, where
-        # scipy's a_2 is not reliable; at phi = 0.45, q = 469 is in range.
-        # The fallback basis is sized from q: the fixed 41 states were off
-        # by 0.31 MHz in f01 here and flagged unconverged
+    def test_large_q_matches_charge_basis(self):
+        # q = E_J/(2 E_C) = 3000 at phi = 0, 2853 at phi = 0.1 and 469 at
+        # phi = 0.45: past q = 1000, where scipy's a_2 is off by 434 E_C at
+        # q = 2980, and far past the 41 states of the small devices' oracle
         p = TransmonParams(e_c=100.0, e_j1=3.0e5, e_j2=3.0e5)
         phi = np.array([0.0, 0.1, 0.45])
         q = effective_ej(p, phi) / (2.0 * p.e_c)
-        assert (q[:2] > MATHIEU_Q_MAX).all() and q[2] < MATHIEU_Q_MAX
+        assert q[0] == 3000.0 and q[1] > 2850.0 and q[2] < 1000.0
         f01, f12, converged = levels(p, phi)
-        ref01, ref12, ref_conv = charge_basis(p, phi[:2], 121)
+        ref01, ref12, ref_conv = charge_basis(p, phi, 121)
         assert converged.all() and ref_conv.all()
-        np.testing.assert_allclose(f01[:2], ref01, rtol=0.0, atol=1e-6)
-        np.testing.assert_allclose(f12[:2], ref12, rtol=0.0, atol=1e-6)
-        # 41 states are not converged here
-        small01, _, small_converged = charge_basis(p, 0.0, 41)
-        assert not small_converged
-        assert abs(small01 - f01[0]) > 0.1
-        b2, a0, a2 = mathieu_b(2, q[2]), mathieu_a(0, q[2]), mathieu_a(2, q[2])
-        assert f01[2] == p.e_c * (b2 - a0) and f12[2] == p.e_c * (a2 - b2)
+        np.testing.assert_allclose(f01, ref01, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(f12, ref12, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("phi", [float("nan"), [0.1, float("nan")], [0.0, float("inf")]])
     def test_nonfinite_flux_rejected(self, q0, phi):
@@ -223,6 +300,10 @@ class TestLevels:
         res = diagonalize(q0, FluxPoint(phi=float(phi[1, 2])))
         assert (res.f01, res.f12) == (f01[1, 2], f12[1, 2])
         assert res.converged
+        # a grid past the point-by-point size, and none at all
+        big = np.linspace(-0.5, 0.5, 40).reshape(2, 4, 5)
+        assert all(np.shape(v) == (2, 4, 5) for v in levels(q0, big))
+        assert all(np.shape(v) == (0,) for v in levels(q0, np.empty(0)))
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -232,31 +313,27 @@ class TestLevels:
         st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6),
     )
     def test_mathieu_values_do_not_depend_on_the_call(self, e_c, ej_sum_over_ec, r, phis):
-        # an all-Mathieu call returns the Mathieu values as they come; a call
-        # with one point above MATHIEU_Q_MAX diagonalizes that point too.
-        # Both, and every scalar call, must give the same bits at the Mathieu
-        # points.  The big device has q = 3000 at phi = 0 and q <= 1000 on
-        # |phi| >= 0.45
+        # up to 16 fluxes go point by point on Python floats, more in a numpy
+        # pass per segment of q: every point must get the same bits from a
+        # scalar call, a small array and a grid of 41 that spans segments
+        # (q from 12.5 to 75 at phi = 0 here, down to 0 at phi = 1/2)
         e_sum = e_c * ej_sum_over_ec
         p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
         phi = np.array(phis)
         lean = levels(p, phi)
+        grid = levels(p, np.concatenate([phi, np.linspace(-0.5, 0.5, 41 - phi.size)]))
         for i, value in enumerate(phi):
             scalar = levels(p, value)
             assert np.shape(scalar[0]) == ()
             assert (scalar[0], scalar[1], bool(scalar[2])) == (lean[0][i], lean[1][i], True)
-        big = TransmonParams(e_c=100.0, e_j1=3.0e5, e_j2=3.0e5)
-        phi = np.array([0.0, *(0.45 + 0.05 * (phi + 1.0) / 2.0)])
-        masked = levels(big, phi)
-        assert effective_ej(big, 0.0) / (2.0 * big.e_c) > MATHIEU_Q_MAX
-        for got, want in zip(masked, levels(big, phi[1:])):
-            assert np.array_equal(got[1:], want)
+            assert (scalar[0], scalar[1]) == (grid[0][i], grid[1][i])
 
     @pytest.mark.parametrize("phi", [0.0, [0.0, 0.1]], ids=["scalar", "array"])
-    def test_nan_mathieu_value_goes_to_the_charge_basis(self, phi):
+    def test_scipy_nan_point_matches_charge_basis(self, phi):
         # q = 667.25855 at phi = 0, where scipy's mathieu_a(0, q) is NaN
-        # (part of q in [667.25, 733.07] is): the point is diagonalized
+        # (part of q in [667.25, 733.07] is)
         p = TransmonParams(e_c=200.0, e_j1=133451.71, e_j2=133451.71)
+        assert np.isnan(mathieu_a(0, effective_ej(p, 0.0) / (2.0 * p.e_c)))
         f01, f12, converged = levels(p, phi)
         ref01, ref12, _ = charge_basis(p, phi, 121)
         assert np.isfinite(f01).all() and np.isfinite(f12).all() and np.all(converged)
@@ -277,9 +354,9 @@ class TestF01Only:
     """The private f01-only path of the oracle and the tuning refinement."""
 
     # symmetric SQUIDs at E_C = 0.5: q = E_J(phi) = E_Jsum cos(pi phi).  Up to
-    # q = 1100 (the charge basis past MATHIEU_Q_MAX), and dense grids down
-    # from q = 667.30, 733.20 and 820.58, where scipy's a_0 or b_2 is NaN at
-    # scattered q
+    # q = 1100 (past q = 1000, where scipy's values stop holding), and dense
+    # grids down from q = 667.30, 733.20 and 820.58, where scipy's a_0 or b_2
+    # is NaN at scattered q
     CASES = {
         "to-q-1100": (1100.0, np.linspace(0.0, 0.5, 1101)),
         "a0-nan-667": (667.30, np.linspace(0.0, 0.004, 4001)),
@@ -294,27 +371,91 @@ class TestF01Only:
         q = effective_ej(p, phi)
         mathieu_nan = ~np.isfinite(mathieu_b(2, q) - mathieu_a(0, q))
         if case == "to-q-1100":
-            assert (q > MATHIEU_Q_MAX).any() and not mathieu_nan.any()
+            assert q.max() == 1100.0 and not mathieu_nan.any()
         else:
             assert mathieu_nan.any()  # the grid meets scipy's NaN window
-        want = levels(p, phi)[0]
+        want = levels(p, phi)
         got = transmon._f01(p, phi)
-        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-        for value in phi[::97]:
-            scalar = transmon._f01(p, value)
-            assert np.shape(scalar) == () and scalar == levels(p, value)[0]
+        assert got.shape == want[0].shape and np.array_equal(got.view(np.int64), want[0].view(np.int64))
+        for i in range(0, phi.size, 97):
+            scalar = transmon._f01(p, phi[i])
+            assert np.shape(scalar) == () and scalar == want[0][i] == levels(p, phi[i])[0]
+        # the charge basis at scipy's NaN points and on every 97th flux
+        check = np.union1d(np.flatnonzero(mathieu_nan)[:200], np.arange(0, phi.size, 97))
+        ref01, ref12, ref_conv = charge_basis(p, phi[check], 121)
+        assert ref_conv.all()
+        np.testing.assert_allclose(want[0][check], ref01, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(want[1][check], ref12, rtol=0.0, atol=1e-6)
 
     def test_takes_no_a2(self, monkeypatch):
-        orders = []
-        mathieu_a, mathieu_b = transmon._mathieu()
+        # f12 = E_C (a_2 - b_2) is the only level that needs a_2: with the
+        # f12 table gone, _f01 still gives its values on a scalar, point by
+        # point, and in a numpy pass over one segment and over several
+        # (q from 7 to 11: the 41 fluxes lie in one segment, the 201 in two)
+        p = TransmonParams(e_c=500.0, e_j1=2000.0, e_j2=9000.0)
+        fluxes = [0.1, np.linspace(0.0, 0.5, 11), np.linspace(-0.1, 0.1, 41), np.linspace(-0.6, 0.6, 201)]
+        wants = [levels(p, phi)[0] for phi in fluxes]
+        monkeypatch.setattr(transmon, "_F12", None)
+        for phi, want in zip(fluxes, wants):
+            assert np.array_equal(transmon._f01(p, phi), want)
+            with pytest.raises(TypeError):
+                levels(p, phi)
 
-        def counting_a(m, q):
-            orders.append(m)
-            return mathieu_a(m, q)
 
-        monkeypatch.setattr(transmon, "_mathieu", lambda: (counting_a, mathieu_b))
-        transmon._f01(TransmonParams(e_c=200.0, e_j1=2000.0, e_j2=9000.0), np.linspace(0.0, 0.5, 11))
-        assert orders == [0]
+class TestLevelTables:
+    def test_tables_derive_from_mpmath(self):
+        assert level_tables() == (transmon._F01, transmon._F12)
+        # the edges in q of the segments, the last t segment reaching q = inf
+        segments, split = transmon._LEVEL_SEGMENTS, transmon._LEVEL_T_FROM
+        edges = [hi for _, hi in segments[:split]] + [lo**-2 for lo, _ in segments[split:-1]]
+        assert transmon._LEVEL_Q_EDGES == tuple(edges) and segments[-1][0] == 0.0
+
+    def test_against_40_digit_levels(self):
+        # log-spaced q over [1e-4, 1e6], every edge between two segments and
+        # the floats either side of it: f01 and f12 within 1e-12 relative of
+        # b_2 - a_0 and a_2 - b_2 solved at 40 digits (seen: 8e-16 and 1.7e-14)
+        edges = np.array(transmon._LEVEL_Q_EDGES)
+        q = np.concatenate([np.geomspace(1e-4, 1e6, 61), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2e6)])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for value in q:
+                f01, f12, converged = levels(at_q(value), 0.0)
+                want01, want12 = levels_over_ec(value)
+                worst = max(worst, abs(f01 / want01 - 1), abs(f12 / want12 - 1))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-6])
+    def test_small_q_series(self, q):
+        # as q -> 0: a_0 = -q^2/2, b_2 = 4 - q^2/12, a_2 = 4 + 5 q^2/12 to
+        # O(q^4) (DLMF 28.6.1-3), so f01 = E_C (4 + 5 q^2/12), f12 = E_C q^2/2
+        f01, f12, _ = levels(at_q(q, 3.0), 0.0)
+        assert f01 == pytest.approx(3.0 * (4.0 + 5.0 * q * q / 12.0), rel=1e-15)
+        assert f12 == pytest.approx(1.5 * q * q, rel=1e-12)
+
+    def test_zero_q(self):
+        # a symmetric SQUID at half flux: E_J = 0 to rounding, q ~ 6e-17
+        p = TransmonParams(e_c=200.0, e_j1=5000.0, e_j2=5000.0)
+        f01, f12, _ = levels(p, 0.5)
+        assert f01 == pytest.approx(800.0, rel=1e-15) and 0.0 <= f12 < 1e-27
+
+    def test_against_scipy_outside_its_nan_windows(self):
+        # q = 1000 cos(pi phi) in steps of ~0.01 over [0, 1000], skipping the
+        # points where scipy's a_0 or b_2 is NaN.  The largest difference,
+        # 4.1e-10 E_C in f01 and f12 (3.6e-12 relative) at q = 839.26, is
+        # scipy's: its b_2 there is that far off the 40-digit value
+        p = at_q(1000.0)
+        phi = np.arccos(np.linspace(0.0, 1.0, 100001)) / np.pi
+        q = effective_ej(p, phi) / 2.0
+        f01, f12, _ = levels(p, phi)
+        s01, s12 = mathieu_b(2, q) - mathieu_a(0, q), mathieu_a(2, q) - mathieu_b(2, q)
+        finite = np.isfinite(s01) & np.isfinite(s12)
+        d01, d12 = np.abs(f01 - s01)[finite], np.abs(f12 - s12)[finite]
+        assert d01.max() < 5e-10 and d12.max() < 5e-10
+        assert (d01 / s01[finite]).max() < 5e-12
+        worst = np.flatnonzero(finite)[np.argmax(d01)]
+        with mpmath.workdps(40):
+            want01, want12 = levels_over_ec(q[worst])
+        assert abs(f01[worst] / want01 - 1) < 1e-15 and abs(f12[worst] / want12 - 1) < 1e-14
 
 
 class TestAsymptoticScalar:
