@@ -14,15 +14,16 @@ A small numpy Levenberg-Marquardt (Moré 1978; Madsen, Nielsen & Tingleff
   the fit reports converged=False;
 - covariance from the Jacobian at the optimum, scaled for unweighted data
   by the residual variance; with no more points than parameters that is
-  undefined, and the standard errors are NaN with a flag.
+  undefined, and the standard errors are NaN with a flag, as is a negative
+  variance (J^T J singular to rounding).
 
-Every model ships its Jacobian (``Model.jac`` is required), and the test
-suite cross-checks each against forward differences.  All are analytic
-but the one of the tuning refinement on exact levels, which differentiates
-the levels in E_J with one extra levels call and takes the levels at the
-parameters from the residuals just evaluated there; both tuning models
-share the chain rule through E_J(phi) for the rest.  E_J(phi) and the
-closed-form f01 come from transmon.  Both stages walk U_i = 8 E_C E_Ji
+Every model ships its analytic Jacobian (``Model.jac`` is required), and
+the test suite cross-checks each against forward differences.  Both
+tuning models come from one factory, _tuning_model, which takes f and its
+partials in E_J and E_C and adds the chain rule through E_J(phi); the
+tuning refinement on exact levels takes f01 and its slope in
+q = E_J/(2 E_C) from one call of transmon's level kernel.  E_J(phi) and
+the closed-form f01 come from transmon.  Both stages walk U_i = 8 E_C E_Ji
 in place of the junction energies, where the closed form's E_C-E_J valley
 is nearly straight, and report the energies.  Both tuning models take
 (e_j1, e_j2, e_c, amps_per_phi0, phi_offset); a fixed E_C is held in one
@@ -40,7 +41,7 @@ import numpy as np
 
 from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
 from .specfun import ConvergenceError, _bessel, bessel_j0
-from .transmon import TransmonParams, _closed_form_f01, _f01, _squid_ej
+from .transmon import TransmonParams, _at_q, _closed_form_f01, _squid_ej
 
 __all__ = [
     "DataSeries",
@@ -226,13 +227,11 @@ def least_squares(model: Model, data: DataSeries, initial_guess) -> FitResult:
             residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
         )
 
-    flags: tuple[str, ...] = ()
-    if data.sigma is None and data.x.size == n_par:
-        flags = (
-            "standard errors undefined: an unweighted fit needs more points "
-            "than parameters, or sigma",
-        )
     errs = _standard_errors(jac, float(r @ r), data)
+    if data.sigma is None and data.x.size == n_par:
+        flags = ("standard errors undefined: an unweighted fit needs more points than parameters, or sigma",)
+    else:
+        flags = ("standard errors undefined: J^T J is singular to rounding",) if np.isnan(errs).any() else ()
 
     return FitResult(
         params=dict(zip(model.names, (float(v) for v in theta))),
@@ -249,7 +248,8 @@ def _standard_errors(jac: np.ndarray, cost: float, data: DataSeries) -> np.ndarr
     """Standard errors from the weighted Jacobian at the optimum, where the
     cost is the weighted sum of squares; for unweighted data the residual
     variance sets the noise scale, which as many points as parameters do
-    not determine (NaN errors then)."""
+    not determine (NaN errors then).  A negative variance, from a J^T J
+    singular to rounding, gives a NaN error too, not 0."""
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
@@ -259,7 +259,7 @@ def _standard_errors(jac: np.ndarray, cost: float, data: DataSeries) -> np.ndarr
     if data.sigma is None:
         dof = data.x.size - jac.shape[1]
         cov = cov * (cost / dof if dof else math.nan)
-    return np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return np.sqrt(np.where(np.diag(cov) >= 0.0, np.diag(cov), math.nan))
 
 
 def _sorted_by_x(data: DataSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -423,21 +423,24 @@ def fit_rb(data: DataSeries) -> FitResult:
 _TUNING_NAMES = ("e_j1", "e_j2", "e_c", "amps_per_phi0", "phi_offset")
 
 
-def _tuning_jac(derivatives) -> Callable:
-    """The Jacobian of a tuning model f(E_J(phi), E_C).
-
-    derivatives(current, th, ec, ej) gives df/dE_J and df/dE_C at each
-    current; the chain rule through transmon's E_J(phi) at phi = I/a + phi_0
-    gives the columns, with S, D = |E_J2| +- |E_J1|: dE_J/d|E_J1|, d|E_J2| =
-    (S cos^2 pi phi -+ D sin^2 pi phi) / E_J, dE_J/dphi = -4 pi |E_J1 E_J2|
-    sin pi phi cos pi phi / E_J.  The junction columns carry their signs.
+def _tuning_model(level, partials) -> Model:
+    """The tuning model f(E_J(phi), E_C) whose f is level(ej, ec), with
+    df/dE_J and df/dE_C at fixed E_J from partials(ej, ec).  The chain rule
+    through transmon's E_J(phi) of |E_J1|, |E_J2| at phi = I/a + phi_0
+    gives the columns, with S, D = |E_J2| +- |E_J1|: dE_J/d|E_J1|, d|E_J2|
+    = (S cos^2 pi phi -+ D sin^2 pi phi) / E_J, dE_J/dphi = -4 pi |E_J1
+    E_J2| sin pi phi cos pi phi / E_J.  The junction columns carry their signs.
     """
+
+    def fn(current, th):
+        ej1, ej2, ec, amps_per_phi0, off = th
+        return level(_squid_ej(abs(ej1), abs(ej2), current / amps_per_phi0 + off)[0], ec)
 
     def jac(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
         a1, a2 = abs(ej1), abs(ej2)
         ej, c, s = _squid_ej(a1, a2, current / amps_per_phi0 + off)
-        df_dej, df_dec = derivatives(current, th, ec, ej)
+        df_dej, df_dec = partials(ej, ec)
         sum_c2, diff_s2 = (a1 + a2) * c * c, (a2 - a1) * s * s
         dej_d1 = math.copysign(1.0, ej1) * (sum_c2 - diff_s2) / ej
         dej_d2 = math.copysign(1.0, ej2) * (sum_c2 + diff_s2) / ej
@@ -447,21 +450,36 @@ def _tuning_jac(derivatives) -> Callable:
             [df_dej * dej_d1, df_dej * dej_d2, df_dec, df_dej * dej_dphi * dphi_da, df_dej * dej_dphi]
         )
 
-    return jac
+    return Model(names=_TUNING_NAMES, fn=fn, jac=jac)
 
 
 def tuning_curve_model() -> Model:
-    def fn(current, th):
-        ej1, ej2, ec, amps_per_phi0, off = th
-        ej = _squid_ej(abs(ej1), abs(ej2), current / amps_per_phi0 + off)[0]
-        # unclipped: E_C E_J < 0 gives NaN, which the engine counts as a rise
-        return _closed_form_f01(ej, ec)
-
-    def derivatives(current, th, ec, ej):
+    # unclipped: E_C E_J < 0 gives NaN, which the engine counts as a rise
+    def partials(ej, ec):
         f_plus_ec = np.sqrt(8.0 * ec * ej)
         return f_plus_ec / (2.0 * ej), f_plus_ec / (2.0 * ec) - 1.0
 
-    return Model(names=_TUNING_NAMES, fn=fn, jac=_tuning_jac(derivatives))
+    return _tuning_model(_closed_form_f01, partials)
+
+
+def _levels_tuning_model() -> Model:
+    """The tuning curve on the exact f01 of :func:`transmon.levels`.
+
+    At n_g = 0, f01 = f(q) with q = E_J(phi)/(2 E_C), and transmon's level
+    kernel gives f and its slope f'(q) in one call: df/dE_J = f'/(2 E_C)
+    and df/dE_C = (f - q f')/E_C at fixed E_J.  E_C <= 0 gives NaN (no
+    table holds q < 0), as the closed form does below 0.
+    """
+
+    def at_q(ej, ec, second):
+        q = ej / (2.0 * ec) if ec > 0 else np.full(np.shape(ej), np.nan)
+        return q, _at_q(q, ec, second)
+
+    def partials(ej, ec):
+        q, (f, slope) = at_q(ej, ec, "slope")
+        return slope / (2.0 * ec), (f - q * slope) / ec
+
+    return _tuning_model(lambda ej, ec: at_q(ej, ec, None)[1][0], partials)
 
 
 def _hold_e_c(model: Model, e_c: float) -> Model:
@@ -557,18 +575,6 @@ def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -
     )
 
 
-# relative step in E_J of the Jacobian of the exact-levels model.  The
-# forward difference of the Mathieu f01 in ln E_J is off by ~0.3 h from
-# truncation and ~2e-15/h from rounding: on bench-like devices (E_J1/E_J2
-# 0.24-0.98, 13 fluxes) at most 3.0e-6 relative at h = 1e-5, 3.0e-7 at
-# 1e-6 and 4.8e-8 at 1e-7.  Smaller steps cost more rejected trials at the
-# end of the refinement, which runs at the rounding floor of the levels:
-# 128 bench devices took 2234, 2315 and 2427 residual evaluations at these
-# three steps (2452 with forward differences).  1e-6 keeps the columns far
-# below any reported digit of a standard error at near the lower count
-_LEVELS_EJ_STEP = 1e-6
-
-
 # a fixed E_C below this fraction of the data's f_max puts the start guess
 # at E_J/E_C = (f_max/E_C + 1)^2/8 > 1e11, eight decades past any transmon
 # (with the fixture's f_max, E_J^2 overflows below E_C ~ 1e-148 MHz).
@@ -581,32 +587,6 @@ _FIXED_EC_MIN_PER_FMAX = 1e-6
 # overflows from |f| ~ 1e78 MHz, and the start guess raises OverflowError
 # from ~1.3e154 MHz
 _FREQUENCY_MAX_MHZ = 1e60
-
-
-def _levels_tuning_model() -> Model:
-    """The tuning curve on the exact f01 of :func:`transmon.levels`.
-
-    At n_g = 0, f01 = E_C g(q) with q = E_J(phi)/(2 E_C), so one more
-    levels call with both junction energies scaled by (1 + h) gives
-    df/dE_J = (f1 - f0)/(h E_J) at every flux, and df/dE_C at fixed E_J is
-    f0/E_C - (f1 - f0)/(h E_C); _tuning_jac takes the chain rule.  f0 is
-    the value the residuals took at the same parameters, remembered: the
-    engine evaluates the Jacobian only at the point it has just accepted.
-    """
-
-    def f01(current, th, scale=1.0):
-        ej1, ej2, ec, amps_per_phi0, off = th
-        params = TransmonParams(e_c=ec, e_j1=abs(ej1) * scale, e_j2=abs(ej2) * scale)
-        return _f01(params, current / amps_per_phi0 + off)
-
-    fn = _remember_last(f01)
-
-    def derivatives(current, th, ec, ej):
-        f0 = fn(current, th)
-        df = f01(current, th, 1.0 + _LEVELS_EJ_STEP) - f0
-        return df / (_LEVELS_EJ_STEP * ej), f0 / ec - df / (_LEVELS_EJ_STEP * ec)
-
-    return Model(names=_TUNING_NAMES, fn=fn, jac=_tuning_jac(derivatives))
 
 
 # the frequencies _sinusoid_peak tries, in rfft bins from the top bin: a
@@ -682,9 +662,9 @@ def fit_tuning_curve(
     straight, and report the energies, with standard errors from the
     energies' Jacobian at the optimum.  The period and flux offset start
     from the sinusoid that fits the data best (_sinusoid_peak).  A
-    refinement Jacobian costs one exact-f01 call (levels without its f12),
-    with both junction energies scaled by 1 + 1e-6, plus the chain rule (see _tuning_jac): the levels
-    at the parameters are those of the residuals just evaluated there.
+    refinement residual costs one exact-f01 call of transmon's level kernel
+    (without its f12), and a refinement Jacobian one call that gives f01
+    with its slope in q, plus the chain rule (see _tuning_model).
     The frequencies must lie within +-1e60 MHz, and a fixed E_C between
     1e-6 and 1/4 of the data's largest frequency.
     """

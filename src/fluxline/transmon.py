@@ -8,8 +8,10 @@ arrays at zero offset charge, where a transmon's charge dispersion is
 exponentially small.  There the levels are Mathieu characteristic values
 (Koch et al., PRA 76, 042319 (2007)), which :func:`levels` takes from
 fixed-degree polynomial tables in numpy alone, within 1e-13 relative of a
-40-digit solve for every q = E_J/(2 E_C) >= 0.  The test suite derives the
-tables again and keeps a charge-basis diagonalization as the oracle.
+40-digit solve for every q = E_J/(2 E_C) >= 0, and the slope df01/dq for
+the tuning fit from the derivative of each f01 polynomial, within 1e-12
+f01/q.  The test suite derives the tables again and keeps a charge-basis
+diagonalization as the oracle.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ __all__ = [
 _LEVEL_Q_EDGES = (1.0, 2.5, 5.0, 9.5, 16.0, 64.0)
 _LEVEL_SEGMENTS = ((0.0, 1.0), (1.0, 2.5), (2.5, 5.0), (5.0, 9.5), (9.5, 16.0), (0.125, 0.25), (0.0, 0.125))
 _LEVEL_T_FROM = 5  # the first segment in t; q = 16 starts it
-# calls on at most this many fluxes go point by point on Python floats
+# kernel calls on at most this many q go point by point on Python floats
 _LEVELS_PER_POINT_MAX = 16
 # y = x a + b on each segment, x being q or t
 _LEVEL_AFFINE = tuple((2.0 / (hi - lo), -(hi + lo) / (hi - lo)) for lo, hi in _LEVEL_SEGMENTS)
@@ -91,6 +93,8 @@ _F01 = (
      -3.2655999237917644e-06, -5.094740304181791e-05, -0.0011120699879999729, -0.06458320268915305,
      3.9364809501454783),
 )
+# df01/dq: the derivative of each _F01 polynomial in y, highest power first
+_DF01 = tuple(tuple(c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])) for p in _F01)
 _F12 = (
     (2.145120103398773e-11, -3.55346132763799e-10, 4.309784278062952e-10, 4.551635000432031e-09,
      -1.4960290248383742e-08, -2.3991626487692766e-08, 2.367732064137743e-07, -2.3196803793711461e-07,
@@ -197,55 +201,33 @@ def levels(params: TransmonParams, phi):
     flux gives numpy scalars, each bit for bit the element of an array
     call at that flux.
     """
-    f01, f12 = _levels(params, phi, True)
+    f01, f12 = _levels(params, phi, "f12")
     return f01, f12, np.ones(f01.shape, dtype=bool) if isinstance(f01, np.ndarray) else np.True_
 
 
 def _f01(params: TransmonParams, phi):
     """levels(params, phi)[0], bit for bit, without evaluating the f12 table."""
-    return _levels(params, phi, False)[0]
+    return _levels(params, phi, None)[0]
 
 
-def _levels(params: TransmonParams, phi, upper: bool):
-    # f01 and f12 (None unless upper) at n_g = 0
+def _levels(params: TransmonParams, phi, second):
+    # f01 and the second quantity of _at_q at the fluxes phi
     phi = np.asarray(phi, dtype=float)
     e_c = params.e_c
     if phi.size <= _LEVELS_PER_POINT_MAX:
-        # point by point on Python floats, ~1 us a point against ~15 us for
-        # a numpy pass of any size.  A finite pi phi keeps E_J finite and
-        # quiet, so it needs no errstate
+        # a finite pi phi keeps E_J finite and quiet, so it needs no errstate
         flat = phi.ravel().tolist()
         for i, value in enumerate(flat):
             if not math.isfinite(math.pi * value):
                 _reject(phi, i)
-        if not phi.ndim:
-            q = float(effective_ej(params, flat[0]) / (2.0 * e_c))
-            f01, f12 = _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, upper, math.sqrt)
-            return np.float64(f01), None if f12 is None else np.float64(f12)
-        q = (effective_ej(params, phi) / (2.0 * e_c)).ravel().tolist()
-        rows = [_segment_levels(bisect_right(_LEVEL_Q_EDGES, x), x, e_c, upper, math.sqrt) for x in q]
-        f01 = np.array([row[0] for row in rows]).reshape(phi.shape)
-        return f01, np.array([row[1] for row in rows]).reshape(phi.shape) if upper else None
+        return _at_q(effective_ej(params, phi if phi.ndim else flat[0]) / (2.0 * e_c), e_c, second)
     # a flux past ~5.7e307 overflows pi phi into a NaN q, rejected by name below
     with np.errstate(over="ignore", invalid="ignore"):
         q = effective_ej(params, phi) / (2.0 * e_c)
-    lo, hi = q.min(), q.max()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    # q >= 0, and its max is NaN or inf where any element is
+    if not math.isfinite(q.max()):
         _reject(phi, np.flatnonzero(~np.isfinite(q.ravel()))[0])
-    first, last = bisect_right(_LEVEL_Q_EDGES, lo), bisect_right(_LEVEL_Q_EDGES, hi)
-    if first == last:
-        f01, f12 = _segment_levels(first, q, e_c, upper, np.sqrt)
-    else:
-        # one numpy pass per segment present
-        segment = np.searchsorted(_LEVEL_Q_EDGES, q, side="right")
-        f01, f12 = np.empty_like(q), np.empty_like(q) if upper else None
-        for k in range(first, last + 1):
-            at = segment == k
-            if at.any():
-                f01[at], upper_k = _segment_levels(k, q[at], e_c, upper, np.sqrt)
-                if upper:
-                    f12[at] = upper_k
-    return f01, f12
+    return _at_q(q, e_c, second)
 
 
 def _reject(phi, i):
@@ -254,8 +236,39 @@ def _reject(phi, i):
     raise ValueError(f"flux must {requirement}, got phi = {value}")
 
 
-def _segment_levels(k, q, e_c, upper, sqrt):
-    # f01 and f12 (None unless upper) on segment k, q a float or an array
+def _at_q(q, e_c, second):
+    """f01 (MHz) at q = E_J/(2 E_C) >= 0, a numpy array or scalar, and f12,
+    df01/dq or None for second "f12", "slope" or None; NaN where q is."""
+    if q.size <= _LEVELS_PER_POINT_MAX:
+        # point by point on Python floats, ~1 us a point against ~15 us for
+        # a numpy pass of any size
+        if not q.ndim:
+            q = float(q)
+            f01, more = _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, second, math.sqrt)
+            return np.float64(f01), None if more is None else np.float64(more)
+        rows = [_segment_levels(bisect_right(_LEVEL_Q_EDGES, x), x, e_c, second, math.sqrt)
+                for x in q.ravel().tolist()]
+        f01 = np.array([row[0] for row in rows]).reshape(q.shape)
+        return f01, None if second is None else np.array([row[1] for row in rows]).reshape(q.shape)
+    lo, hi = q.min(), q.max()
+    # a NaN q makes both NaN: then every segment gets a pass, the NaN the last
+    first, last = bisect_right(_LEVEL_Q_EDGES, lo if lo <= hi else 0.0), bisect_right(_LEVEL_Q_EDGES, hi)
+    if first == last:
+        return _segment_levels(first, q, e_c, second, np.sqrt)
+    # one numpy pass per segment present
+    segment = np.searchsorted(_LEVEL_Q_EDGES, q, side="right")
+    f01, more = np.empty_like(q), None if second is None else np.empty_like(q)
+    for k in range(first, last + 1):
+        at = segment == k
+        if at.any():
+            f01[at], more_k = _segment_levels(k, q[at], e_c, second, np.sqrt)
+            if more is not None:
+                more[at] = more_k
+    return f01, more
+
+
+def _segment_levels(k, q, e_c, second, sqrt):
+    # f01 and the second quantity of _at_q on segment k, q a float or an array
     a, b = _LEVEL_AFFINE[k]
     if k < _LEVEL_T_FROM:
         y = q * a + b
@@ -264,8 +277,13 @@ def _segment_levels(k, q, e_c, upper, sqrt):
         s = sqrt(q)
         y = a / s + b
         scale01 = scale12 = s * e_c
-    f01 = horner(_F01[k], y) * scale01
-    return f01, horner(_F12[k], y) * scale12 if upper else None
+    p01 = horner(_F01[k], y)
+    if second != "slope":
+        return p01 * scale01, horner(_F12[k], y) * scale12 if second else None
+    # f01 = E_C P(y): y = a q + b gives E_C a P'(y), y = a/sqrt(q) + b with
+    # the factor sqrt(q) gives E_C (P - a P'(y)/sqrt(q)) / (2 sqrt(q))
+    dp = horner(_DF01[k], y) * a
+    return p01 * scale01, dp * e_c if k < _LEVEL_T_FROM else (p01 - dp / s) * e_c / (2.0 * s)
 
 
 def diagonalize(params: TransmonParams, point: FluxPoint) -> SpectrumResult:

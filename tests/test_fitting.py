@@ -94,6 +94,21 @@ class TestEngine:
         more = fit_t1(DataSeries(x=np.array([1.0, 20.0, 40.0, 60.0]), y=np.array([0.9, 0.5, 0.31, 0.2])))
         assert more.flags == () and all(0.0 < e < math.inf for e in more.std_errors.values())
 
+    def test_negative_variance_is_nan_with_flag(self):
+        # columns (1, 1, 1) and (1, 1 + 2^-27, 1 + 2^-26): J^T J rounds to
+        # [[3, 3 + 3 2^-27], [3 + 3 2^-27, 3 + 3 2^-26]], whose determinant
+        # is -9 2^-54, so both diagonal entries of its inverse are negative;
+        # an error of 0.0 there would claim an exactly known parameter
+        x = np.array([0.0, 1.0, 2.0])
+        jac = np.column_stack([np.ones(3), 1.0 + x * 2.0**-27])
+        model = Model(("a", "b"), lambda x, th: jac @ th, lambda x, th: jac)
+        data = DataSeries(x=x, y=jac @ np.array([1.0, 2.0]), sigma=np.ones(3))
+        assert (np.diag(np.linalg.inv(jac.T @ jac)) < 0.0).all()
+        assert np.isnan(fitting._standard_errors(jac, 0.0, data)).all()
+        res = least_squares(model, data, [1.0, 2.0])
+        assert res.converged and all(math.isnan(e) for e in res.std_errors.values())
+        assert res.flags == ("standard errors undefined: J^T J is singular to rounding",)
+
     def test_arity_check(self):
         x = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="initial guess"):
@@ -659,8 +674,8 @@ class TestBetaModelArrays:
 
 class TestExactLevelsJacobian:
     # the chain-rule Jacobian of the refinement against forward differences
-    # of its residuals; either is good to ~1e-6 of a column's largest entry
-    # (measured: at most 1.4e-6 on these devices)
+    # of its residuals, which are good to ~1e-6 of a column's largest entry
+    # (measured: at most 8.2e-7 on these devices)
     COLUMN_RTOL = 1e-5
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
@@ -763,38 +778,63 @@ class TestTuningInU:
         from fluxline import transmon
 
         data, e_c = bench_like_tuning(ratio, np.random.default_rng([SEED, int(round(100 * ratio))]))
-        stages, f01_calls = [], []
+        stages, kernel_calls = [], []
         engine = fitting.least_squares
 
         def counting_engine(model, data, initial_guess):
             njev = []
 
             def jac(x, th):
-                before = len(f01_calls)
+                before = len(kernel_calls)
                 value = model.jac(x, th)
-                njev.append(len(f01_calls) - before)
+                njev.append(len(kernel_calls) - before)
                 return value
 
             result = engine(replace(model, jac=jac), data, initial_guess)
-            stages.append((result.iterations, njev, len(f01_calls)))
+            stages.append((result.iterations, njev, len(kernel_calls)))
             return result
 
-        def counting_f01(*args, **kwargs):
-            f01_calls.append(None)
-            return transmon._f01(*args, **kwargs)
+        kernel = transmon._at_q
+
+        def counting_kernel(q, e_c, second):
+            kernel_calls.append(second)
+            return kernel(q, e_c, second)
 
         monkeypatch.setattr(fitting, "least_squares", counting_engine)
-        monkeypatch.setattr(fitting, "_f01", counting_f01)
+        # fitting's own name and transmon's, which levels and _f01 call
+        monkeypatch.setattr(fitting, "_at_q", counting_kernel)
+        monkeypatch.setattr(transmon, "_at_q", counting_kernel)
         res = fit_tuning_curve(data, fixed_e_c=e_c if fixed else None, use_diagonalization=True)
         (_, _, closed_form_calls), (nfev, njev, total_calls) = stages
         assert closed_form_calls == 0
         assert res.iterations == nfev
-        # one f01-only levels call per residual evaluation and one per
-        # Jacobian: the levels at the parameters are those of the residuals
-        # just taken there, and the standard errors reuse the Jacobian at
-        # the optimum
+        # one level-kernel call per residual evaluation (f01 alone) and one
+        # per Jacobian (f01 and its slope), and none for the standard
+        # errors, which reuse the Jacobian at the optimum
         assert njev and njev == [1] * len(njev)
-        assert len(f01_calls) == total_calls == nfev + len(njev)
+        assert len(kernel_calls) == total_calls == nfev + len(njev)
+        assert kernel_calls.count("slope") == len(njev) and kernel_calls.count(None) == nfev
+
+    @pytest.mark.parametrize("make", [tuning_curve_model, fitting._levels_tuning_model],
+                             ids=["closed-form", "exact-levels"])
+    @pytest.mark.parametrize("x", [X, X[::2]], ids=["numpy-pass", "point-by-point"])
+    def test_negative_e_c_gives_nan_residuals(self, make, x):
+        # a trial step may take E_C below 0: the residuals are all NaN, which
+        # the engine counts as a rise, with no exception and no warning
+        # under the engine's errstate (the closed form's sqrt of a negative
+        # number is invalid).  The exact model is NaN at E_C = 0 as well
+        theta = np.array([2140.0, 9040.0, -182.0, 1.2e-3, 0.05])
+        u = theta.copy()
+        u[:2] *= 8.0 * u[2]
+        zero = theta.copy()
+        zero[2] = 0.0
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            assert np.isnan(make().fn(x, theta)).all()
+            assert np.isnan(fitting._in_u(make()).fn(x, u)).all()
+            assert np.isnan(fitting._hold_e_c(make(), -182.0).fn(x, np.delete(theta, 2))).all()
+            if make is fitting._levels_tuning_model:
+                assert np.isnan(make().fn(x, zero)).all()
 
     def test_closed_form_stage_budget(self, monkeypatch):
         # the ratio of the shipped devices, where the closed-form stage

@@ -351,7 +351,8 @@ class TestLevels:
 
 
 class TestF01Only:
-    """The private f01-only path of the oracle and the tuning refinement."""
+    """The private f01-only path of the oracle, the level kernel's call that
+    the tuning refinement's residuals make on q."""
 
     # symmetric SQUIDs at E_C = 0.5: q = E_J(phi) = E_Jsum cos(pi phi).  Up to
     # q = 1100 (past q = 1000, where scipy's values stop holding), and dense
@@ -422,6 +423,34 @@ class TestLevelTables:
                 f01, f12, converged = levels(at_q(value), 0.0)
                 want01, want12 = levels_over_ec(value)
                 worst = max(worst, abs(f01 / want01 - 1), abs(f12 / want12 - 1))
+        assert worst < 1e-12
+
+    def test_slope_table_derives_from_f01(self):
+        # df01/dq is the derivative of each f01 polynomial in y, with the
+        # chain rule through y(q) applied at evaluation
+        assert transmon._DF01 == tuple(tuple(float(c) for c in np.polyder(np.array(p))) for p in transmon._F01)
+
+    def test_slope_against_40_digit_levels(self):
+        # the q of test_against_40_digit_levels: df01/dq within 1e-12 f01/q
+        # of a centred difference of b_2 - a_0 at 40 digits (seen: 3.9e-13),
+        # the same bits point by point as in a numpy pass over every segment
+        edges = np.array(transmon._LEVEL_Q_EDGES)
+        q = np.concatenate([np.geomspace(1e-4, 1e6, 61), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2e6)])
+        f01, slope = transmon._at_q(q, 1.0, "slope")
+        assert np.array_equal(np.array([transmon._at_q(value, 1.0, "slope") for value in q]), np.array([f01, slope]).T)
+        head = transmon._at_q(q[:16], 1.0, "slope")
+        assert np.array_equal(head[0], f01[:16]) and np.array_equal(head[1], slope[:16])
+        assert np.array_equal(f01, transmon._at_q(q, 1.0, None)[0])
+
+        def f01_over_ec(x):
+            return characteristic_value(x, False, 0) - characteristic_value(x, True, 0)
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for value, f, got in zip(q, f01, slope):
+                h = mpmath.mpf(value) * mpmath.mpf(10) ** -12
+                want = (f01_over_ec(value + h) - f01_over_ec(value - h)) / (2 * h)
+                worst = max(worst, abs(value * (got - want) / f))
         assert worst < 1e-12
 
     @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-6])
