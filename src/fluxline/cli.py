@@ -194,6 +194,8 @@ def cmd_diplexer(args) -> int:
     from . import rf_network as rf
 
     cfg = _load(args)
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     dpx = cfg.diplexer
     lp = rf.synth_lowpass(dpx.lp_order, dpx.spec.lp_cutoff_mhz, dpx.z0)
     bp = rf.synth_bandpass(dpx.bp_order, dpx.spec.bp_low_mhz, dpx.spec.bp_high_mhz, dpx.z0)

@@ -29,19 +29,22 @@ is nearly straight, and report the energies.  Both tuning models take
 (e_j1, e_j2, e_c, amps_per_phi0, phi_offset); a fixed E_C is held in one
 place, _hold_e_c, which _fit_in_u wraps around them.  The engine loads
 no scipy; the test suite checks it against MINPACK's lmder through scipy.
+The model factories that need modulation or transmon import them, so the
+T1, Ramsey and benchmarking fits load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
 from .specfun import ConvergenceError, _bessel, bessel_j0
-from .transmon import TransmonParams, _at_q, _closed_form_f01, _squid_ej
+
+if TYPE_CHECKING:
+    from .transmon import TransmonParams
 
 __all__ = [
     "DataSeries",
@@ -431,6 +434,7 @@ def _tuning_model(level, partials) -> Model:
     = (S cos^2 pi phi -+ D sin^2 pi phi) / E_J, dE_J/dphi = -4 pi |E_J1
     E_J2| sin pi phi cos pi phi / E_J.  The junction columns carry their signs.
     """
+    from .transmon import _squid_ej
 
     def fn(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
@@ -454,6 +458,8 @@ def _tuning_model(level, partials) -> Model:
 
 
 def tuning_curve_model() -> Model:
+    from .transmon import _closed_form_f01
+
     # unclipped: E_C E_J < 0 gives NaN, which the engine counts as a rise
     def partials(ej, ec):
         f_plus_ec = np.sqrt(8.0 * ec * ej)
@@ -470,6 +476,7 @@ def _levels_tuning_model() -> Model:
     and df/dE_C = (f - q f')/E_C at fixed E_J.  E_C <= 0 gives NaN (no
     table holds q < 0), as the closed form does below 0.
     """
+    from .transmon import _at_q
 
     def at_q(ej, ec, second):
         q = ej / (2.0 * ec) if ec > 0 else np.full(np.shape(ej), np.nan)
@@ -729,6 +736,8 @@ def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     the harmonic series of order DEFAULT_ORDER.  An evaluation at one beta
     takes J0 and J1 of its arguments in one kernel pass, and the Jacobian
     at the beta just evaluated reuses that J1."""
+    from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
+
     wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
     cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 

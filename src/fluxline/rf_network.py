@@ -6,9 +6,11 @@ first, so odd-order designs face the diplexer junction with a series branch
 each branch near-open in the other branch's passband, which is what makes
 the common-junction diplexer work.
 
-Every response comes from one evaluator, ``_abcd_stack``, which takes each
-element's impedance once over the whole frequency array and multiplies the
-(F, 2, 2) factor stacks with ``@``, identity and input first (``cascade``).
+Every response comes from one kernel, ``_ladder``, which takes each element's
+impedance once over the frequency array and carries the ladder's ABCD as four
+complex arrays from the identity, input first (series Z: B += A Z, D += C Z;
+shunt Y: A += B Y, C += D Y), a scalar frequency as a one-element array.  The
+diplexer adds its node and output steps alike, and one entrywise 2 x 2 product.
 
 Frequencies are in MHz at the interfaces (finite and > 0); element values
 are SI (H, F, Ohm).
@@ -140,61 +142,77 @@ def butterworth_g(n: int) -> list[float]:
 
 
 def _stack(shape: tuple, a, b, c, d) -> np.ndarray:
-    """Contiguous (*shape, 2, 2) stack of [[a, b], [c, d]], so that ``@`` takes
-    the BLAS kernel of a single 2 x 2 product and matches it bit for bit."""
+    """(*shape, 2, 2) stack of [[a, b], [c, d]]."""
     out = np.empty(shape + (2, 2), dtype=complex)
     out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
     return out
 
 
-def _abcd_stack(net: LadderNetwork, f_mhz) -> np.ndarray:
-    """ABCD of the ladder at every frequency: shape f_mhz.shape + (2, 2)."""
-    f = np.asarray(f_mhz, dtype=float)
+def _series(a, b, c, d, z) -> tuple:
+    """[[a, b], [c, d]] followed by a series impedance z, entrywise."""
+    return a, a * z + b, c, c * z + d
+
+
+def _shunt(a, b, c, d, y) -> tuple:
+    """[[a, b], [c, d]] followed by a shunt admittance y, entrywise."""
+    return a + b * y, b, c + d * y, d
+
+
+def _product(m: tuple, n: tuple) -> tuple:
+    """The 2 x 2 product m n of two entry tuples, entrywise."""
+    (a, b, c, d), (p, q, r, s) = m, n
+    return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+
+
+def _ladder(net: LadderNetwork, f_mhz) -> tuple:
+    """A, B, C, D of the ladder at every frequency: complex arrays, one element for a scalar."""
+    f = np.atleast_1d(np.asarray(f_mhz, dtype=float))
     ok = (f > 0) & (f < math.inf)
     if not np.all(ok):
         raise ValueError(f"frequency must be finite and > 0, got {f[~ok][0]} MHz")
-
-    def factor(el: Element) -> np.ndarray:
+    one, zero = np.ones(f.shape, dtype=complex), np.zeros(f.shape, dtype=complex)
+    m = (one, zero, zero, one)
+    for el in net.elements:
         z = el.impedance(f)
-        if el.kind == "series":
-            return _stack(f.shape, 1.0, z, 0.0, 1.0)
-        return _stack(f.shape, 1.0, 0.0, 1.0 / z, 1.0)
-
-    return cascade(*map(factor, net.elements))
+        m = _series(*m, z) if el.kind == "series" else _shunt(*m, 1.0 / z)
+    return m
 
 
-def element_abcd(element: Element, f_mhz) -> np.ndarray:
-    return _abcd_stack(LadderNetwork((element,)), f_mhz)
-
-
-def cascade(*abcds: np.ndarray) -> np.ndarray:
-    """Product of ABCD matrices (or (..., 2, 2) stacks) in port order, input first."""
-    out = np.eye(2, dtype=complex)
-    for m in abcds:
-        out = out @ m
-    return out
-
-
-def to_s_params(abcd: np.ndarray, z0: float):
-    """(s11, s21) for equal real port impedances, per matrix of a stack."""
+def _s_params(a, b, c, d, z0: float):
     if z0 <= 0:
         raise ValueError(f"z0 must be > 0, got {z0}")
-    a, b, c, d = abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
     den = a + b / z0 + c * z0 + d
     if np.any(den == 0):
         raise ValueError("non-physical network: singular ABCD->S conversion")
     return (a + b / z0 - c * z0 - d) / den, 2.0 / den
 
 
+def element_abcd(element: Element, f_mhz) -> np.ndarray:
+    return network_abcd(LadderNetwork((element,)), f_mhz)
+
+
+def cascade(*abcds: np.ndarray) -> np.ndarray:
+    """Product of ABCD matrices (or (..., 2, 2) stacks) in port order, input first."""
+    out = (1.0, 0.0, 0.0, 1.0)
+    for m in abcds:
+        out = _product(out, (m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]))
+    return _stack(np.broadcast(*out).shape, *out)
+
+
+def to_s_params(abcd: np.ndarray, z0: float):
+    """(s11, s21) for equal real port impedances, per matrix of a stack."""
+    return _s_params(abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1], z0)
+
+
 def network_abcd(net: LadderNetwork, f_mhz) -> np.ndarray:
-    return _abcd_stack(net, f_mhz)
+    return _stack(np.shape(f_mhz), *_ladder(net, f_mhz))
 
 
 def network_response(net: LadderNetwork, f_mhz) -> TwoPortResponse:
     """Response at a frequency, or at an array of them (fields take its shape)."""
-    abcd = _abcd_stack(net, f_mhz)
-    s11, s21 = to_s_params(abcd, net.z0)
-    return TwoPortResponse(frequency_mhz=f_mhz, abcd=abcd, s11=s11, s21=s21)
+    m, shape = _ladder(net, f_mhz), np.shape(f_mhz)
+    s11, s21 = (s.reshape(shape)[()] for s in _s_params(*m, net.z0))
+    return TwoPortResponse(frequency_mhz=f_mhz, abcd=_stack(shape, *m), s11=s11, s21=s21)
 
 
 def synth_lowpass(n: int, f_cutoff_mhz: float, z0: float = 50.0) -> LadderNetwork:
@@ -234,21 +252,6 @@ def synth_bandpass(n: int, f_low_mhz: float, f_high_mhz: float, z0: float = 50.0
     return LadderNetwork(elements=tuple(els), z0=z0)
 
 
-def _reverse_abcd(abcd: np.ndarray) -> np.ndarray:
-    # port swap for a reciprocal (det = 1) two-port
-    return _stack(abcd.shape[:-2], abcd[..., 1, 1], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 0, 0])
-
-
-def _input_admittance_from_junction(abcd: np.ndarray, z_load: float):
-    """Admittance looking into a branch from its junction side.
-
-    The branch ABCD is defined input-port -> junction; seen from the
-    junction the ports swap, and the input port is terminated in z_load.
-    """
-    a, b, c, d = abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
-    return 1.0 / ((d * z_load + b) / (c * z_load + a))
-
-
 def diplexer_eval(
     lp: LadderNetwork,
     bp: LadderNetwork,
@@ -269,20 +272,17 @@ def diplexer_eval(
         raise ValueError("both branches must be synthesized for the junction z0")
     if not (math.isfinite(eccosorb_ohm_per_ghz) and eccosorb_ohm_per_ghz >= 0.0):
         raise ValueError(f"eccosorb_ohm_per_ghz must be finite and >= 0, got {eccosorb_ohm_per_ghz}")
-    freqs = np.asarray(frequencies_mhz, dtype=float)
+    freqs = np.atleast_1d(np.asarray(frequencies_mhz, dtype=float))
     if freqs.size == 0:
         raise ValueError("empty frequency grid")
-    m_bp, m_lp = _abcd_stack(bp, freqs), _abcd_stack(lp, freqs)
-    shunt = lambda y: _stack(freqs.shape, 1.0, 0.0, y, 1.0)
-    if eccosorb_ohm_per_ghz > 0.0:
-        r_out = eccosorb_ohm_per_ghz * freqs / 1000.0
-        out = (_stack(freqs.shape, 1.0, r_out, 0.0, 1.0),)
-        y_port3 = 1.0 / (z0 + r_out)
-    else:
-        out, y_port3 = (), 1.0 / z0
-    _, s31 = to_s_params(cascade(m_bp, shunt(_input_admittance_from_junction(m_lp, z0)), *out), z0)
-    _, s32 = to_s_params(cascade(m_lp, shunt(_input_admittance_from_junction(m_bp, z0)), *out), z0)
-    _, s12 = to_s_params(cascade(m_lp, shunt(y_port3), _reverse_abcd(m_bp)), z0)
+    m_bp, m_lp = _ladder(bp, freqs), _ladder(lp, freqs)
+    # the admittance of each branch seen from the node (ports swapped), input in z0
+    y_bp, y_lp = ((c * z0 + a) / (d * z0 + b) for a, b, c, d in (m_bp, m_lp))
+    r_out = eccosorb_ohm_per_ghz * freqs / 1000.0
+    out = (lambda m: _series(*m, r_out)) if eccosorb_ohm_per_ghz > 0.0 else (lambda m: m)
+    s31, s32 = (_s_params(*out(_shunt(*m, y)), z0)[1] for m, y in ((m_bp, y_lp), (m_lp, y_bp)))
+    a, b, c, d = m_bp
+    s12 = _s_params(*_product(_shunt(*m_lp, 1.0 / (z0 + r_out)), (d, b, c, a)), z0)[1]
     return DiplexerResponse(frequencies_mhz=freqs, s31=s31, s32=s32, s12=s12)
 
 
@@ -364,8 +364,8 @@ def check_spec(response: DiplexerResponse, spec: DiplexerSpec = DiplexerSpec()) 
 
 def two_port_sweep_csv(net: LadderNetwork, frequencies_mhz: np.ndarray) -> str:
     """CSV text (frequency_mhz, s21_db, s11_db) for plotting a two-port."""
-    freqs = np.asarray(frequencies_mhz, dtype=float)
-    s11, s21 = to_s_params(_abcd_stack(net, freqs), net.z0)
+    freqs = np.atleast_1d(np.asarray(frequencies_mhz, dtype=float))
+    s11, s21 = _s_params(*_ladder(net, freqs), net.z0)
     # per-cell scalar abs and math.log10: np.abs and np.log10 differ from
     # them in the last ulp, which the 12-digit cells can show
     db = lambda s: 20.0 * math.log10(abs(s) + 1e-300)

@@ -416,6 +416,13 @@ class TestDiplexerCommand:
         doc = json.loads(rep.read_text(), parse_constant=reject)
         assert any(v is None for item in doc["items"] for v in item.values())
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_exits_2(self, capsys, points):
+        # named as spectrum and modulate name it, not by numpy's logspace
+        code = run_cli("diplexer", str(EXAMPLE_CONFIG), "--points", points)
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --points must be >= 1, got {points}\n")
+
     def test_failed_spec_check_writes_nothing(self, tmp_path, capsys):
         # one point is too few for the spec check: exit 2 before any CSV row
         out = tmp_path / "r.csv"

@@ -801,8 +801,8 @@ class TestTuningInU:
             return kernel(q, e_c, second)
 
         monkeypatch.setattr(fitting, "least_squares", counting_engine)
-        # fitting's own name and transmon's, which levels and _f01 call
-        monkeypatch.setattr(fitting, "_at_q", counting_kernel)
+        # the refinement's model takes transmon's name when it is made,
+        # as levels and _f01 do when called
         monkeypatch.setattr(transmon, "_at_q", counting_kernel)
         res = fit_tuning_curve(data, fixed_e_c=e_c if fixed else None, use_diagonalization=True)
         (_, _, closed_form_calls), (nfev, njev, total_calls) = stages

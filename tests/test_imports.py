@@ -43,6 +43,17 @@ CROSSTALK = ("crosstalk", CONFIG, "--qubit", "q0", "--gamma-db", "85", "--v-p", 
 DIPLEXER = ("diplexer", CONFIG, "--out", "d.csv", "--report-out", "d.json")
 MODULATE = ("modulate", CONFIG, "--qubit", "q0", "--points", "3", "--out", "m.csv")
 MODULATE_ORACLE = (*MODULATE, "--with-oracle")
+FIT_FIXTURES = {
+    "t1": "t1_53us.csv",
+    "ramsey": "ramsey_10us.csv",
+    "rb": "rb_decay.csv",
+    "tuning": "tuning_q0.csv",
+    "beta": "beta_q0.csv",
+}
+
+
+def fit_argv(kind: str) -> tuple:
+    return ("fit", kind, str(FIXTURES / FIT_FIXTURES[kind]), CONFIG, "--qubit", "q0", "--out", "f.json")
 
 
 def test_package_and_config_load_no_scipy(tmp_path):
@@ -77,7 +88,11 @@ def test_spectrum_loads_no_optimizer(tmp_path):
     (DIPLEXER, {"signal_chain", "modulation", "specfun", "fitting"}),
     (MODULATE, {"rf_network", "signal_chain", "fitting"}),
     (CROSSTALK, {"rf_network", "fitting"}),
-], ids=["spectrum", "diplexer", "modulate", "crosstalk"])
+    # only the tuning and beta model factories import modulation and transmon
+    (fit_argv("t1"), {"modulation", "transmon"}),
+    (fit_argv("ramsey"), {"modulation", "transmon"}),
+    (fit_argv("rb"), {"modulation", "transmon"}),
+], ids=["spectrum", "diplexer", "modulate", "crosstalk", "fit-t1", "fit-ramsey", "fit-rb"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, unused):
     loaded = loaded_by(cli_run(*argv), tmp_path, "fluxline")
     assert not loaded & {f"fluxline.{m}" for m in unused}
@@ -85,19 +100,6 @@ def test_subcommand_loads_only_its_layers(tmp_path, argv, unused):
 
 def test_fitting_module_loads_no_scipy(tmp_path):
     assert loaded_by("import fluxline.fitting\n", tmp_path) == set()
-
-
-FIT_FIXTURES = {
-    "t1": "t1_53us.csv",
-    "ramsey": "ramsey_10us.csv",
-    "rb": "rb_decay.csv",
-    "tuning": "tuning_q0.csv",
-    "beta": "beta_q0.csv",
-}
-
-
-def fit_argv(kind: str) -> tuple:
-    return ("fit", kind, str(FIXTURES / FIT_FIXTURES[kind]), CONFIG, "--qubit", "q0", "--out", "f.json")
 
 
 @pytest.mark.parametrize("kind", FIT_FIXTURES)

@@ -326,10 +326,16 @@ class TestSerialization:
         assert len(lines) == 3
         cutoff_row = lines[2].split(",")
         assert float(cutoff_row[1]) == pytest.approx(-3.01, abs=0.05)
+        # a scalar frequency is a one-row sweep
+        assert rf.two_port_sweep_csv(net, 1500.0) == "\n".join([lines[0], lines[2]]) + "\n"
 
 
-# The per-frequency loop that `_abcd_stack` replaced, kept here as the
-# reference the stacked evaluation must match bit for bit.
+# The per-frequency 2 x 2 matrix-product loop that the entrywise kernel
+# replaced, kept here as an independent reference: the kernel must match
+# it within ATOL_S in S.  Bit for bit, an evaluation over a grid must equal
+# the same call made one frequency at a time (as one-element arrays).
+
+ATOL_S = 1e-12
 
 
 def loop_network_abcd(net, f):
@@ -375,13 +381,12 @@ def loop_diplexer_eval(lp, bp, z0, freqs, k=0.0):
     return s
 
 
-def loop_sweep_csv(net, freqs):
+def loop_sweep_csv(freqs, s11, s21):
     lines = ["frequency_mhz,s21_db,s11_db"]
-    for f in freqs:
-        s11, s21 = loop_s(loop_network_abcd(net, float(f)), net.z0)
-        s21_db = 20.0 * math.log10(abs(s21) + 1e-300)
-        s11_db = 20.0 * math.log10(abs(s11) + 1e-300)
-        lines.append(f"{f:.12g},{s21_db:.12g},{s11_db:.12g}")
+    for f, a, b in zip(freqs, s11, s21):
+        s21_db = 20.0 * math.log10(abs(complex(b)) + 1e-300)
+        s11_db = 20.0 * math.log10(abs(complex(a)) + 1e-300)
+        lines.append(f"{float(f):.12g},{s21_db:.12g},{s11_db:.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -399,24 +404,35 @@ frequency_arrays = st.lists(
 ).map(np.array)
 
 
+def diplexer_s(lp, bp, freqs, k):
+    got = rf.diplexer_eval(lp, bp, 50.0, freqs, eccosorb_ohm_per_ghz=k)
+    return np.array([got.s31, got.s32, got.s12])
+
+
+def assert_diplexer_matches(lp, bp, freqs, k):
+    got = diplexer_s(lp, bp, freqs, k)
+    one_at_a_time = np.concatenate([diplexer_s(lp, bp, freqs[i : i + 1], k) for i in range(freqs.size)], axis=1)
+    assert np.array_equal(got, one_at_a_time)
+    assert np.abs(got - loop_diplexer_eval(lp, bp, 50.0, freqs, k)).max() <= ATOL_S
+
+
 class TestStackedAgainstLoop:
     @given(ladders(("L", "C", "R")), frequency_arrays)
     @settings(max_examples=80, deadline=None)
     def test_network_response_bit_identical(self, net, freqs):
         resp = rf.network_response(net, freqs)
         for i, f in enumerate(freqs):
-            want = loop_network_abcd(net, float(f))
-            assert np.array_equal(resp.abcd[i], want)
-            s11, s21 = loop_s(want, net.z0)
-            assert resp.s11[i] == s11 and resp.s21[i] == s21
+            one = rf.network_response(net, freqs[i : i + 1])
+            assert np.array_equal(resp.abcd[i], one.abcd[0])
+            assert resp.s11[i] == one.s11[0] and resp.s21[i] == one.s21[0]
+            s11, s21 = loop_s(loop_network_abcd(net, float(f)), net.z0)
+            assert abs(resp.s11[i] - s11) <= ATOL_S and abs(resp.s21[i] - s21) <= ATOL_S
 
     @given(ladders(("L", "C", "R"), 5), ladders(("L", "C", "R"), 5), frequency_arrays,
            st.sampled_from([0.0, 0.7, 2.0]))
     @settings(max_examples=60, deadline=None)
     def test_diplexer_ladders_bit_identical(self, lp, bp, freqs, k):
-        got = rf.diplexer_eval(lp, bp, 50.0, freqs, eccosorb_ohm_per_ghz=k)
-        want = loop_diplexer_eval(lp, bp, 50.0, freqs, k)
-        assert np.array_equal(np.array([got.s31, got.s32, got.s12]), want)
+        assert_diplexer_matches(lp, bp, freqs, k)
 
     @pytest.mark.parametrize("n_lp", [3, 5, 7, 9])
     @pytest.mark.parametrize("n_bp", [3, 5, 7, 9])
@@ -425,17 +441,23 @@ class TestStackedAgainstLoop:
         bp = rf.synth_bandpass(n_bp, 2900.0, 7200.0)
         grid = rf.default_frequency_grid(150)
         for k in (0.0, 1.3):
-            got = rf.diplexer_eval(lp, bp, 50.0, grid, eccosorb_ohm_per_ghz=k)
-            want = loop_diplexer_eval(lp, bp, 50.0, grid, k)
-            assert np.array_equal(np.array([got.s31, got.s32, got.s12]), want)
+            assert_diplexer_matches(lp, bp, grid, k)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_sweep_csv_byte_identical(self, n):
-        # at 2000 points |s11| of the 5th-order band-pass differs in the
-        # last ulp between np.abs and the scalar abs in 900 rows
+        # compared in S: cells at |s11| ~ 1e-15 (~ -300 dB) show the
+        # rounding of S in their 12 digits of dB.  The cells use the scalar
+        # abs and math.log10 (np.abs and np.log10 differ from them in the
+        # last ulp in 900 rows of the 5th-order band-pass at 2000 points)
         grid = rf.default_frequency_grid(2000)
         for net in (rf.synth_lowpass(n, 1500.0), rf.synth_bandpass(n, 3000.0, 7000.0)):
-            assert rf.two_port_sweep_csv(net, grid) == loop_sweep_csv(net, grid)
+            text = rf.two_port_sweep_csv(net, grid)
+            rows = [rf.two_port_sweep_csv(net, grid[i : i + 1]).splitlines()[1] for i in range(grid.size)]
+            assert text == "\n".join(["frequency_mhz,s21_db,s11_db", *rows]) + "\n"
+            resp = rf.network_response(net, grid)
+            assert text == loop_sweep_csv(grid, resp.s11, resp.s21)
+            want = np.array([loop_s(loop_network_abcd(net, float(f)), net.z0) for f in grid])
+            assert np.abs(np.array([resp.s11, resp.s21]) - want.T).max() <= ATOL_S
 
     @given(st.lists(st.one_of(st.floats(-10.0, 10.0), st.just(math.nan)), min_size=2, max_size=30),
            st.booleans())
@@ -450,7 +472,9 @@ class TestStackedAgainstLoop:
 class TestStackedEvaluation:
     def test_diplexer_makes_no_per_frequency_calls(self, monkeypatch):
         calls = {}
-        for name in ("element_abcd", "network_abcd", "network_response", "to_s_params", "cascade"):
+        names = ("element_abcd", "network_abcd", "network_response", "to_s_params", "cascade",
+                 "_ladder", "_product", "_stack")
+        for name in names:
             original = getattr(rf, name)
 
             def counted(*args, _name=name, _fn=original, **kwargs):
@@ -461,8 +485,12 @@ class TestStackedEvaluation:
         lp = rf.synth_lowpass(5, 1500.0)
         bp = rf.synth_bandpass(5, 3000.0, 7000.0)
         rf.diplexer_eval(lp, bp, 50.0, rf.default_frequency_grid(2000), eccosorb_ohm_per_ghz=1.0)
-        # one cascade per branch and per path, one S conversion per path
-        assert calls == {"cascade": 5, "to_s_params": 3}
+        # one kernel pass per branch, one entrywise product for the
+        # port-swapped path, and no (F, 2, 2) stack
+        assert calls == {"_ladder": 2, "_product": 1}
+        calls.clear()
+        rf.two_port_sweep_csv(bp, rf.default_frequency_grid(2000))
+        assert calls == {"_ladder": 1}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_frequency_rejected(self, bad):
