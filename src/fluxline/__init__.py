@@ -10,7 +10,8 @@ fitting       Levenberg-Marquardt engine and characterization fit models
 config        device configuration documents
 cli           command-line front end
 
-The names below are re-exported lazily (PEP 562): ``import fluxline``
+The package defines the error types (config and specfun re-export them).
+The other names below are re-exported lazily (PEP 562): ``import fluxline``
 loads no submodule, and the first access to a name imports the submodule
 that defines it, so scipy is loaded only by the parts that need it.
 """
@@ -19,11 +20,18 @@ import importlib
 
 __version__ = "0.1.0"
 
+
+class ConfigError(ValueError):
+    """Invalid configuration document; message names the offending field."""
+
+
+class ConvergenceError(RuntimeError):
+    """A series failed to reach the requested accuracy."""
+
+
 # re-exported name -> defining submodule
 _EXPORTS = {
     "TransmonParams": "config",
-    "FluxPoint": "transmon",
-    "SpectrumResult": "transmon",
     "FluxDrive": "modulation",
     "LineBudget": "signal_chain",
     "AttenuationChain": "config",
@@ -33,7 +41,6 @@ _EXPORTS = {
     "effective_ej": "transmon",
     "f01_asymptotic": "transmon",
     "levels": "transmon",
-    "diagonalize": "transmon",
     "avg_frequency": "modulation",
     "harmonic_series": "modulation",
     "second_order_shift": "modulation",
@@ -48,7 +55,7 @@ _EXPORTS = {
     "load_config": "config",
 }
 
-__all__ = [*_EXPORTS, "__version__"]
+__all__ = ["ConfigError", "ConvergenceError", *_EXPORTS, "__version__"]
 
 
 def __getattr__(name):

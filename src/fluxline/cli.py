@@ -2,15 +2,15 @@
 
 Exit codes: 0 success, 2 input/validation error (an array too large to
 allocate included), 3 numerical non-convergence (fit or series).  JSON
-output is strict: non-finite values are written as null.  All numeric output is rounded to 12 significant
-digits with '.' decimals, in CSV by :func:`fmt` and in JSON by
-:func:`_json_ready`, so repeated runs are byte-identical.
+output is strict: non-finite values are written as null.  All numeric
+output is rounded to 12 significant digits with '.' decimals, as :func:`fmt`
+writes them, so repeated runs are byte-identical.
 
-Imports are per subcommand: the module loads numpy and :mod:`fluxline.config`
-(home of DiplexerSpec and AttenuationChain; it loads no other layer), and each
-``cmd_*`` the layers it runs.  No subcommand loads scipy: the exact levels
-of ``spectrum`` and ``modulate --with-oracle`` are numpy polynomial tables,
-and ``fit`` has its own numpy engine.
+Imports are per subcommand: the module loads numpy and takes the error types
+from the package; each ``cmd_*`` loads the layers it runs and :func:`_load`
+the config layer, so ``fit t1|ramsey|rb`` loads no config or specfun.  No
+subcommand loads scipy: the exact levels of ``spectrum`` and ``modulate
+--with-oracle`` are numpy polynomial tables, and ``fit`` has its own engine.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, DeviceConfig, load_config
+from . import ConfigError, ConvergenceError
 
 CONFIG_ENV = "FLUXLINE_CONFIG"
 
@@ -55,8 +55,10 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    # fmt's cells in one % format; adding 0.0 turns -0.0 into 0, as fmt does
+    table = np.array(list(rows), dtype=float) + 0.0
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    _write(path, ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _json_ready(obj):
@@ -80,12 +82,13 @@ def _error(exc: Exception, code: int) -> int:
     return code
 
 
-def _load(args) -> DeviceConfig:
+def _load(args):
+    """The DeviceConfig at args.config, or at $FLUXLINE_CONFIG."""
+    from .config import load_config
+
     path = args.config or os.environ.get(CONFIG_ENV)
     if not path:
-        raise ConfigError(
-            f"no config given: pass a path or set {CONFIG_ENV}"
-        )
+        raise ConfigError(f"no config given: pass a path or set {CONFIG_ENV}")
     return load_config(path)
 
 
@@ -357,13 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convergence_error() -> type:
-    # called only for an exception past the exit-2 clause: no run loads specfun for it
-    from .specfun import ConvergenceError
-
-    return ConvergenceError
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -373,7 +369,7 @@ def main(argv=None) -> int:
         # ConfigError is a ValueError; MemoryError: an array numpy cannot
         # allocate, such as --points 1e12
         return _error(exc, 2)
-    except _convergence_error() as exc:  # fitting.FitError included
+    except ConvergenceError as exc:  # fitting.FitError included
         return _error(exc, 3)
 
 

@@ -8,12 +8,10 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import ConfigError  # defined by the package, re-exported here
+
 __all__ = ["ConfigError", "TransmonParams", "DiplexerSpec", "AttenuationChain", "QubitRecord", "DiplexerConfig",
            "DeviceConfig", "load_config"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration document; message names the offending field."""
 
 
 # document types, defined here so that loading a config needs no numerical

@@ -29,8 +29,8 @@ is nearly straight, and report the energies.  Both tuning models take
 (e_j1, e_j2, e_c, amps_per_phi0, phi_offset); a fixed E_C is held in one
 place, _hold_e_c, which _fit_in_u wraps around them.  The engine loads
 no scipy; the test suite checks it against MINPACK's lmder through scipy.
-The model factories that need modulation or transmon import them, so the
-T1, Ramsey and benchmarking fits load neither.
+The model factories that need modulation, specfun or transmon import them,
+so the T1, Ramsey and benchmarking fits load none of them, nor config.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .specfun import ConvergenceError, _bessel, bessel_j0
+from . import ConvergenceError
 
 if TYPE_CHECKING:
     from .transmon import TransmonParams
@@ -737,6 +737,7 @@ def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     takes J0 and J1 of its arguments in one kernel pass, and the Jacobian
     at the beta just evaluated reuses that J1."""
     from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
+    from .specfun import _bessel, bessel_j0
 
     wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
     cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))

@@ -36,8 +36,6 @@ __all__ = [
     "SpecCheckReport",
     "butterworth_g",
     "element_abcd",
-    "cascade",
-    "to_s_params",
     "network_abcd",
     "network_response",
     "synth_lowpass",
@@ -96,12 +94,6 @@ class TwoPortResponse:
     abcd: np.ndarray
     s11: complex
     s21: complex
-
-    @property
-    def det(self) -> complex:
-        """A·D − B·C of the cascade, 1 if reciprocal, to ~eps·(|A·D| + |B·C|)."""
-        m = self.abcd
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 @dataclass(frozen=True)
@@ -179,6 +171,7 @@ def _ladder(net: LadderNetwork, f_mhz) -> tuple:
 
 
 def _s_params(a, b, c, d, z0: float):
+    """(s11, s21) of the ABCD entries a, b, c, d between equal real port impedances z0."""
     if z0 <= 0:
         raise ValueError(f"z0 must be > 0, got {z0}")
     den = a + b / z0 + c * z0 + d
@@ -189,19 +182,6 @@ def _s_params(a, b, c, d, z0: float):
 
 def element_abcd(element: Element, f_mhz) -> np.ndarray:
     return network_abcd(LadderNetwork((element,)), f_mhz)
-
-
-def cascade(*abcds: np.ndarray) -> np.ndarray:
-    """Product of ABCD matrices (or (..., 2, 2) stacks) in port order, input first."""
-    out = (1.0, 0.0, 0.0, 1.0)
-    for m in abcds:
-        out = _product(out, (m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]))
-    return _stack(np.broadcast(*out).shape, *out)
-
-
-def to_s_params(abcd: np.ndarray, z0: float):
-    """(s11, s21) for equal real port impedances, per matrix of a stack."""
-    return _s_params(abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1], z0)
 
 
 def network_abcd(net: LadderNetwork, f_mhz) -> np.ndarray:
@@ -366,13 +346,13 @@ def two_port_sweep_csv(net: LadderNetwork, frequencies_mhz: np.ndarray) -> str:
     """CSV text (frequency_mhz, s21_db, s11_db) for plotting a two-port."""
     freqs = np.atleast_1d(np.asarray(frequencies_mhz, dtype=float))
     s11, s21 = _s_params(*_ladder(net, freqs), net.z0)
-    # per-cell scalar abs and math.log10: np.abs and np.log10 differ from
-    # them in the last ulp, which the 12-digit cells can show
-    db = lambda s: 20.0 * math.log10(abs(s) + 1e-300)
-    lines = ["frequency_mhz,s21_db,s11_db"]
-    for f, a, b in zip(freqs.tolist(), s11.tolist(), s21.tolist()):
-        lines.append(f"{f:.12g},{db(b):.12g},{db(a):.12g}")
-    return "\n".join(lines) + "\n"
+    # per-cell scalar abs and math.log10 (np.abs and np.log10 differ from them
+    # in the last ulp, which 12 digits can show), then one % format for all
+    cells = [None] * (3 * freqs.size)
+    cells[0::3] = freqs.tolist()
+    for k, s in ((1, s21), (2, s11)):
+        cells[k::3] = [20.0 * math.log10(abs(x) + 1e-300) for x in s.tolist()]
+    return "frequency_mhz,s21_db,s11_db\n" + ("%.12g,%.12g,%.12g\n" * freqs.size) % tuple(cells)
 
 
 def network_to_json(net: LadderNetwork) -> str:

@@ -24,13 +24,10 @@ import math
 
 import numpy as np
 
+from . import ConvergenceError  # defined by the package, re-exported here
 from ._poly import horner
 
 __all__ = ["rising_factorial", "bessel_j0", "bessel_j1", "hyp2f1", "ConvergenceError"]
-
-
-class ConvergenceError(RuntimeError):
-    """A series failed to reach the requested accuracy."""
 
 
 def rising_factorial(x: float, n: int) -> float:

@@ -39,7 +39,7 @@ from fluxline.modulation import (
 )
 from fluxline.signal_chain import LineBudget, drive_current, flux_from_current
 from fluxline.specfun import _gamma_ratio, bessel_j0, hyp2f1
-from fluxline.transmon import FluxPoint, diagonalize
+from fluxline.transmon import levels
 
 from conftest import DEVICE_TABLE, EXAMPLE_CONFIG, FIXTURES
 
@@ -56,15 +56,15 @@ def test_criterion_1_device_table_joint_reproduction(device_params):
     rows = []
     for name, (e_c, e_j1, e_j2, f_max, f_min, eta) in DEVICE_TABLE.items():
         p = device_params[name]
-        top = diagonalize(p, FluxPoint(phi=0.0))
-        bottom = diagonalize(p, FluxPoint(phi=0.5))
+        top, top_f12, _ = levels(p, 0.0)
+        bottom, _, _ = levels(p, 0.5)
         errs = []
-        if abs(top.f01 - f_max) >= 10.0:
-            errs.append(f"f_max {top.f01:.2f} vs {f_max}±10")
-        if abs(bottom.f01 - f_min) >= 15.0:
-            errs.append(f"f_min {bottom.f01:.2f} vs {f_min}±15")
-        if abs(top.anharmonicity - eta) >= 10.0:
-            errs.append(f"eta {top.anharmonicity:.2f} vs {eta}±10")
+        if abs(top - f_max) >= 10.0:
+            errs.append(f"f_max {top:.2f} vs {f_max}±10")
+        if abs(bottom - f_min) >= 15.0:
+            errs.append(f"f_min {bottom:.2f} vs {f_min}±15")
+        if abs(top_f12 - top - eta) >= 10.0:
+            errs.append(f"eta {top_f12 - top:.2f} vs {eta}±10")
         rows.append((name, errs))
     elapsed = time.perf_counter() - t0
     failures = [f"{name}: {'; '.join(errs)}" for name, errs in rows if errs]
@@ -104,8 +104,8 @@ def test_criterion_3_series_vs_time_average_oracle(device_params):
     worst_series_excess = 0.0
     failures = []
     for name, p in device_params.items():
-        f_max = diagonalize(p, FluxPoint(phi=0.0)).f01
-        f_min = diagonalize(p, FluxPoint(phi=0.5)).f01
+        f_max = float(levels(p, 0.0)[0])
+        f_min = float(levels(p, 0.5)[0])
         span = f_max - f_min
         for phi_ac in (0.05, 0.10, 0.20, 0.25):
             drive = FluxDrive(0.0, phi_ac)
@@ -173,8 +173,9 @@ def test_criterion_5_diplexer_spec():
         # reciprocity of the cascaded product: A·D − B·C = 1 up to its
         # rounding, which scales with |A·D| + |B·C| (~1e12 far from band)
         m = r.abcd
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
         scale = np.abs(m[:, 0, 0] * m[:, 1, 1]) + np.abs(m[:, 0, 1] * m[:, 1, 0])
-        worst_det = max(worst_det, float(np.max(np.abs(r.det - 1.0) / scale)))
+        worst_det = max(worst_det, float(np.max(np.abs(det - 1.0) / scale)))
     clean = worst_unitarity < 1e-9 and worst_det < 1e-9
     ok = check.passed and clean
     items = {i.name: i.measured for i in check.items}

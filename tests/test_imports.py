@@ -88,14 +88,21 @@ def test_spectrum_loads_no_optimizer(tmp_path):
     (DIPLEXER, {"signal_chain", "modulation", "specfun", "fitting"}),
     (MODULATE, {"rf_network", "signal_chain", "fitting"}),
     (CROSSTALK, {"rf_network", "fitting"}),
-    # only the tuning and beta model factories import modulation and transmon
-    (fit_argv("t1"), {"modulation", "transmon"}),
-    (fit_argv("ramsey"), {"modulation", "transmon"}),
-    (fit_argv("rb"), {"modulation", "transmon"}),
-], ids=["spectrum", "diplexer", "modulate", "crosstalk", "fit-t1", "fit-ramsey", "fit-rb"])
+    # only the tuning and beta model factories import modulation and transmon,
+    # only the beta model specfun; the error types live in the package
+    (fit_argv("t1"), {"modulation", "transmon", "config", "specfun"}),
+    (fit_argv("ramsey"), {"modulation", "transmon", "config", "specfun"}),
+    (fit_argv("rb"), {"modulation", "transmon", "config", "specfun"}),
+    (fit_argv("tuning"), {"specfun", "modulation", "rf_network", "signal_chain"}),
+], ids=["spectrum", "diplexer", "modulate", "crosstalk", "fit-t1", "fit-ramsey", "fit-rb", "fit-tuning"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, unused):
     loaded = loaded_by(cli_run(*argv), tmp_path, "fluxline")
     assert not loaded & {f"fluxline.{m}" for m in unused}
+
+
+def test_cli_module_loads_no_config(tmp_path):
+    # the config layer loads when a subcommand reads a config, not before
+    assert "fluxline.config" not in loaded_by("import fluxline.cli\n", tmp_path, "fluxline")
 
 
 def test_fitting_module_loads_no_scipy(tmp_path):

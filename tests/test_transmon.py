@@ -214,6 +214,16 @@ class TestDiagonalize:
         assert abs(f01 - (e1 - e0)) < 1e-6
         assert abs(f12 - (e2 - e1)) < 1e-6
 
+    def test_is_levels_bit_for_bit(self, device_params):
+        # diagonalize wraps one scalar levels call; it stays while the
+        # benchmark calls it, and must give levels' numbers unchanged
+        for p in device_params.values():
+            for phi in (0.0, 0.13, -0.37, 0.5, 2.25):
+                f01, f12, converged = levels(p, phi)
+                res = diagonalize(p, FluxPoint(phi=phi))
+                assert (res.f01, res.f12, res.anharmonicity) == (f01, f12, f12 - f01)
+                assert res.converged and converged
+
     def test_anharmonicity_negative(self, device_params):
         for p in device_params.values():
             assert diagonalize(p, FluxPoint(phi=0.0)).anharmonicity < 0.0
