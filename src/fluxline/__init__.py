@@ -13,7 +13,8 @@ cli           command-line front end
 The package defines the error types (config and specfun re-export them).
 The other names below are re-exported lazily (PEP 562): ``import fluxline``
 loads no submodule, and the first access to a name imports the submodule
-that defines it, so scipy is loaded only by the parts that need it.
+that defines it, so numpy and mpmath are loaded only by the parts that
+need them.
 """
 
 import importlib

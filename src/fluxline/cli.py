@@ -9,8 +9,9 @@ writes them, so repeated runs are byte-identical.
 Imports are per subcommand: the module loads numpy and takes the error types
 from the package; each ``cmd_*`` loads the layers it runs and :func:`_load`
 the config layer, so ``fit t1|ramsey|rb`` loads no config or specfun.  No
-subcommand loads scipy: the exact levels of ``spectrum`` and ``modulate
---with-oracle`` are numpy polynomial tables, and ``fit`` has its own engine.
+subcommand loads scipy or mpmath: the exact levels of ``spectrum`` and
+``modulate --with-oracle`` are numpy polynomial tables, ``fit`` has its own
+engine, and none calls ``specfun.hyp2f1``.
 """
 
 from __future__ import annotations

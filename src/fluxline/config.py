@@ -187,27 +187,22 @@ def _parse_chain(doc, where: str) -> AttenuationChain:
 
 def _parse_diplexer(doc, where: str) -> DiplexerConfig:
     doc = _object(doc, where)
-    defaults = DiplexerSpec()
-    for key in ("lp_order", "bp_order"):
-        order = doc.get(key, 5)
+    defaults = DiplexerConfig()
+    orders = {key: doc.get(key, getattr(defaults, key)) for key in ("lp_order", "bp_order")}
+    for key, order in orders.items():
         if not isinstance(order, int) or isinstance(order, bool) or not 1 <= order <= 11:
             raise ConfigError(f"{where}.{key}: must be an integer in [1, 11], got {order!r}")
     bands = {
-        key: _positive(doc.get(key, getattr(defaults, key)), f"{where}.{key}")
+        key: _positive(doc.get(key, getattr(defaults.spec, key)), f"{where}.{key}")
         for key in ("lp_cutoff_mhz", "bp_low_mhz", "bp_high_mhz", "isolation_max_freq_mhz")
     }
-    isolation_db = _finite(doc.get("isolation_db", defaults.isolation_db), f"{where}.isolation_db")
+    isolation_db = _finite(doc.get("isolation_db", defaults.spec.isolation_db), f"{where}.isolation_db")
     try:
         # the band plan's ordering, which DiplexerSpec checks
         spec = DiplexerSpec(**bands, isolation_db=isolation_db)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return DiplexerConfig(
-        lp_order=doc.get("lp_order", 5),
-        bp_order=doc.get("bp_order", 5),
-        z0=_positive(doc.get("z0", 50.0), f"{where}.z0"),
-        spec=spec,
-    )
+    return DiplexerConfig(**orders, z0=_positive(doc.get("z0", defaults.z0), f"{where}.z0"), spec=spec)
 
 
 def load_config(path: str | Path) -> DeviceConfig:

@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter, since the test process itself
 has long loaded scipy.
 """
 
+import ast
 import json
 import os
 import re
@@ -127,6 +128,42 @@ def test_bessel_callers_load_no_polynomial_package_or_scipy(tmp_path, argv):
     code = cli_run(*argv)
     assert loaded_by(code, tmp_path) == set()
     assert not {m for m in loaded_by(code, tmp_path, "numpy") if m.startswith("numpy.polynomial")}
+
+
+def test_hyp2f1_loads_no_scipy(tmp_path):
+    # z near 1, where 2F1 is summed in 1 - z
+    code = "from fluxline.specfun import hyp2f1\nassert hyp2f1(0.5, 1.0, 1.5, 0.99) > 1.0\n"
+    assert loaded_by(code, tmp_path) == set()
+
+
+def test_bessel_kernels_load_no_mpmath(tmp_path):
+    code = "import fluxline.specfun\nfluxline.specfun.bessel_j0(2.5)\nfluxline.specfun.bessel_j1([1.0, 9.0])\n"
+    assert loaded_by(code, tmp_path, "mpmath") == set()
+
+
+def test_no_subcommand_loads_mpmath(tmp_path):
+    # every subcommand and fit kind in one interpreter: hyp2f1 is on no CLI path
+    runs = [SPECTRUM, CROSSTALK, DIPLEXER, MODULATE, MODULATE_ORACLE, *map(fit_argv, FIT_FIXTURES)]
+    assert loaded_by("".join(cli_run(*argv) for argv in runs), tmp_path, "mpmath") == set()
+
+
+def test_declared_dependencies_match_imports():
+    # the third-party modules that src/fluxline imports, function-level
+    # imports included, are the [project] dependencies (read without
+    # tomllib, which Python 3.10 lacks)
+    imported = set()
+    for path in (REPO / "src" / "fluxline").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fluxline"}
+    project = (REPO / "pyproject.toml").read_text().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in re.findall(r'"([^"]+)"', listed)}
+    assert third_party == declared
 
 
 SUBMODULES = ("transmon", "modulation", "specfun", "rf_network", "fitting", "signal_chain", "config")
