@@ -42,7 +42,7 @@ class TransmonParams:
             warnings.warn(
                 f"e_j_sum/e_c = {self.e_j_sum / self.e_c:.1f} < 20: "
                 "outside the transmon regime, asymptotic formulas degrade",
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

@@ -102,8 +102,8 @@ class DataSeries:
             object.__setattr__(self, "sigma", s)
             if s.shape != x.shape:
                 raise ValueError("sigma must match x in length")
-            if not (s > 0).all():
-                raise ValueError("sigma values must be > 0")
+            if not (np.isfinite(s) & (s > 0)).all():
+                raise ValueError("sigma values must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -733,11 +733,10 @@ def fit_tuning_curve(
 
 def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta, from
-    the harmonic series of order DEFAULT_ORDER.  An evaluation at one beta
-    takes J0 and J1 of its arguments in one kernel pass, and the Jacobian
-    at the beta just evaluated reuses that J1."""
+    the harmonic series of order DEFAULT_ORDER.  An evaluation takes J0 of
+    its arguments and the Jacobian J1, each in its own kernel pass."""
     from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
-    from .specfun import _bessel, bessel_j0
+    from .specfun import bessel_j0, bessel_j1
 
     wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
     cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
@@ -748,20 +747,13 @@ def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     # one Bessel call, each equal to the curve of that beta alone
     def fn(amp, th):
         beta = np.abs(th[0])
-        if np.ndim(beta) == 0:
-            return curve_and_j1(amp, th)[0]
         column = (-1,) + (1,) * np.ndim(beta)
         arg = (wn.reshape(column) * beta)[..., None] * amp
         return (cn.reshape(column + (1,)) * bessel_j0(arg)).sum(axis=0)
 
-    @_remember_last
-    def curve_and_j1(amp, th):
-        j0, j1 = _bessel((wn * abs(th[0]))[:, None] * amp, (0, 1))
-        return (cn[:, None] * j0).sum(axis=0), j1[1:]
-
     def jac(amp, th):
         sign = 1.0 if th[0] >= 0 else -1.0
-        j1 = curve_and_j1(amp, th)[1]
+        j1 = bessel_j1((wn[1:] * abs(th[0]))[:, None] * amp)
         col = (cn[1:, None] * (-j1 * wn[1:, None] * amp)).sum(axis=0)
         return (sign * col)[:, None]
 

@@ -301,6 +301,12 @@ def check_spec(response: DiplexerResponse, spec: DiplexerSpec = DiplexerSpec()) 
             "frequency grid must span from below the low-pass band to the "
             f"isolation limit {spec.isolation_max_freq_mhz} MHz"
         )
+    mask = freqs <= spec.isolation_max_freq_mhz
+    if not mask.any():
+        raise ValueError(
+            f"isolation limit {spec.isolation_max_freq_mhz} MHz lies below the "
+            f"frequency grid's start {freqs[0]:g} MHz"
+        )
     bp_db = _db(response.s31)
     i0 = int(np.argmin(np.abs(freqs - math.sqrt(spec.bp_low_mhz * spec.bp_high_mhz))))
     lp = _crossing(freqs, _db(response.s32), HALF_POWER_DB, rising=False)
@@ -325,7 +331,6 @@ def check_spec(response: DiplexerResponse, spec: DiplexerSpec = DiplexerSpec()) 
             )
         )
 
-    mask = freqs <= spec.isolation_max_freq_mhz
     iso_db = _db(response.s12[mask])
     worst_i = int(np.argmax(iso_db))
     items.append(

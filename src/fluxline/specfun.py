@@ -15,7 +15,6 @@ returning a NaN or an infinity.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -59,62 +58,40 @@ _HANKEL_XQ = ((7.660588700004678e-13, -2.4959955008932025e-12, 6.607770877051606
                -6.633568600166279e-07, 1.4569614819268144e-05, -0.0007697167057643086, 0.3742149922195917))
 
 
-def _polys(tables, orders, y):
-    # table[nu] at y for each table and each nu in orders, table by table.
-    # One order: a Horner pass per polynomial on its Python floats, since
-    # scalar operands are numpy's fastest loops.  More: one pass over their
-    # coefficients stacked as columns, cheaper on the few hundred arguments
-    # of a fit_beta evaluation, each row with its own operations.
-    if len(orders) == 1:
-        return [horner(table[orders[0]], y) for table in tables]
-    return horner(_stacked(tables, orders), y)
-
-
-@functools.lru_cache(maxsize=None)
-def _stacked(tables, orders):
-    return np.array([table[nu] for table in tables for nu in orders]).T[..., None]
-
-
-def _bessel(x, orders):
-    """[J_nu(x) for nu in orders], each nu 0 or 1, in one pass: the orders
-    share the argument transform, the masks, cos x and sin x, each bit for
-    bit what it gives alone.  A scalar in, floats out."""
+def _bessel(x, nu):
+    """J_nu(x) for nu 0 or 1, elementwise; a scalar in, a float out."""
     xs = np.asarray(x, dtype=float)
     ax = np.abs(xs.ravel())
-    out = np.empty((len(orders), ax.size))
+    out = np.empty(ax.size)
     small = ax <= _BESSEL_X0
     if small.any():
         xa = ax[small]
         t = np.square(xa / _BESSEL_X0)
-        for row, nu, g in zip(out, orders, _polys((_J_SMALL,), orders, 2.0 * t - 1.0)):
-            row[small] = xa * g if nu else 1.0 - t * g  # J0(0) = 1 exactly
+        g = horner(_J_SMALL[nu], 2.0 * t - 1.0)
+        out[small] = xa * g if nu else 1.0 - t * g  # J0(0) = 1 exactly
     if not small.all():
         large = ~small
         xa = ax[large]
         r = _BESSEL_X0 / xa  # for huge x, r and r^2 underflow quietly towards 0
-        pq = _polys((_HANKEL_P, _HANKEL_XQ), orders, 2.0 * r * r - 1.0)
+        y = 2.0 * r * r - 1.0
+        p, q = horner(_HANKEL_P[nu], y), horner(_HANKEL_XQ[nu], y) / xa
         # J0 = ((P+Q) cos x + (P-Q) sin x)/sqrt(pi x), J1 = ((P+Q) sin x - (P-Q) cos x)/sqrt(pi x)
         cos, sin = np.cos(xa), np.sin(xa)
         scale = np.sqrt(r * (1.0 / (_BESSEL_X0 * math.pi)))
-        for row, nu, p, xq in zip(out, orders, pq[: len(orders)], pq[len(orders) :]):
-            q = xq / xa
-            row[large] = ((p + q) * sin - (p - q) * cos if nu else (p + q) * cos + (p - q) * sin) * scale
-    if 1 in orders:
-        negative = xs.ravel() < 0.0
-        for row, nu in zip(out, orders):
-            if nu:
-                np.negative(row, out=row, where=negative)
-    return [float(row[0]) if xs.ndim == 0 else row.reshape(xs.shape) for row in out]
+        out[large] = ((p + q) * sin - (p - q) * cos if nu else (p + q) * cos + (p - q) * sin) * scale
+    if nu:
+        np.negative(out, out=out, where=xs.ravel() < 0.0)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero, elementwise."""
-    return _bessel(x, (0,))[0]
+    return _bessel(x, 0)
 
 
 def bessel_j1(x):
     """Bessel function of the first kind, order one (odd in x), elementwise."""
-    return _bessel(x, (1,))[0]
+    return _bessel(x, 1)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:

@@ -175,8 +175,8 @@ def f01_asymptotic(params: TransmonParams, phi):
     """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (MHz), elementwise."""
     ej = effective_ej(params, phi)
     # a scalar flux gives a numpy scalar, compared as it is: its .min()
-    # would cost as much as the formula
-    lowest = ej.min() if isinstance(ej, np.ndarray) else ej
+    # would cost as much as the formula.  No flux at all passes the check
+    lowest = ej.min(initial=np.inf) if isinstance(ej, np.ndarray) else ej
     if lowest <= params.e_c / 8.0:
         raise TransmonRegimeError(
             f"effective E_J = {lowest:.3g} MHz at phi = {np.ravel(phi)[np.argmin(ej)]} is "

@@ -449,6 +449,16 @@ class TestDiplexerCommand:
         failed = {i["name"] for i in doc["items"] if not i["passed"]}
         assert "isolation" in failed
 
+    def test_isolation_limit_below_the_grid_exits_2(self, tmp_path, capsys):
+        cfgdoc = json.loads(EXAMPLE_CONFIG.read_text())
+        cfgdoc["diplexer"]["isolation_max_freq_mhz"] = 5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfgdoc))
+        assert run_cli("diplexer", str(cfg), "--report-out", "-") == 2
+        assert capsys.readouterr() == (
+            "", "error: isolation limit 5.0 MHz lies below the frequency grid's start 10 MHz\n"
+        )
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -637,6 +647,16 @@ class TestFitCommand:
         assert run_cli("fit", "t1", str(path)) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["flags"] == [] and all(e > 0.0 for e in doc["std_errors"].values())
+
+    @pytest.mark.parametrize("rows", ["all", "one"])
+    def test_nonfinite_sigma_exits_2_naming_the_file(self, tmp_path, capsys, rows):
+        # an infinite sigma would drop its point from the fit unseen
+        header, *lines = (FIXTURES / "t1_53us.csv").read_text().splitlines()
+        sigma = ["inf" if rows == "all" or i == 7 else "0.01" for i in range(len(lines))]
+        path = tmp_path / "t1_sigma.csv"
+        path.write_text("".join(f"{ln},{s}\n" for ln, s in zip([header] + lines, ["sigma"] + sigma)))
+        assert run_cli("fit", "t1", str(path)) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: sigma values must be finite and > 0\n")
 
     def test_sigma_column_accepted(self, tmp_path, capsys):
         import numpy as np

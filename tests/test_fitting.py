@@ -157,6 +157,13 @@ class TestEngine:
         with pytest.raises(ValueError, match="sigma"):
             DataSeries(x=x, y=x, sigma=np.zeros_like(x))
 
+    @pytest.mark.parametrize("sigma", [np.full(5, np.inf), np.array([0.1, 0.1, np.inf, 0.1, 0.1])],
+                             ids=["all-inf", "one-inf"])
+    def test_nonfinite_sigma_rejected(self, sigma):
+        x = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="^sigma values must be finite and > 0$"):
+            DataSeries(x=x, y=x, sigma=sigma)
+
     def test_scale_equivariance(self):
         x = np.linspace(0.0, 150.0, 50)
         y = T1_MODEL.fn(x, np.array([0.8, 40.0, 0.1]))
@@ -539,44 +546,43 @@ class TestBetaScan:
     def test_one_bessel_call(self, q0, monkeypatch):
         from fluxline import fitting, specfun
 
-        calls, per_jacobian, depth = [], [], []
+        calls, per_residual, per_jacobian = [], [], []
 
-        # beta_model looks both kernels up in specfun, where bessel_j0 itself
-        # calls _bessel: count the outermost call only
         def counting(name, kernel):
-            def call(x, *orders):
-                if not depth:
-                    calls.append((name, np.shape(x)) + orders)
-                depth.append(name)
-                try:
-                    return kernel(x, *orders)
-                finally:
-                    depth.pop()
+            def call(x):
+                calls.append((name, np.shape(x)))
+                return kernel(x)
+
+            return call
+
+        def recording(into, fn):
+            def call(x, th):
+                before = len(calls)
+                value = fn(x, th)
+                into.append(calls[before:])
+                return value
 
             return call
 
         engine = fitting.least_squares
 
         def counting_engine(model, data, initial_guess):
-            def jac(x, th):
-                before = len(calls)
-                value = model.jac(x, th)
-                per_jacobian.append(len(calls) - before)
-                return value
-
-            return engine(replace(model, jac=jac), data, initial_guess)
+            model = replace(model, fn=recording(per_residual, model.fn), jac=recording(per_jacobian, model.jac))
+            return engine(model, data, initial_guess)
 
         monkeypatch.setattr(specfun, "bessel_j0", counting("j0", specfun.bessel_j0))
-        monkeypatch.setattr(specfun, "_bessel", counting("kernel", specfun._bessel))
+        monkeypatch.setattr(specfun, "bessel_j1", counting("j1", specfun.bessel_j1))
         monkeypatch.setattr(fitting, "least_squares", counting_engine)
         data = self.fixture()
-        res = fit_beta(data, q0)
-        # the scan takes J0 alone, then each residual evaluation of the solve
-        # takes J0 and J1 in one kernel pass
-        assert calls[0] == ("j0", (9, 30, data.x.size))
-        assert calls[1:] == [("kernel", (9, data.x.size), (0, 1))] * res.iterations
-        # and a Jacobian, always at the beta just evaluated, takes none
-        assert per_jacobian and per_jacobian == [0] * len(per_jacobian)
+        n = data.x.size
+        fit_beta(data, q0)
+        # the scan takes J0 alone, over all candidates at once
+        assert calls[0] == ("j0", (9, 30, n))
+        # each residual evaluation of the solve takes J0 alone, and each
+        # Jacobian J1 alone, without the n = 0 harmonic
+        assert per_residual and per_residual == [[("j0", (9, n))]] * len(per_residual)
+        assert per_jacobian and per_jacobian == [[("j1", (8, n))]] * len(per_jacobian)
+        assert len(calls) == 1 + len(per_residual) + len(per_jacobian)
 
 
 class TestResultCarriesModel:

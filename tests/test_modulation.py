@@ -24,7 +24,7 @@ from fluxline.modulation import (
     time_average_oracle,
 )
 from fluxline.specfun import ConvergenceError, bessel_j0
-from fluxline.transmon import FluxPoint, TransmonParams, diagonalize, levels
+from fluxline.transmon import FluxPoint, TransmonParams, diagonalize, f01_asymptotic, levels
 
 from conftest import EXAMPLE_CONFIG, charge_basis
 
@@ -244,6 +244,20 @@ class TestArrayDrive:
             # huge but representable phases give finite values
             assert math.isfinite(avg_frequency(q0, FluxDrive(1e305, 1e305)))
             assert math.isfinite(second_order_shift(q0, 1e140))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3)])
+    @pytest.mark.parametrize("fn", [
+        f01_asymptotic,
+        lambda p, phi: levels(p, phi)[0],
+        lambda p, phi: avg_frequency(p, FluxDrive(phi, 0.1)),
+        lambda p, phi: avg_frequency(p, FluxDrive(0.1, phi)),
+        lambda p, phi: time_average_oracle(p, FluxDrive(phi, 0.1)),
+        second_order_shift,
+    ], ids=["f01_asymptotic", "levels", "avg_frequency-dc", "avg_frequency-ac", "time_average_oracle",
+            "second_order_shift"])
+    def test_no_flux_gives_an_empty_array(self, q0, fn, shape):
+        got = fn(q0, np.empty(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
 
     def test_scalar_drive_gives_float(self, q0):
         drive = FluxDrive(0.13, 0.1)

@@ -307,6 +307,12 @@ class TestCheckSpec:
                 )
             )
 
+    def test_isolation_limit_below_the_grid_rejected(self, response):
+        # no frequency of the grid lies at or below the isolation limit
+        low = rf.DiplexerSpec(isolation_max_freq_mhz=5.0)
+        with pytest.raises(ValueError, match="^isolation limit 5.0 MHz lies below the frequency grid's start 10 MHz$"):
+            rf.check_spec(response, low)
+
 
 class TestSerialization:
     def test_json_roundtrip(self):

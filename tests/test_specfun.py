@@ -172,28 +172,6 @@ class TestBesselArrays:
         for i in rng.choice(x.size, 600, replace=False):
             assert fn(float(x.flat[i])) == batch.flat[i]
 
-    def test_fused_orders_equal_each_order_alone(self):
-        # the one pass for J0 and J1 that fit_beta takes, bit for bit against
-        # each order's own kernel, on the mpmath grids above, both orders'
-        # zeros, the large and huge arguments, and a (9, 41) block
-        x = np.concatenate([
-            np.linspace(-100.0, 100.0, 8001),
-            np.linspace(7.0, 9.0, 801),
-            8.0 + np.linspace(-1e-6, 1e-6, 21),
-            [0.0, -0.0, 1e-300, -1e-8, 1e-3, 5e305, 1e307, -1.7e308],
-            (np.array(self.ZEROS[0] + self.ZEROS[1])[:, None] + np.array([-1e-9, 0.0, 1e-9])).ravel(),
-            np.geomspace(100.0, 1e6, 801),
-            -np.geomspace(100.0, 1e6, 41),
-        ])
-        block = np.random.default_rng(7).uniform(-80.0, 80.0, (9, 41))
-        for args in (x, block):
-            j0, j1 = specfun._bessel(args, (0, 1))
-            for got, want in ((j0, bessel_j0(args)), (j1, bessel_j1(args))):
-                assert got.shape == args.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-        for v in (0.0, 2.5, -13.0, 40.0):
-            pair = specfun._bessel(v, (0, 1))
-            assert pair == [bessel_j0(v), bessel_j1(v)] and all(type(j) is float for j in pair)
-
     def test_huge_arguments_are_finite_and_quiet(self):
         import warnings
 

@@ -127,8 +127,11 @@ class TestParams:
             TransmonParams(**kwargs)
 
     def test_regime_advisory_warns(self):
-        with pytest.warns(UserWarning, match="transmon regime"):
+        with pytest.warns(UserWarning, match="transmon regime") as record:
             TransmonParams(e_c=200.0, e_j1=1000.0, e_j2=1000.0)
+        # attributed to the line that built the params, not to the
+        # dataclass-generated __init__
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestEffectiveEj:
