@@ -94,6 +94,17 @@ def bessel_j1(x):
     return _bessel(x, 1)
 
 
+# A parameter below this magnitude enters 2F1 - 1 = (a b / c) S(a, b; c; z)
+# through the prefactor alone: S is analytic in a, b and c about 0, so S
+# at a stand-in of this magnitude and the parameter's sign is within
+# ~5e-20 |d ln S / d param| relative of S at the parameter.  Given the
+# parameter itself, mpmath past z = 0.8 raises its working precision by the
+# parameter's -log2 (to ~2200 bits for two subnormals), and its first call
+# there builds Gamma tables at that precision for up to ~1 s.
+_HYP2F1_TINY = 2.0**-64
+_HYP2F1_MAX_PREC = 4096
+
+
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for 0 <= z < 1, as mpmath.hyp2f1
     gives it at 53 bits.
@@ -102,9 +113,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     1 - z, raising its working precision where the terms cancel.  On 2000
     random points (a, b in +-20, c in [0.1, 30], z in [0.75, 0.999],
     integer c - a - b in a fifth of the draws; numpy seeds 0 and 1) it is
-    within 1.5e-16 relative of mpmath at 50 digits.  A series mpmath cannot
-    sum (hyp2f1(1e5, 1e5, 1.0, 0.9)) and a result past the float range (a
-    subnormal c) raise ConvergenceError naming the arguments.
+    within 1.5e-16 relative of mpmath at 50 digits.  A parameter below
+    _HYP2F1_TINY in magnitude is taken through 2F1 - 1 = (a b / c) S, see
+    _hyp2f1_scaled.  A series mpmath cannot sum (hyp2f1(1e5, 1e5, 1.0, 0.9))
+    and a result past the float range (a subnormal c) raise ConvergenceError
+    naming the arguments.
     """
     for name, x in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(x):
@@ -115,11 +128,39 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise ValueError(f"hyp2f1 requires 0 <= z < 1, got z={z}")
     import mpmath  # on the first call, so that the Bessel kernels load no mpmath
 
+    stand_in = tuple(x if abs(x) >= _HYP2F1_TINY else math.copysign(_HYP2F1_TINY, x) for x in (a, b, c))
     try:
-        with mpmath.workprec(53):
-            value = float(mpmath.hyp2f1(a, b, c, z))
+        if stand_in == (a, b, c):
+            with mpmath.workprec(53):
+                value = float(mpmath.hyp2f1(a, b, c, z))
+        else:
+            value = _hyp2f1_scaled(mpmath, a, b, c, z, stand_in)
     except mpmath.libmp.NoConvergence as exc:
         raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) not converged: {exc}") from None
     if not math.isfinite(value):
         raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) = {value} is not a finite float")
     return value
+
+
+def _hyp2f1_scaled(mpmath, a, b, c, z, stand_in):
+    """2F1 = 1 + (a b / c) S(a, b; c; z), with S = (2F1 - 1) c / (a b) taken
+    at the stand-in parameters; S is analytic in a, b and c about 0.
+
+    The working precision rises until the error of mpmath's 2F1 at the
+    stand-ins, carried through the prefactor, is below 2^-64 of the result.
+    """
+    a2, b2, c2 = stand_in
+    prec = 64
+    while prec <= _HYP2F1_MAX_PREC:
+        with mpmath.workprec(prec):
+            f = mpmath.hyp2f1(a2, b2, c2, z)
+            scale = mpmath.mpf(a) * b * c2 / (mpmath.mpf(c) * a2 * b2)
+            value = 1 + scale * (f - 1)
+            if not value:
+                prec *= 2
+                continue
+            short = 64 + mpmath.mag(scale * f) - mpmath.mag(value) - prec
+            if short <= 0:
+                return float(value)
+        prec += short + 16
+    raise ConvergenceError(f"hyp2f1({a}, {b}; {c}; {z}) not resolved at {_HYP2F1_MAX_PREC} bits")

@@ -250,6 +250,15 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError, match=rf"^hyp2f1\(0.3, 0.4; 1e-310; {z}\) = inf is not a finite float$"):
             hyp2f1(0.3, 0.4, 1e-310, z)
 
+    @pytest.mark.parametrize("z", [0.5, 0.9, 0.999])
+    def test_tiny_parameters(self, z):
+        # below 2^-64 a parameter enters through 2F1 - 1 = (a b / c) S alone:
+        # against closed forms for subnormals and mpmath at 40 digits
+        assert hyp2f1(0.7, 1e-300, 1e-300, z) == pytest.approx((1.0 - z) ** -0.7, rel=1e-14)
+        assert hyp2f1(5e-324, 2.5, 2.5, z) == 1.0
+        for a, b, c in [(0.3, 0.4, 1e-30), (1e-25, -1.5, 1e-30), (-1e-40, 1.5, 0.6), (1e-20, -1e-20, 3.5)]:
+            assert hyp2f1(a, b, c, z) == pytest.approx(mp_hyp2f1(a, b, c, z), rel=1e-15)
+
     @pytest.mark.parametrize("name, a, b, c", [
         ("a", math.inf, 1.0, 2.0), ("a", math.nan, 1.0, 2.0), ("b", 1.0, math.inf, 0.5),
         ("b", 1.0, -math.nan, 2.0), ("c", 1.0, 1.0, math.inf), ("c", 1.0, 1.0, -math.inf),
