@@ -158,6 +158,8 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
     nfev = 1
     cost = float(r @ r)
     jac = jacobian(theta)
+    if not (math.isfinite(cost) and np.isfinite(jac.T @ jac).all()):
+        raise ValueError("r.r or J^T J is not finite at the initial guess: rescale the data or sigma")
     scale = np.zeros(theta.size)
     lam, nu = _DAMPING_0, 2.0
     while True:
@@ -172,7 +174,10 @@ def _levenberg_marquardt(residuals, jacobian, theta, max_nfev: int):
         while True:
             damped = jtj.copy()
             damped.flat[:: theta.size + 1] += lam * d2
-            step = np.linalg.solve(damped, neg_grad)
+            try:
+                step = np.linalg.solve(damped, neg_grad)
+            except np.linalg.LinAlgError as exc:
+                raise FitError("singular damped normal equations J^T J + lam D^2") from exc
             trial = theta + step
             r_trial = residuals(trial)
             nfev += 1
@@ -224,8 +229,8 @@ def least_squares(model: Model, data: DataSeries, initial_guess) -> FitResult:
         return jac if sig is None else jac / sig[:, None]
 
     # a far trial step may overflow the residuals and their cost: no warning,
-    # since the engine counts a non-finite trial as a rise
-    with np.errstate(over="ignore", invalid="ignore"):
+    # since the engine counts a non-finite trial as a rise, a non-finite start an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         theta, r, jac, nfev, converged = _levenberg_marquardt(
             residuals, jacobian, theta0, MAX_ITERATIONS * (n_par + 1)
         )
@@ -252,9 +257,14 @@ def _standard_errors(jac: np.ndarray, cost: float, data: DataSeries) -> np.ndarr
     cost is the weighted sum of squares; for unweighted data the residual
     variance sets the noise scale, which as many points as parameters do
     not determine (NaN errors then).  A negative variance, from a J^T J
-    singular to rounding, gives a NaN error too, not 0."""
+    singular to rounding, gives a NaN error too, not 0; a J^T J that
+    overflows raises FitError, as a singular one does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jtj = jac.T @ jac
+    if not np.isfinite(jtj).all():
+        raise FitError("J^T J is not finite at the optimum")
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError as exc:
         raise FitError("singular Jacobian at the optimum") from exc
     if not np.isfinite(cov).all():
@@ -382,7 +392,8 @@ def fit_ramsey(data: DataSeries) -> FitResult:
     centered = y - b0
     delta0, peak = _dominant_component(t, centered)
     phase0 = float(np.angle(peak))
-    a0 = math.sqrt(2.0) * float(np.std(centered))
+    with np.errstate(over="ignore"):  # an infinite a0 fails as a non-finite start
+        a0 = math.sqrt(2.0) * float(np.std(centered))
     t2_0 = float(t[-1] - t[0]) / 3.0 or 1.0
     return least_squares(RAMSEY_MODEL, data, [a0, t2_0, delta0, phase0, b0])
 
@@ -534,35 +545,20 @@ def _in_u(model: Model) -> Model:
     return Model(("u1", "u2") + model.names[2:], lambda current, u: model.fn(current, _energies(u)), jac)
 
 
-def _remember_last(fn: Callable) -> Callable:
-    """fn(current, th) that returns its previous value, not a new one, when
-    called again with arguments of the same shape and bits.  It keeps their
-    bytes, not the arrays: an array changed in place is a new argument."""
-    last = []
-
-    def call(current, th):
-        key = _bits(current), _bits(th)
-        if last and last[0] == key:
-            return last[1]
-        value = fn(current, th)
-        last[:] = [key, value]
-        return value
-
-    return call
-
-
-def _bits(a) -> tuple:
-    a = np.asarray(a)
-    return a.shape, a.dtype.str, a.tobytes()
-
-
 def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -> FitResult:
     """least_squares on a tuning model from the five-vector theta0, walked in
     U, with E_C held at fixed_e_c if set; the result in the model's own
     parameters (less e_c if held), with standard errors from their Jacobian
-    at the optimum, which the engine took last: remembered, not re-evaluated."""
-    model = replace(model, jac=_remember_last(model.jac))
-    walk = _in_u(model)
+    at the optimum.  That is the value of the energy Jacobian's latest call:
+    the engine evaluates J only at its start and after an accepted step, so
+    at the point it returns, and so does MINPACK."""
+    last = []
+
+    def jac(current, th, full_jac=model.jac):  # bound now: model is held below
+        last[:] = [full_jac(current, th)]
+        return last[0]
+
+    walk = _in_u(replace(model, jac=jac))
     u0 = np.array(theta0, dtype=float)
     u0[:2] *= 8.0 * u0[2]
     if fixed_e_c is not None:
@@ -570,7 +566,7 @@ def _fit_in_u(model: Model, data: DataSeries, theta0, fixed_e_c: float | None) -
     fit = least_squares(walk, data, u0)
     theta = np.array(list(fit.params.values()))
     theta[:2] /= 8.0 * (theta[2] if fixed_e_c is None else fixed_e_c)
-    energy_jac = model.jac(data.x, theta)
+    energy_jac = last[0] if fixed_e_c is None else np.delete(last[0], 2, axis=1)
     if data.sigma is not None:
         energy_jac = energy_jac / data.sigma[:, None]
     errs = _standard_errors(energy_jac, fit.residual_norm**2, data)
@@ -768,7 +764,8 @@ def _beta_scan(model: Model, data: DataSeries, amp_max: float):
     residuals = model.fn(data.x, (candidates,)) - data.y
     if data.sigma is not None:
         residuals = residuals / data.sigma
-    return candidates, np.sum(residuals**2, axis=1)
+    with np.errstate(over="ignore"):  # the engine rejects a start whose cost overflows
+        return candidates, np.sum(residuals**2, axis=1)
 
 
 def fit_beta(data: DataSeries, params: TransmonParams, phi_dc: float = 0.0) -> FitResult:

@@ -259,8 +259,7 @@ def diplexer_eval(
     # the admittance of each branch seen from the node (ports swapped), input in z0
     y_bp, y_lp = ((c * z0 + a) / (d * z0 + b) for a, b, c, d in (m_bp, m_lp))
     r_out = eccosorb_ohm_per_ghz * freqs / 1000.0
-    out = (lambda m: _series(*m, r_out)) if eccosorb_ohm_per_ghz > 0.0 else (lambda m: m)
-    s31, s32 = (_s_params(*out(_shunt(*m, y)), z0)[1] for m, y in ((m_bp, y_lp), (m_lp, y_bp)))
+    s31, s32 = (_s_params(*_series(*_shunt(*m, y), r_out), z0)[1] for m, y in ((m_bp, y_lp), (m_lp, y_bp)))
     a, b, c, d = m_bp
     s12 = _s_params(*_product(_shunt(*m_lp, 1.0 / (z0 + r_out)), (d, b, c, a)), z0)[1]
     return DiplexerResponse(frequencies_mhz=freqs, s31=s31, s32=s32, s12=s12)

@@ -104,6 +104,8 @@ def spurious_shift_report(
     if not (math.isfinite(linewidth_hz) and linewidth_hz > 0):
         raise ValueError(f"linewidth_hz must be finite and > 0, got {linewidth_hz}")
     phi_ac = flux_from_current(budget.m_fH, drive_current(budget))
+    if not math.isfinite(phi_ac):
+        raise ValueError(f"{budget} overflows the line flux 2 alpha V_p / R * M / Phi0")
     delta_f = second_order_shift(params, phi_ac)
     return SpuriousShiftReport(
         phi_ac=phi_ac,

@@ -603,6 +603,14 @@ class TestFitCommand:
         assert code == 3
         assert capsys.readouterr() == ("", "error: singular Jacobian at the optimum\n")
 
+    def test_singular_damped_step_exits_3(self, tmp_path, capsys):
+        # negated sequence lengths: a numerical failure of the fit, not bad input
+        header, *lines = (FIXTURES / "rb_decay.csv").read_text().splitlines()
+        path = tmp_path / "rb_negated.csv"
+        path.write_text("".join(f"{ln}\n" for ln in [header] + [f"-{ln}" for ln in lines]))
+        assert run_cli("fit", "rb", str(path)) == 3
+        assert capsys.readouterr() == ("", "error: singular damped normal equations J^T J + lam D^2\n")
+
     @pytest.mark.parametrize("kind,source,column", [
         ("t1", "t1_53us.csv", "time_us"),
         ("ramsey", "ramsey_10us.csv", "time_us"),
@@ -710,6 +718,33 @@ class TestHugeFiniteInputs:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+    def test_fit_whose_cost_overflows_exits_2(self, tmp_path, capsys):
+        # sigma 1e-160 squares the weighted residuals past 1e308: the beta
+        # fit reported converged at its scan's start, with a std error of 0
+        header, *lines = (FIXTURES / "beta_q0.csv").read_text().splitlines()
+        path = tmp_path / "beta_sigma.csv"
+        path.write_text(f"{header},sigma\n" + "".join(f"{ln},1e-160\n" for ln in lines))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("fit", "beta", str(path), str(EXAMPLE_CONFIG), "--qubit", "q0")
+        assert code == 2
+        message = "r.r or J^T J is not finite at the initial guess: rescale the data or sigma"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("argv,budget", [
+        (["--v-p", "1e308"], "v_p=1e+308, r_ohm=50.0"),
+        (["--v-p", "1", "--r-ohm", "1e-320"], "v_p=1.0, r_ohm=1e-320"),
+    ], ids=["v-p", "r-ohm"])
+    def test_crosstalk_line_flux_overflow_names_the_budget(self, capsys, argv, budget):
+        # the flux 2 alpha V_p / R * M / Phi0 overflows: the error names the
+        # budget the user passed, not a phi_ac of inf
+        code = run_cli("crosstalk", str(EXAMPLE_CONFIG), "--qubit", "q0", "--gamma-db", "0", *argv)
+        m_fh = load_config(EXAMPLE_CONFIG).qubit("q0").m_fH
+        message = f"LineBudget(gamma_db=0.0, {budget}, m_fH={m_fh}) overflows the line flux 2 alpha V_p / R * M / Phi0"
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_tuning_frequencies_near_1e200(self, tmp_path, capsys):
         # the start guess squared them into an OverflowError traceback

@@ -1,5 +1,6 @@
 """Fit engine and model roundtrips: noise-free, noisy (fixed seed), Jacobians."""
 
+import itertools
 import math
 import re
 import warnings
@@ -125,6 +126,38 @@ class TestEngine:
         assert res.iterations == 4  # MAX_ITERATIONS * (n_par + 1)
         monkeypatch.undo()
         assert least_squares(T1_MODEL, data, [0.2, 5.0, 0.5]).converged
+
+    @pytest.mark.parametrize("max_iterations,start", [(fitting.MAX_ITERATIONS, [0.2, 5.0, 0.5]), (2, [0.2, 0.5, 0.5])],
+                             ids=["converged", "evaluation-cap"])
+    def test_last_jacobian_is_at_the_returned_point(self, monkeypatch, max_iterations, start):
+        # the engine evaluates J only at its start and after an accepted
+        # step, so its latest J is at the point it returns, bit for bit: the
+        # tuning fit takes its standard errors from that J
+        x = np.linspace(1.0, 200.0, 31)
+        data = DataSeries(x=x, y=T1_MODEL.fn(x, np.array([0.9, 47.0, 0.07])))
+        fn_at, jac_at = [], []
+
+        def recorded(fn, at):
+            return lambda t, th: at.append(th.tobytes()) or fn(t, th)
+
+        model = Model(T1_MODEL.names, recorded(T1_MODEL.fn, fn_at), recorded(T1_MODEL.jac, jac_at))
+        monkeypatch.setattr(fitting, "MAX_ITERATIONS", max_iterations)
+        res = least_squares(model, data, start)
+        theta = np.array([res.params[name] for name in model.names]).tobytes()
+        assert jac_at[-1] == theta
+        if max_iterations == 2:
+            # the cap stops it after an accepted step and a rejected trial
+            assert not res.converged and res.iterations == 8 and len(jac_at) == 2
+            assert fn_at[-1] != theta
+        else:
+            assert res.converged
+
+    def test_singular_damped_step_is_a_fit_error(self):
+        # negated sequence lengths drive p to 1, where the amplitude's column
+        # p^n equals the offset's to rounding: a numerical failure, not bad input
+        n, y = np.loadtxt(FIXTURES / "rb_decay.csv", delimiter=",", skiprows=1, unpack=True)
+        with pytest.raises(fitting.FitError, match=r"^singular damped normal equations J\^T J \+ lam D\^2$"):
+            fit_rb(DataSeries(x=-n, y=y))
 
     def test_nonfinite_initial_residuals_rejected(self):
         x = np.linspace(0.0, 1.0, 5)
@@ -613,6 +646,45 @@ class TestResultCarriesModel:
         # a degenerate result carries its model too: the constant start guess
         flat = fit_rb(DataSeries(x=t, y=np.full_like(t, 0.7)))
         assert flat.model is RB_MODEL and np.allclose(flat.curve(t), 0.7, rtol=0, atol=1e-15)
+
+
+class TestOverflowingInputs:
+    """Finite data whose weighted cost or J^T J overflows, or whose start
+    guess divides by an underflowed square: a typed error, never a fit that
+    "converges" at its start, and no numpy warning on the way.  fit_t1's
+    start guess fails on scaled times before the engine runs (see README)."""
+
+    FITS = {"t1_53us.csv": fit_t1, "ramsey_10us.csv": fit_ramsey, "rb_decay.csv": fit_rb,
+            "tuning_q0.csv": fit_tuning_curve, "beta_q0.csv": "beta"}
+    CASES = {
+        "sigma-1e-300": lambda x, y: (x, y, np.full(y.size, 1e-300)),
+        "sigma-1e-160": lambda x, y: (x, y, np.full(y.size, 1e-160)),
+        "y-1e300": lambda x, y: (x, y * 1e300, None),
+        "x-1e300": lambda x, y: (x * 1e300, y, None),
+        "x-1e-300": lambda x, y: (x * 1e-300, y, None),
+    }
+
+    @pytest.mark.parametrize("source,case", [
+        (source, case) for source, case in itertools.product(FITS, CASES)
+        if not (source == "t1_53us.csv" and case[0] == "x")
+    ])
+    def test_raises_without_warning(self, q0, source, case):
+        x, y, sigma = self.CASES[case](*np.loadtxt(FIXTURES / source, delimiter=",", skiprows=1, unpack=True))
+        data, fit = DataSeries(x=x, y=y, sigma=sigma), self.FITS[source]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises((ValueError, fitting.FitError)):
+                fit_beta(data, q0) if fit == "beta" else fit(data)
+        assert [str(w.message) for w in caught] == []
+
+    def test_nonfinite_j_t_j_at_the_optimum_is_a_fit_error(self):
+        # inverted, J^T J = [[inf]] gave a standard error of 0
+        data = DataSeries(x=np.arange(3.0), y=np.zeros(3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(fitting.FitError, match=r"^J\^T J is not finite at the optimum$"):
+                fitting._standard_errors(np.full((3, 1), 1e200), 0.0, data)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestUnitWeights:
