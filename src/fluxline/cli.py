@@ -11,13 +11,14 @@ from the package; each ``cmd_*`` loads the layers it runs and :func:`_load`
 the config layer, so ``fit t1|ramsey|rb`` loads no config or specfun.  No
 subcommand loads scipy or mpmath: the exact levels of ``spectrum`` and
 ``modulate --with-oracle`` are numpy polynomial tables, ``fit`` has its own
-engine, and none calls ``specfun.hyp2f1``.
+engine, and none calls ``specfun.hyp2f1``.  The records of ``spectrum``,
+``modulate`` and ``crosstalk`` and of the config are named tuples; only
+``diplexer`` and ``fit``, whose records are dataclasses, load ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -195,6 +196,8 @@ def cmd_crosstalk(args) -> int:
 
 
 def cmd_diplexer(args) -> int:
+    import dataclasses
+
     from . import rf_network as rf
 
     cfg = _load(args)

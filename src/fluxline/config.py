@@ -1,11 +1,18 @@
-"""Device configuration: JSON ingestion with field-precise validation."""
+"""Device configuration: JSON ingestion with field-precise validation.
+
+The document types here, and the records of the spectrum, modulation and
+crosstalk paths, are ``collections.namedtuple`` types, so that loading a
+config builds no dataclass and imports neither ``dataclasses`` nor
+``inspect``; the fitting and rf_network records stay dataclasses, since
+their callers use ``dataclasses.replace`` and ``dataclasses.asdict``.
+"""
 
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from . import ConfigError  # defined by the package, re-exported here
@@ -14,36 +21,45 @@ __all__ = ["ConfigError", "TransmonParams", "DiplexerSpec", "AttenuationChain", 
            "DeviceConfig", "load_config"]
 
 
+class _Validated:
+    """Mixin of a namedtuple whose ``__new__`` checks its fields.
+
+    namedtuple's ``_make`` is ``tuple.__new__``; this one calls the
+    constructor, so that ``_replace`` (which builds through ``_make``)
+    checks the new fields as the constructor does.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 # document types, defined here so that loading a config needs no numerical
 # layer; transmon, rf_network and signal_chain re-export them
-@dataclass(frozen=True)
-class TransmonParams:
+class TransmonParams(_Validated, namedtuple("TransmonParams", "e_c e_j1 e_j2")):
     """Charging energy and the two junction energies of a SQUID transmon.
 
     The constructor normalizes to e_j1 <= e_j2.  Warns (does not fail)
     when e_j_sum/e_c < 20, i.e. outside the usual transmon regime.
     """
 
-    e_c: float
-    e_j1: float
-    e_j2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.e_c > 0 and self.e_j1 > 0 and self.e_j2 > 0):
-            raise ValueError(
-                f"energies must be positive: e_c={self.e_c}, "
-                f"e_j1={self.e_j1}, e_j2={self.e_j2}"
-            )
-        if self.e_j1 > self.e_j2:
-            ej1, ej2 = self.e_j2, self.e_j1
-            object.__setattr__(self, "e_j1", ej1)
-            object.__setattr__(self, "e_j2", ej2)
-        if self.e_j_sum / self.e_c < 20.0:
+    def __new__(cls, e_c: float, e_j1: float, e_j2: float):
+        if not (e_c > 0 and e_j1 > 0 and e_j2 > 0):
+            raise ValueError(f"energies must be positive: e_c={e_c}, e_j1={e_j1}, e_j2={e_j2}")
+        if e_j1 > e_j2:
+            e_j1, e_j2 = e_j2, e_j1
+        self = super().__new__(cls, e_c, e_j1, e_j2)
+        if self.e_j_sum / e_c < 20.0:
             warnings.warn(
-                f"e_j_sum/e_c = {self.e_j_sum / self.e_c:.1f} < 20: "
+                f"e_j_sum/e_c = {self.e_j_sum / e_c:.1f} < 20: "
                 "outside the transmon regime, asymptotic formulas degrade",
-                stacklevel=3,
+                stacklevel=2,
             )
+        return self
 
     @property
     def e_j_sum(self) -> float:
@@ -55,55 +71,42 @@ class TransmonParams:
         return (self.e_j2 - self.e_j1) / self.e_j_sum
 
 
-@dataclass(frozen=True)
-class DiplexerSpec:
-    lp_cutoff_mhz: float = 1500.0
-    bp_low_mhz: float = 3000.0
-    bp_high_mhz: float = 7000.0
-    isolation_db: float = -20.0
-    isolation_max_freq_mhz: float = 15000.0
+class DiplexerSpec(_Validated, namedtuple(
+        "DiplexerSpec", "lp_cutoff_mhz bp_low_mhz bp_high_mhz isolation_db isolation_max_freq_mhz")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.bp_low_mhz > self.lp_cutoff_mhz:
+    def __new__(cls, lp_cutoff_mhz: float = 1500.0, bp_low_mhz: float = 3000.0, bp_high_mhz: float = 7000.0,
+                isolation_db: float = -20.0, isolation_max_freq_mhz: float = 15000.0):
+        if not bp_low_mhz > lp_cutoff_mhz:
             raise ValueError("band-pass low edge must sit above the low-pass cutoff")
-        if not self.bp_high_mhz > self.bp_low_mhz:
+        if not bp_high_mhz > bp_low_mhz:
             raise ValueError("band-pass high edge must sit above its low edge")
+        return super().__new__(cls, lp_cutoff_mhz, bp_low_mhz, bp_high_mhz, isolation_db, isolation_max_freq_mhz)
 
 
-@dataclass(frozen=True)
-class AttenuationChain:
+class AttenuationChain(_Validated, namedtuple("AttenuationChain", "segments reference_frequency_mhz")):
     """Ordered attenuator stack, each entry (label, attenuation in dB)."""
 
-    segments: tuple[tuple[str, float], ...]
-    reference_frequency_mhz: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for label, db in self.segments:
+    def __new__(cls, segments: tuple[tuple[str, float], ...], reference_frequency_mhz: float = 0.0):
+        for label, db in segments:
             if not (math.isfinite(db) and db >= 0):
                 raise ValueError(f"segment {label!r}: attenuation {db} dB must be finite and >= 0")
+        return super().__new__(cls, segments, reference_frequency_mhz)
 
 
-@dataclass(frozen=True)
-class QubitRecord:
-    name: str
-    params: TransmonParams
-    m_fH: float = 500.0
-    f_r_mhz: float | None = None  # readout resonator, carried as metadata only
+# f_r_mhz, the readout resonator, is carried as metadata only
+QubitRecord = namedtuple("QubitRecord", "name params m_fH f_r_mhz", defaults=(500.0, None))
+
+DiplexerConfig = namedtuple("DiplexerConfig", "lp_order bp_order z0 spec", defaults=(5, 5, 50.0, DiplexerSpec()))
 
 
-@dataclass(frozen=True)
-class DiplexerConfig:
-    lp_order: int = 5
-    bp_order: int = 5
-    z0: float = 50.0
-    spec: DiplexerSpec = DiplexerSpec()
+class DeviceConfig(namedtuple("DeviceConfig", "qubits chains diplexer")):
+    """The qubits (a tuple of QubitRecord), the attenuation chains by name
+    and the diplexer of one device."""
 
-
-@dataclass(frozen=True)
-class DeviceConfig:
-    qubits: tuple[QubitRecord, ...]
-    chains: dict[str, AttenuationChain]
-    diplexer: DiplexerConfig
+    __slots__ = ()
 
     def qubit(self, name: str) -> QubitRecord:
         for q in self.qubits:

@@ -17,11 +17,12 @@ to validate the truncated series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
 
+from .config import _Validated
 from .specfun import ConvergenceError, bessel_j0
 from .transmon import TransmonParams, _f01, effective_ej
 
@@ -44,8 +45,7 @@ class SymmetricSquidError(ValueError):
     """Perturbation series boundary for a fully symmetric SQUID."""
 
 
-@dataclass(frozen=True)
-class FluxDrive:
+class FluxDrive(_Validated, namedtuple("FluxDrive", "phi_dc phi_ac")):
     """DC flux bias plus AC modulation, flux in units of Phi0.
 
     The time-domain flux is phi(t) = phi_dc + phi_ac cos(2 pi f_d t); the
@@ -55,17 +55,17 @@ class FluxDrive:
     Only a scalar drive compares and hashes by value.
     """
 
-    phi_dc: float | np.ndarray
-    phi_ac: float | np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("phi_dc", "phi_ac"):
-            value = getattr(self, name)
-            if np.ndim(value):
-                value = np.asarray(value, dtype=float)
-                object.__setattr__(self, name, value)
-            _require(name, value, np.isfinite, "must be finite")
-        _require("phi_ac", self.phi_ac, lambda v: v >= 0, "must be >= 0")
+    def __new__(cls, phi_dc: float | np.ndarray, phi_ac: float | np.ndarray):
+        if np.ndim(phi_dc):
+            phi_dc = np.asarray(phi_dc, dtype=float)
+        _require("phi_dc", phi_dc, np.isfinite, "must be finite")
+        if np.ndim(phi_ac):
+            phi_ac = np.asarray(phi_ac, dtype=float)
+        _require("phi_ac", phi_ac, np.isfinite, "must be finite")
+        _require("phi_ac", phi_ac, lambda v: v >= 0, "must be >= 0")
+        return super().__new__(cls, phi_dc, phi_ac)
 
 
 def _require(name: str, value, ok, requirement: str) -> None:

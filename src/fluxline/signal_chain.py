@@ -9,9 +9,10 @@ shift.  Peak (not RMS) amplitude convention throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import AttenuationChain  # a line's stack is a config document type
+from .config import _Validated
 from .modulation import second_order_shift
 from .transmon import TransmonParams
 
@@ -34,42 +35,31 @@ PHI0_WB = 2.067833848e-15
 DEFAULT_LINEWIDTH_HZ = 10_000.0
 
 
-@dataclass(frozen=True)
-class LineBudget:
+class LineBudget(_Validated, namedtuple("LineBudget", "gamma_db v_p r_ohm m_fH")):
     """Attenuation, impedance, mutual inductance and RT drive amplitude."""
 
-    gamma_db: float
-    v_p: float
-    r_ohm: float = 50.0
-    m_fH: float = 500.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("gamma_db", "v_p", "r_ohm", "m_fH"):
-            value = getattr(self, name)
+    def __new__(cls, gamma_db: float, v_p: float, r_ohm: float = 50.0, m_fH: float = 500.0):
+        self = super().__new__(cls, gamma_db, v_p, r_ohm, m_fH)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.gamma_db < 0:
-            raise ValueError(f"gamma_db must be >= 0, got {self.gamma_db}")
-        if self.v_p < 0:  # a peak amplitude
-            raise ValueError(f"v_p must be >= 0, got {self.v_p}")
-        if self.r_ohm <= 0:
-            raise ValueError(f"r_ohm must be > 0, got {self.r_ohm}")
-        if self.m_fH <= 0:
-            raise ValueError(f"m_fH must be > 0, got {self.m_fH}")
+        if gamma_db < 0:
+            raise ValueError(f"gamma_db must be >= 0, got {gamma_db}")
+        if v_p < 0:  # a peak amplitude
+            raise ValueError(f"v_p must be >= 0, got {v_p}")
+        if r_ohm <= 0:
+            raise ValueError(f"r_ohm must be > 0, got {r_ohm}")
+        if m_fH <= 0:
+            raise ValueError(f"m_fH must be > 0, got {m_fH}")
+        return self
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    total_db: float
-    breakdown: tuple[tuple[str, float, float], ...]  # label, dB, cumulative dB
-    reference_frequency_mhz: float
+# breakdown holds (label, dB, cumulative dB) per segment
+ChainReport = namedtuple("ChainReport", "total_db breakdown reference_frequency_mhz")
 
-
-@dataclass(frozen=True)
-class SpuriousShiftReport:
-    phi_ac: float
-    delta_f_hz: float
-    detectable: bool
+SpuriousShiftReport = namedtuple("SpuriousShiftReport", "phi_ac delta_f_hz detectable")
 
 
 def attenuation_factor(gamma_db: float) -> float:
@@ -106,7 +96,10 @@ def spurious_shift_report(
     phi_ac = flux_from_current(budget.m_fH, drive_current(budget))
     if not math.isfinite(phi_ac):
         raise ValueError(f"{budget} overflows the line flux 2 alpha V_p / R * M / Phi0")
-    delta_f = second_order_shift(params, phi_ac)
+    try:
+        delta_f = second_order_shift(params, phi_ac)
+    except ValueError:  # phi_ac >= 0 here: its shift overflowed
+        raise ValueError(f"{budget} overflows the second-order shift of {params}") from None
     return SpuriousShiftReport(
         phi_ac=phi_ac,
         delta_f_hz=delta_f,

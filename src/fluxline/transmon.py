@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -138,19 +138,10 @@ class TransmonRegimeError(ValueError):
     """Inputs outside the regime where the requested formula is meaningful."""
 
 
-@dataclass(frozen=True)
-class FluxPoint:
-    """External flux, in units of Phi0."""
+# the external flux, in units of Phi0
+FluxPoint = namedtuple("FluxPoint", "phi")
 
-    phi: float
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    f01: float
-    f12: float
-    anharmonicity: float
-    converged: bool
+SpectrumResult = namedtuple("SpectrumResult", "f01 f12 anharmonicity converged")
 
 
 def effective_ej(params: TransmonParams, phi):

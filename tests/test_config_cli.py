@@ -746,6 +746,16 @@ class TestHugeFiniteInputs:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_crosstalk_shift_overflow_names_the_budget(self, capsys):
+        # the line flux ~9.7e300 is finite, its second-order shift is not:
+        # the error names the budget the user passed, not that flux
+        code = run_cli("crosstalk", str(EXAMPLE_CONFIG), "--qubit", "q0", "--gamma-db", "0", "--v-p", "1e300")
+        q = load_config(EXAMPLE_CONFIG).qubit("q0")
+        message = (f"LineBudget(gamma_db=0.0, v_p=1e+300, r_ohm=50.0, m_fH={q.m_fH}) "
+                   f"overflows the second-order shift of {q.params}")
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_tuning_frequencies_near_1e200(self, tmp_path, capsys):
         # the start guess squared them into an OverflowError traceback
         data = tmp_path / "huge.csv"

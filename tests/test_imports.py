@@ -68,6 +68,21 @@ def test_load_config_loads_only_config(tmp_path):
     assert loaded_by(code, tmp_path, "numpy") == set()
 
 
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_config_load_builds_no_dataclass(tmp_path, module):
+    # the config's records are named tuples: no dataclasses, nor the
+    # inspect module that dataclasses imports
+    code = f"import fluxline\nfluxline.load_config({CONFIG!r})\n"
+    assert loaded_by(code, tmp_path, module) == set()
+
+
+@pytest.mark.parametrize("argv", [SPECTRUM, MODULATE, MODULATE_ORACLE, CROSSTALK],
+                         ids=["spectrum", "modulate", "modulate-oracle", "crosstalk"])
+def test_named_tuple_subcommands_load_no_dataclasses(tmp_path, argv):
+    # only diplexer and fit, whose records are dataclasses, load the module
+    assert loaded_by(cli_run(*argv), tmp_path, "dataclasses") == set()
+
+
 def test_cli_module_loads_no_scipy(tmp_path):
     assert loaded_by("import fluxline.cli\n", tmp_path) == set()
 

@@ -118,6 +118,14 @@ class TestSpuriousShiftReport:
         with pytest.raises(ValueError, match="linewidth_hz must be finite and > 0"):
             spurious_shift_report(q0, LineBudget(gamma_db=85.0, v_p=0.3), linewidth_hz=linewidth)
 
+    def test_shift_overflow_names_the_budget(self, q0):
+        # a finite line flux ~1e301 whose quadratic shift overflows: the
+        # error names the budget, not a phi_ac the caller never passed
+        budget = LineBudget(gamma_db=0.0, v_p=1e300)
+        with pytest.raises(ValueError) as excinfo:
+            spurious_shift_report(q0, budget)
+        assert str(excinfo.value) == f"{budget!r} overflows the second-order shift of {q0!r}"
+
     def test_alpha_squared_scaling(self, q0):
         weak = spurious_shift_report(q0, LineBudget(gamma_db=85.0, v_p=0.3))
         strong = spurious_shift_report(q0, LineBudget(gamma_db=45.0, v_p=0.3))

@@ -130,7 +130,7 @@ class TestParams:
         with pytest.warns(UserWarning, match="transmon regime") as record:
             TransmonParams(e_c=200.0, e_j1=1000.0, e_j2=1000.0)
         # attributed to the line that built the params, not to the
-        # dataclass-generated __init__
+        # record's __new__
         assert [w.filename for w in record] == [__file__]
 
 
