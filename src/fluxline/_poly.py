@@ -7,6 +7,11 @@ def horner(coeffs, y):
     Python float, the same roundings in Python floats."""
     out = y * coeffs[0]
     out += coeffs[1]
+    if isinstance(out, float):
+        # out * y + c is the in-place pair's roundings in fewer bytecodes
+        for c in coeffs[2:]:
+            out = out * y + c
+        return out
     for c in coeffs[2:]:
         out *= y
         out += c

@@ -380,7 +380,7 @@ def fit_t1(data: DataSeries) -> FitResult:
     slope, intercept = np.polyfit(t[keep], np.log(w[keep] + 1e-300), 1)
     t1_0 = -1.0 / slope if slope < 0 else float(t[-1] - t[0]) or 1.0
     a0 = math.exp(intercept)
-    return least_squares(T1_MODEL, data, [a0, t1_0, b0])
+    return _flag_nonpositive(least_squares(T1_MODEL, data, [a0, t1_0, b0]), "T1")
 
 
 def fit_ramsey(data: DataSeries) -> FitResult:
@@ -395,7 +395,16 @@ def fit_ramsey(data: DataSeries) -> FitResult:
     with np.errstate(over="ignore"):  # an infinite a0 fails as a non-finite start
         a0 = math.sqrt(2.0) * float(np.std(centered))
     t2_0 = float(t[-1] - t[0]) / 3.0 or 1.0
-    return least_squares(RAMSEY_MODEL, data, [a0, t2_0, delta0, phase0, b0])
+    return _flag_nonpositive(least_squares(RAMSEY_MODEL, data, [a0, t2_0, delta0, phase0, b0]), "T2_star")
+
+
+def _flag_nonpositive(result: FitResult, name: str) -> FitResult:
+    """result, flagged when its decay time `name` is not positive: a
+    concave decay fits best as a rise with a negative time constant."""
+    value = result.params[name]
+    if value > 0.0:
+        return result
+    return replace(result, flags=result.flags + (f"decay time {name}={value:.6g} not positive",))
 
 
 def fit_rb(data: DataSeries) -> FitResult:
@@ -449,12 +458,12 @@ def _tuning_model(level, partials) -> Model:
 
     def fn(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
-        return level(_squid_ej(abs(ej1), abs(ej2), current / amps_per_phi0 + off)[0], ec)
+        return level(_squid_ej(abs(ej1), abs(ej2), current / amps_per_phi0 + off, np)[0], ec)
 
     def jac(current, th):
         ej1, ej2, ec, amps_per_phi0, off = th
         a1, a2 = abs(ej1), abs(ej2)
-        ej, c, s = _squid_ej(a1, a2, current / amps_per_phi0 + off)
+        ej, c, s = _squid_ej(a1, a2, current / amps_per_phi0 + off, np)
         df_dej, df_dec = partials(ej, ec)
         sum_c2, diff_s2 = (a1 + a2) * c * c, (a2 - a1) * s * s
         dej_d1 = math.copysign(1.0, ej1) * (sum_c2 - diff_s2) / ej

@@ -12,6 +12,14 @@ fixed-degree polynomial tables in numpy alone, within 1e-13 relative of a
 the tuning fit from the derivative of each f01 polynomial, within 1e-12
 f01/q.  The test suite derives the tables again and keeps a charge-basis
 diagonalization as the oracle.
+
+A 0-d flux (a Python or numpy number, or a 0-d array) goes through E_J,
+the closed form and the level tables on Python floats, with math's cos,
+sin and sqrt, free of numpy's per-call overhead, which costs more than the
+arithmetic at one point.  :func:`effective_ej`, :func:`f01_asymptotic`
+and :func:`levels` still return numpy scalars, each bit for bit the
+element of an array call at that flux, as long as numpy's float64 cos and
+sin round as libm's do (the test suite sweeps 10^5 fluxes to check it).
 """
 
 from __future__ import annotations
@@ -148,37 +156,74 @@ def effective_ej(params: TransmonParams, phi):
     """Flux-dependent Josephson energy of the asymmetric SQUID (MHz).
 
     E_J(phi) = E_Jsum sqrt(cos^2(pi phi) + d^2 sin^2(pi phi)); 1-periodic
-    and even in phi, maximal at phi = 0, minimal at phi = 0.5; elementwise.
+    and even in phi, maximal at phi = 0, minimal at phi = 0.5; elementwise,
+    a 0-d flux giving a numpy scalar.  A non-finite flux, or one whose
+    pi phi overflows, raises ValueError naming it.
     """
-    return _squid_ej(params.e_j1, params.e_j2, phi)[0]
+    return _numpy(_ej_over(params, phi, 1.0))
 
 
-def _squid_ej(a, b, phi):
-    """E_J(phi), cos pi phi and sin pi phi; junction energies a, b >= 0 in either order."""
+def _squid_ej(a, b, phi, xp):
+    """E_J(phi), cos pi phi and sin pi phi; junction energies a, b >= 0 in
+    either order, phi an array with xp numpy or a Python float with xp
+    math; NaN where pi phi is not finite (with xp numpy)."""
     d = (b - a) / (a + b)
-    x = np.pi * phi
-    c = np.cos(x)
-    s = np.sin(x)
-    return (a + b) * np.sqrt(c * c + d * d * s * s), c, s
+    x = xp.pi * phi
+    c = xp.cos(x)
+    s = xp.sin(x)
+    return (a + b) * xp.sqrt(c * c + d * d * s * s), c, s
+
+
+def _ej_over(params: TransmonParams, phi, per):
+    """E_J(phi)/per at the fluxes phi, with _reject's ValueError for the
+    first flux where that is not finite.  A 0-d flux (a Python or numpy
+    number, or a 0-d array) goes on Python floats and gives a Python float,
+    bit for bit the element of an array call at that flux (numpy's float64
+    cos and sin round as libm's do); any other gives a float array."""
+    if not isinstance(phi, (float, int)):
+        phi = np.asarray(phi, dtype=float)
+        if phi.ndim:
+            # a flux past ~5.7e307 overflows pi phi into a NaN E_J
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _squid_ej(params.e_j1, params.e_j2, phi, np)[0] / per
+            # E_J >= 0, and its max is NaN or inf where any element is
+            if not math.isfinite(value.max(initial=0.0)):
+                _reject(phi, np.flatnonzero(~np.isfinite(value.ravel()))[0])
+            return value
+    phi = float(phi)
+    # math.cos and math.sin raise on an infinite pi phi
+    if math.isfinite(math.pi * phi):
+        value = _squid_ej(params.e_j1, params.e_j2, phi, math)[0] / per
+        if math.isfinite(value):
+            return value
+    _reject(phi, 0)
+
+
+def _numpy(value):
+    # a Python float as a numpy scalar; an array as it is
+    return value if isinstance(value, np.ndarray) else np.float64(value)
 
 
 def f01_asymptotic(params: TransmonParams, phi):
-    """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (MHz), elementwise."""
-    ej = effective_ej(params, phi)
-    # a scalar flux gives a numpy scalar, compared as it is: its .min()
-    # would cost as much as the formula.  No flux at all passes the check
-    lowest = ej.min(initial=np.inf) if isinstance(ej, np.ndarray) else ej
+    """Leading-order transmon frequency sqrt(8 E_J E_C) - E_C (MHz),
+    elementwise, with :func:`effective_ej`'s types and flux check."""
+    ej = _ej_over(params, phi, 1.0)
+    array = isinstance(ej, np.ndarray)
+    # no flux at all passes the check
+    lowest = ej.min(initial=np.inf) if array else ej
     if lowest <= params.e_c / 8.0:
         raise TransmonRegimeError(
             f"effective E_J = {lowest:.3g} MHz at phi = {np.ravel(phi)[np.argmin(ej)]} is "
             "outside the transmon regime (degenerate SQUID near half flux?)"
         )
-    return _closed_form_f01(ej, params.e_c)
+    if array:
+        return _closed_form_f01(ej, params.e_c)
+    return np.float64(_closed_form_f01(ej, params.e_c, math.sqrt))
 
 
-def _closed_form_f01(ej, e_c):
-    """sqrt(8 E_J E_C) - E_C, elementwise and unchecked."""
-    return np.sqrt(8.0 * ej * e_c) - e_c
+def _closed_form_f01(ej, e_c, sqrt=np.sqrt):
+    """sqrt(8 E_J E_C) - E_C, elementwise and unchecked; math.sqrt for a Python float."""
+    return sqrt(8.0 * ej * e_c) - e_c
 
 
 def levels(params: TransmonParams, phi):
@@ -188,37 +233,29 @@ def levels(params: TransmonParams, phi):
     values at q = E_J(phi)/(2 E_C), from the module's polynomial tables:
     within 1e-13 relative of a 40-digit solve at every q >= 0, with no
     basis to truncate, so the flag is always true.  A non-finite flux, or
-    one whose pi phi overflows, raises ValueError naming it.  A scalar
-    flux gives numpy scalars, each bit for bit the element of an array
-    call at that flux.
+    one whose pi phi overflows, raises ValueError naming it.  A 0-d flux
+    goes through E_J and the tables on Python floats and gives numpy
+    scalars, each bit for bit the element of an array call at that flux.
     """
     f01, f12 = _levels(params, phi, "f12")
-    return f01, f12, np.ones(f01.shape, dtype=bool) if isinstance(f01, np.ndarray) else np.True_
+    if isinstance(f01, np.ndarray):
+        return f01, f12, np.ones(f01.shape, dtype=bool)
+    return np.float64(f01), np.float64(f12), np.True_
 
 
 def _f01(params: TransmonParams, phi):
     """levels(params, phi)[0], bit for bit, without evaluating the f12 table."""
-    return _levels(params, phi, None)[0]
+    return _numpy(_levels(params, phi, None)[0])
 
 
 def _levels(params: TransmonParams, phi, second):
-    # f01 and the second quantity of _at_q at the fluxes phi
-    phi = np.asarray(phi, dtype=float)
+    # f01 and the second quantity of _at_q at the fluxes phi: Python floats
+    # for a 0-d flux, else arrays
     e_c = params.e_c
-    if phi.size <= _LEVELS_PER_POINT_MAX:
-        # a finite pi phi keeps E_J finite and quiet, so it needs no errstate
-        flat = phi.ravel().tolist()
-        for i, value in enumerate(flat):
-            if not math.isfinite(math.pi * value):
-                _reject(phi, i)
-        return _at_q(effective_ej(params, phi if phi.ndim else flat[0]) / (2.0 * e_c), e_c, second)
-    # a flux past ~5.7e307 overflows pi phi into a NaN q, rejected by name below
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = effective_ej(params, phi) / (2.0 * e_c)
-    # q >= 0, and its max is NaN or inf where any element is
-    if not math.isfinite(q.max()):
-        _reject(phi, np.flatnonzero(~np.isfinite(q.ravel()))[0])
-    return _at_q(q, e_c, second)
+    q = _ej_over(params, phi, 2.0 * e_c)
+    if isinstance(q, np.ndarray):
+        return _at_q(q, e_c, second)
+    return _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, second, math.sqrt)
 
 
 def _reject(phi, i):
@@ -228,15 +265,12 @@ def _reject(phi, i):
 
 
 def _at_q(q, e_c, second):
-    """f01 (MHz) at q = E_J/(2 E_C) >= 0, a numpy array or scalar, and f12,
-    df01/dq or None for second "f12", "slope" or None; NaN where q is."""
+    """f01 (MHz) at q = E_J/(2 E_C) >= 0, a numpy array of at least one
+    dimension, and f12, df01/dq or None for second "f12", "slope" or None;
+    NaN where q is."""
     if q.size <= _LEVELS_PER_POINT_MAX:
         # point by point on Python floats, ~1 us a point against ~15 us for
         # a numpy pass of any size
-        if not q.ndim:
-            q = float(q)
-            f01, more = _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, second, math.sqrt)
-            return np.float64(f01), None if more is None else np.float64(more)
         rows = [_segment_levels(bisect_right(_LEVEL_Q_EDGES, x), x, e_c, second, math.sqrt)
                 for x in q.ravel().tolist()]
         f01 = np.array([row[0] for row in rows]).reshape(q.shape)
@@ -279,5 +313,5 @@ def _segment_levels(k, q, e_c, second, sqrt):
 
 def diagonalize(params: TransmonParams, point: FluxPoint) -> SpectrumResult:
     """The two lowest transitions at one flux point, as :func:`levels` gives them."""
-    f01, f12, converged = levels(params, point.phi)
-    return SpectrumResult(float(f01), float(f12), float(f12 - f01), bool(converged))
+    f01, f12 = _levels(params, point.phi, "f12")
+    return SpectrumResult(float(f01), float(f12), float(f12 - f01), True)

@@ -35,6 +35,15 @@ DEVICE_TABLE = {
     "q3": (186.0, 2250.0, 8860.0, 3870.0, 2936.0, -210.0),
 }
 
+# (time_us, signal) of an 8-point decay over 0.31 T1 with noise 0.01 (numpy
+# default_rng(3)): the noise makes it concave, which A exp(-t/T1) fits best
+# with A < 0 and T1 < 0
+CONCAVE_T1_ROWS = (
+    (0.0, 0.517942790383), (27.0502523657, 0.509146012743), (54.1005047314, 0.490025022435),
+    (81.1507570971, 0.46001027315), (108.201009463, 0.449215516889), (135.251261828, 0.406468901533),
+    (162.301514194, 0.393391234888), (189.35176656, 0.347746624845),
+)
+
 
 # |f01(N) - f01(N-4)| below this marks a size-N charge basis as converged
 CONVERGENCE_TOL_MHZ = 1e-3

@@ -14,7 +14,7 @@ from fluxline.config import ConfigError, load_config
 from fluxline.specfun import ConvergenceError
 from fluxline.transmon import levels
 
-from conftest import EXAMPLE_CONFIG, FIXTURES, REPO
+from conftest import CONCAVE_T1_ROWS, EXAMPLE_CONFIG, FIXTURES, REPO
 
 
 def run_cli(*argv) -> int:
@@ -478,6 +478,16 @@ class TestFitCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"]["T1"] == pytest.approx(53.0, rel=0.01)
+
+    def test_concave_t1_flagged_and_exits_0(self, tmp_path, capsys):
+        # the flag marks the negative T1 of a concave decay; the fit still
+        # converged, so the exit code stays 0
+        path = tmp_path / "concave.csv"
+        path.write_text("time_us,signal\n" + "".join(f"{t!r},{y!r}\n" for t, y in CONCAVE_T1_ROWS))
+        assert run_cli("fit", "t1", str(path)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True and doc["params"]["T1"] < 0.0
+        assert doc["flags"] == [f"decay time T1={doc['params']['T1']:.6g} not positive"]
 
     def test_ramsey_fixture(self, capsys):
         code = run_cli("fit", "ramsey", str(FIXTURES / "ramsey_10us.csv"))

@@ -30,7 +30,7 @@ from fluxline.modulation import harmonic_series
 from fluxline.specfun import bessel_j0, bessel_j1
 from fluxline.transmon import TransmonParams, f01_asymptotic, levels
 
-from conftest import FIXTURES
+from conftest import CONCAVE_T1_ROWS, FIXTURES
 
 SEED = 20210901
 NOISE_FRACTION = 0.02  # of the signal span, per the roundtrip contract
@@ -301,6 +301,18 @@ class TestT1:
         assert not res.converged
         assert any("degenerate" in f for f in res.flags)
 
+    def test_concave_decay_flagged(self):
+        t, y = np.array(CONCAVE_T1_ROWS).T
+        res = fit_t1(DataSeries(x=t, y=y))
+        t1 = res.params["T1"]
+        # converged, parameters as the engine left them: only the flag is new
+        assert res.converged and t1 < 0.0 and res.params["A"] < 0.0
+        assert res.flags == (f"decay time T1={t1:.6g} not positive",)
+
+    def test_decay_not_flagged(self):
+        t = np.linspace(1.0, 260.0, 53)
+        assert fit_t1(DataSeries(x=t, y=T1_MODEL.fn(t, np.array([0.95, 53.0, 0.03])))).flags == ()
+
 
 class TestRamsey:
     TRUTH = np.array([0.40, 10.0, 0.5, 0.3, 0.5])
@@ -325,6 +337,23 @@ class TestRamsey:
         t = np.linspace(0.0, 10.0, 30)
         res = fit_ramsey(DataSeries(x=t, y=np.ones_like(t)))
         assert not res.converged
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    def test_nonpositive_t2_flagged(self, monkeypatch, sign):
+        # an engine optimum with T2* scaled by sign: the fit adds a flag
+        # exactly when T2* <= 0, and keeps the parameters
+        engine = fitting.least_squares
+
+        def scaled(model, data, theta0):
+            res = engine(model, data, theta0)
+            return replace(res, params={**res.params, "T2_star": sign * res.params["T2_star"]})
+
+        monkeypatch.setattr(fitting, "least_squares", scaled)
+        t = np.linspace(0.05, 30.0, 151)
+        res = fit_ramsey(DataSeries(x=t, y=RAMSEY_MODEL.fn(t, self.TRUTH)))
+        t2 = res.params["T2_star"]
+        assert res.converged and t2 == pytest.approx(sign * 10.0, rel=0.005, abs=0.0)
+        assert res.flags == (() if sign > 0 else (f"decay time T2_star={t2:.6g} not positive",))
 
 
 class TestRb:

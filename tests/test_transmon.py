@@ -109,6 +109,51 @@ def at_q(q, e_c=1.0):
         return TransmonParams(e_c=e_c, e_j1=q * e_c, e_j2=q * e_c)
 
 
+def zero_d_kinds(value):
+    """The flux value as every kind of 0-d input: a Python float, a numpy
+    float64 and float32 scalar, a 0-d array and, for a whole value, a Python
+    and a numpy int.  Each gives the value as float(value) would."""
+    kinds = [value, np.float64(value), np.array(value)]
+    if float(np.float32(value)) == value:
+        kinds.append(np.float32(value))
+    if value == int(value):
+        kinds += [int(value), np.int64(value)]
+    return kinds
+
+
+def bits(values):
+    """The float64 values as int64 bit patterns, so that == compares bits."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_scalars_are_elements(p, phi):
+    """Each 0-d flux, of every kind, gives the bits of its element of one
+    array call, in the public types: numpy scalars from effective_ej,
+    f01_asymptotic, levels and _f01, Python floats from diagonalize."""
+    ej = effective_ej(p, phi)
+    f01, f12, _ = levels(p, phi)
+    only = transmon._f01(p, phi)
+    # f01_asymptotic's values where E_J > E_C/8, past which it raises
+    closed = transmon._closed_form_f01(ej, p.e_c)
+    if ej.min() > p.e_c / 8.0:
+        assert np.array_equal(bits(f01_asymptotic(p, phi)), bits(closed))
+    for i, value in enumerate(phi.tolist()):
+        for x in zero_d_kinds(value):
+            got = (effective_ej(p, x), *levels(p, x)[:2], transmon._f01(p, x))
+            assert all(type(v) is np.float64 for v in got)
+            assert levels(p, x)[2] is np.True_
+            assert np.array_equal(bits(got), bits([ej[i], f01[i], f12[i], only[i]]))
+            if ej[i] > p.e_c / 8.0:
+                asym = f01_asymptotic(p, x)
+                assert type(asym) is np.float64 and bits(asym) == bits(closed[i])
+            else:
+                with pytest.raises(TransmonRegimeError):
+                    f01_asymptotic(p, x)
+            res = diagonalize(p, FluxPoint(phi=x))
+            assert all(type(v) is float for v in res[:3]) and res.converged is True
+            assert np.array_equal(bits(res[:3]), bits([f01[i], f12[i], f12[i] - f01[i]]))
+
+
 class TestParams:
     def test_normalization_swaps_and_flags(self):
         p = TransmonParams(e_c=182.0, e_j1=9040.0, e_j2=2140.0)
@@ -218,8 +263,9 @@ class TestDiagonalize:
         assert abs(f12 - (e2 - e1)) < 1e-6
 
     def test_is_levels_bit_for_bit(self, device_params):
-        # diagonalize wraps one scalar levels call; it stays while the
-        # benchmark calls it, and must give levels' numbers unchanged
+        # diagonalize reads the scalar level kernel on Python floats; it
+        # stays while the benchmark calls it, and must give levels' numbers
+        # unchanged
         for p in device_params.values():
             for phi in (0.0, 0.13, -0.37, 0.5, 2.25):
                 f01, f12, converged = levels(p, phi)
@@ -301,10 +347,26 @@ class TestLevels:
 
     @pytest.mark.parametrize("phi", [float("nan"), [0.1, float("nan")], [0.0, float("inf")]])
     def test_nonfinite_flux_rejected(self, q0, phi):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # cos(inf)
-            with pytest.raises(ValueError, match="flux must be finite, got phi = (nan|inf)"):
-                levels(q0, phi)
+        # one error from every flux function, for a scalar (math.cos(inf)
+        # would raise its own) and an array, with no numpy warning on the way
+        for fn in (levels, transmon._f01, effective_ej, f01_asymptotic):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="^flux must be finite, got phi = (nan|inf)$") as raised:
+                    fn(q0, phi)
+            assert caught == [] and type(raised.value) is ValueError
+
+    @pytest.mark.parametrize(
+        "phi", [float("inf"), -np.inf, np.float32("nan"), np.array(np.inf), np.r_[np.zeros(20), np.nan]],
+        ids=["inf", "-inf", "float32-nan", "0-d-inf", "21-points"],
+    )
+    def test_nonfinite_flux_of_every_kind_rejected(self, q0, phi):
+        for fn in (levels, transmon._f01, effective_ej, f01_asymptotic):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="^flux must be finite, got phi = -?(nan|inf)$"):
+                    fn(q0, phi)
+            assert caught == []
 
     def test_shapes_and_scalar_wrapper(self, q0):
         phi = np.linspace(-0.5, 0.5, 6).reshape(2, 3)
@@ -326,20 +388,46 @@ class TestLevels:
         st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6),
     )
     def test_mathieu_values_do_not_depend_on_the_call(self, e_c, ej_sum_over_ec, r, phis):
-        # up to 16 fluxes go point by point on Python floats, more in a numpy
-        # pass per segment of q: every point must get the same bits from a
-        # scalar call, a small array and a grid of 41 that spans segments
-        # (q from 12.5 to 75 at phi = 0 here, down to 0 at phi = 1/2)
+        # a 0-d flux goes through E_J and the tables on Python floats, up to
+        # 16 fluxes of an array go point by point on Python floats after a
+        # numpy E_J, more in a numpy pass per segment of q: every point must
+        # get the same bits from each kind of scalar call, a small array and
+        # a grid of 41 that spans segments (q from 12.5 to 75 at phi = 0
+        # here, down to 0 at phi = 1/2)
         e_sum = e_c * ej_sum_over_ec
         p = TransmonParams(e_c=e_c, e_j1=e_sum * r / (1.0 + r), e_j2=e_sum / (1.0 + r))
         phi = np.array(phis)
+        assert_scalars_are_elements(p, phi)
         lean = levels(p, phi)
         grid = levels(p, np.concatenate([phi, np.linspace(-0.5, 0.5, 41 - phi.size)]))
-        for i, value in enumerate(phi):
-            scalar = levels(p, value)
-            assert np.shape(scalar[0]) == ()
-            assert (scalar[0], scalar[1], bool(scalar[2])) == (lean[0][i], lean[1][i], True)
-            assert (scalar[0], scalar[1]) == (grid[0][i], grid[1][i])
+        assert np.array_equal(bits(lean[:2]), bits([grid[0][: phi.size], grid[1][: phi.size]]))
+
+    def test_whole_fluxes_of_every_kind(self, q0):
+        # ints, as Python and numpy scalars, at both sweet spots' periods
+        assert_scalars_are_elements(q0, np.arange(-3.0, 4.0))
+        assert_scalars_are_elements(q0, np.arange(-3.0, 4.0) + 0.5)
+
+    def test_scalar_sweep_is_bit_for_bit(self):
+        # 10^5 seeded fluxes over |phi| <= 1e3 on devices from E_J1/E_J2 =
+        # 0.24 to 0.99: a 0-d flux takes cos and sin from the math module,
+        # an array from numpy, so every scalar equals its array element only
+        # while numpy's float64 cos and sin round as libm's do
+        rng = np.random.default_rng(31)
+        for ratio in (0.24, 0.3, 0.4, 0.5, 0.7, 0.9, 0.95, 0.99):
+            e_c, e_sum = rng.uniform(170.0, 200.0), rng.uniform(9500.0, 12500.0)
+            p = TransmonParams(e_c=e_c, e_j1=e_sum * ratio / (1.0 + ratio), e_j2=e_sum / (1.0 + ratio))
+            phi = rng.uniform(-1e3, 1e3, 12500)
+            want = (effective_ej(p, phi), f01_asymptotic(p, phi), *levels(p, phi)[:2], transmon._f01(p, phi))
+            got = np.empty((len(want), phi.size))
+            kinds = set()
+            for i, x in enumerate(phi.tolist()):
+                row = (effective_ej(p, x), f01_asymptotic(p, x), *levels(p, x)[:2], transmon._f01(p, x))
+                kinds.update(map(type, row))
+                got[:, i] = row
+                res = diagonalize(p, FluxPoint(phi=x))
+                assert (res.f01, res.f12) == row[2:4]
+            assert kinds == {np.float64}
+            assert np.array_equal(bits(got), bits(want)), f"ratio {ratio}"
 
     @pytest.mark.parametrize("phi", [0.0, [0.0, 0.1]], ids=["scalar", "array"])
     def test_scipy_nan_point_matches_charge_basis(self, phi):
@@ -356,11 +444,13 @@ class TestLevels:
     def test_huge_finite_flux_rejected_without_warnings(self, q0):
         # pi * 1e308 overflows, so q is NaN: the flux is named, and numpy
         # does not warn on the way
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError, match=r"^flux must keep pi phi finite, got phi = 1e\+308$"):
-                levels(q0, [0.1, 1e308])
-        assert caught == []
+        for fn in (levels, transmon._f01, effective_ej, f01_asymptotic):
+            for phi in ([0.1, 1e308], 1e308, 10**308):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValueError, match=r"^flux must keep pi phi finite, got phi = 1e\+308$"):
+                        fn(q0, phi)
+                assert caught == []
 
 
 class TestF01Only:
@@ -505,6 +595,20 @@ class TestAsymptoticScalar:
         phi = np.linspace(-0.5, 0.5, 11)
         grid = f01_asymptotic(q0, phi)
         assert [f01_asymptotic(q0, float(v)) for v in phi] == list(grid)
+        for fn in (effective_ej, f01_asymptotic):
+            grid = fn(q0, phi)
+            for i, value in enumerate(phi.tolist()):
+                for x in zero_d_kinds(value):
+                    got = fn(q0, x)
+                    assert type(got) is np.float64 and bits(got) == bits(grid[i])
+
+    def test_list_and_int_arrays(self, q0):
+        # any array-like is taken as float64, as levels takes it
+        for fn in (effective_ej, f01_asymptotic):
+            want = fn(q0, np.array([0.0, 0.25, 1.0]))
+            assert np.array_equal(bits(fn(q0, [0.0, 0.25, 1])), bits(want))
+            assert np.array_equal(bits(fn(q0, np.array([0, 1]))), bits(want[[0, 2]]))
+            assert fn(q0, np.float32([0.25])).dtype == np.float64
 
     @pytest.mark.parametrize("phi", [0.5, np.array([0.0, 0.5, 0.2])])
     def test_regime_error_names_the_flux(self, phi):
