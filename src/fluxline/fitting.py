@@ -21,11 +21,11 @@ Every model ships its analytic Jacobian (``Model.jac`` is required), and
 the test suite cross-checks each against forward differences.  Both
 tuning models come from one factory, _tuning_model, which takes f and its
 partials in E_J and E_C and adds the chain rule through E_J(phi); the
-tuning refinement on exact levels takes f01 and its slope in
-q = E_J/(2 E_C) from one call of transmon's level kernel.  E_J(phi) and
-the closed-form f01 come from transmon.  Both stages walk U_i = 8 E_C E_Ji
-in place of the junction energies, where the closed form's E_C-E_J valley
-is nearly straight, and report the energies.  Both tuning models take
+exact-levels model takes f01 and its slope in q = E_J/(2 E_C) from one
+call of transmon's level kernel.  E_J(phi) and the closed-form f01 come
+from transmon.  A tuning fit is one walk on either model in
+U_i = 8 E_C E_Ji, where the closed form's E_C-E_J valley is nearly
+straight, and reports the junction energies.  Both models take
 (e_j1, e_j2, e_c, amps_per_phi0, phi_offset); a fixed E_C is held in one
 place, _hold_e_c, which _fit_in_u wraps around them.  The engine loads
 no scipy; the test suite checks it against MINPACK's lmder through scipy.
@@ -520,10 +520,10 @@ def _hold_e_c(model: Model, e_c: float) -> Model:
                  lambda current, th: np.delete(model.jac(current, full(th)), 2, axis=1))
 
 
-# Both stages of the tuning fit walk U_i = 8 E_C E_Ji in place of the
-# junction energies.  There 8 E_C E_J(phi) depends on U1, U2 and phi alone,
-# so E_C enters the closed form only as an offset, and the curved E_C-E_J
-# valley of the energies, where the closed-form stage took 33 residual
+# The tuning fit walks U_i = 8 E_C E_Ji in place of the junction
+# energies.  There 8 E_C E_J(phi) depends on U1, U2 and phi alone, so
+# E_C enters the closed form only as an offset, and the curved E_C-E_J
+# valley of the energies, where the closed-form fit took 33 residual
 # evaluations on average on bench devices and up to 221, becomes nearly
 # straight (Transtrum & Sethna 2012 on such changes of variables for
 # Levenberg-Marquardt).
@@ -666,17 +666,17 @@ def fit_tuning_curve(
 ) -> FitResult:
     """Fit f01 vs bias current with a linear current-to-flux map.
 
-    The closed-form transmon frequency is used for the main optimization;
-    with use_diagonalization=True a refinement pass replaces it by the
-    exact f01 of :func:`transmon.levels`, and the result carries that
-    refinement's model.  Both stages walk U_i = 8 E_C E_Ji in place of the
-    junction energies, where the closed form's E_C-E_J valley is nearly
-    straight, and report the energies, with standard errors from the
-    energies' Jacobian at the optimum.  The period and flux offset start
-    from the sinusoid that fits the data best (_sinusoid_peak).  A
-    refinement residual costs one exact-f01 call of transmon's level kernel
-    (without its f12), and a refinement Jacobian one call that gives f01
-    with its slope in q, plus the chain rule (see _tuning_model).
+    One walk on the closed-form transmon frequency, or with
+    use_diagonalization=True on the exact f01 of :func:`transmon.levels`
+    in its place, from the same start guess; the result carries the model
+    walked.  The walk is in U_i = 8 E_C E_Ji in place of the junction
+    energies, where the closed form's E_C-E_J valley is nearly straight,
+    and reports the energies, with standard errors from the energies'
+    Jacobian at the optimum.  The period and flux offset start from the
+    sinusoid that fits the data best (_sinusoid_peak).  An exact residual
+    costs one f01 call of transmon's level kernel (without its f12), and
+    an exact Jacobian one call that gives f01 with its slope in q, plus
+    the chain rule (see _tuning_model).
     The frequencies must lie within +-1e60 MHz, and a fixed E_C between
     1e-6 and 1/4 of the data's largest frequency.
     """
@@ -708,16 +708,13 @@ def fit_tuning_curve(
     ej1_0 = max(0.5 * (ej_sum0 - ej_diff0), 1.0)
     ej2_0 = 0.5 * (ej_sum0 + ej_diff0)
 
-    result = _fit_in_u(tuning_curve_model(), data, [ej1_0, ej2_0, ec0, a0, off0], fixed_e_c)
-    if use_diagonalization:
-        start = [result.params.get(name, fixed_e_c) for name in _TUNING_NAMES]
-        result = _fit_in_u(_levels_tuning_model(), data, start, fixed_e_c)
+    model = _levels_tuning_model() if use_diagonalization else tuning_curve_model()
+    result = _fit_in_u(model, data, [ej1_0, ej2_0, ec0, a0, off0], fixed_e_c)
 
-    # the flags judge the stage returned.  Span judged with the fitted
-    # period: the start guess searches only within a bin of the top rfft
-    # bin and is blind to sub-period data.  Sub-period data may also alias
-    # to a bogus short period, which shows up as an exploding
-    # junction-energy covariance instead.
+    # span judged with the fitted period: the start guess searches only
+    # within a bin of the top rfft bin and is blind to sub-period data.
+    # Sub-period data may also alias to a bogus short period, which shows
+    # up as an exploding junction-energy covariance instead.
     span_phi0 = (cur[-1] - cur[0]) / abs(result.params["amps_per_phi0"])
     ej_rel_err = max(
         abs(result.std_errors["e_j1"]) / max(abs(result.params["e_j1"]), 1e-12),

@@ -188,7 +188,7 @@ def _ej_over(params: TransmonParams, phi, per):
                 value = _squid_ej(params.e_j1, params.e_j2, phi, np)[0] / per
             # E_J >= 0, and its max is NaN or inf where any element is
             if not math.isfinite(value.max(initial=0.0)):
-                _reject(phi, np.flatnonzero(~np.isfinite(value.ravel()))[0])
+                _reject(params, phi, np.flatnonzero(~np.isfinite(value.ravel()))[0])
             return value
     phi = float(phi)
     # math.cos and math.sin raise on an infinite pi phi
@@ -196,7 +196,7 @@ def _ej_over(params: TransmonParams, phi, per):
         value = _squid_ej(params.e_j1, params.e_j2, phi, math)[0] / per
         if math.isfinite(value):
             return value
-    _reject(phi, 0)
+    _reject(params, phi, 0)
 
 
 def _numpy(value):
@@ -258,10 +258,14 @@ def _levels(params: TransmonParams, phi, second):
     return _segment_levels(bisect_right(_LEVEL_Q_EDGES, q), q, e_c, second, math.sqrt)
 
 
-def _reject(phi, i):
-    value = np.ravel(phi)[i]
+def _reject(params: TransmonParams, phi, i):
+    value = float(np.ravel(phi)[i])
     requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"
-    raise ValueError(f"flux must {requirement}, got phi = {value}")
+    if not math.isfinite(math.pi * value):
+        raise ValueError(f"flux must {requirement}, got phi = {value}")
+    # pi phi is finite, so the energies overflow (TransmonParams takes even inf)
+    energies = f"E_C = {params.e_c}, E_J1 = {params.e_j1}, E_J2 = {params.e_j2} MHz"
+    raise ValueError(f"energies {energies} overflow at phi = {value}")
 
 
 def _at_q(q, e_c, second):

@@ -64,7 +64,7 @@ def assert_agrees(ours, ref, label, noise_floor=False):
     """Same optimum as MINPACK.
 
     With noise_floor the residuals carry rounding noise above the 1e-12
-    cost tolerance (the exact levels in the tuning refinement): MINPACK may
+    cost tolerance (the exact-levels tuning fit): MINPACK may
     stop up to ~1e-8 short of the minimum there, so the residual norm may
     only not be larger than MINPACK's.
     """

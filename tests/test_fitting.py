@@ -475,7 +475,7 @@ class TestTuningCurve:
         res = fit_tuning_curve(data, use_diagonalization=True)
         assert res.converged
         # data generated from the asymptotic formula: the exact-spectrum
-        # refinement shifts the energies but must still track the curve
+        # fit lands on other energies but must still track the curve
         assert res.params["e_j2"] == pytest.approx(9040.0, rel=0.15)
         assert res.residual_norm / math.sqrt(data.x.size) < 5.0
 
@@ -509,9 +509,10 @@ class TestTuningCurve:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_ill_conditioned_refinement_flagged(self, seed):
-        # ratio-0.99 devices whose closed-form stage is well conditioned
-        # but whose refinement lands near E_J1 = E_J2: the flags judge the
-        # stage that is returned
+        # ratio-0.99 devices whose exact-levels fit lands near E_J1 = E_J2,
+        # with junction-energy errors ~1e4 times the energies: the flags
+        # judge the exact fit (the closed-form fit of the same data is well
+        # conditioned, at ~1% errors)
         data, _ = bench_like_tuning(0.99, np.random.default_rng([seed, 990]))
         res = fit_tuning_curve(data, use_diagonalization=True)
         assert max(res.std_errors[k] / res.params[k] for k in ("e_j1", "e_j2")) > 0.5
@@ -787,9 +788,9 @@ class TestBetaModelArrays:
 
 
 class TestExactLevelsJacobian:
-    # the chain-rule Jacobian of the refinement against forward differences
-    # of its residuals, which are good to ~1e-6 of a column's largest entry
-    # (measured: at most 8.2e-7 on these devices)
+    # the chain-rule Jacobian of the exact-levels model against forward
+    # differences of its residuals, which are good to ~1e-6 of a column's
+    # largest entry (measured: at most 8.2e-7 on these devices)
     COLUMN_RTOL = 1e-5
 
     @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
@@ -829,7 +830,7 @@ def bench_like_tuning(ratio, rng):
 
 
 class TestTuningInU:
-    """Both tuning stages walk U_i = 8 E_C E_Ji in place of the junction energies."""
+    """Both tuning models walk U_i = 8 E_C E_Ji in place of the junction energies."""
 
     X = np.linspace(-0.7e-3, 0.7e-3, 25)
     # (fixed E_C, parameters in U): free and fixed E_C, and mixed signs,
@@ -889,10 +890,12 @@ class TestTuningInU:
     @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
     @pytest.mark.parametrize("ratio", [0.24, 0.8, 0.98])
     def test_refinement_jacobian_takes_one_levels_call(self, monkeypatch, ratio, fixed):
+        # the exact fit is one walk on the exact levels: one engine call,
+        # and the closed-form model is never built
         from fluxline import transmon
 
         data, e_c = bench_like_tuning(ratio, np.random.default_rng([SEED, int(round(100 * ratio))]))
-        stages, kernel_calls = [], []
+        walks, kernel_calls = [], []
         engine = fitting.least_squares
 
         def counting_engine(model, data, initial_guess):
@@ -905,7 +908,7 @@ class TestTuningInU:
                 return value
 
             result = engine(replace(model, jac=jac), data, initial_guess)
-            stages.append((result.iterations, njev, len(kernel_calls)))
+            walks.append((result.iterations, njev, len(kernel_calls)))
             return result
 
         kernel = transmon._at_q
@@ -914,13 +917,16 @@ class TestTuningInU:
             kernel_calls.append(second)
             return kernel(q, e_c, second)
 
+        def no_closed_form():
+            raise AssertionError("the exact fit built the closed-form model")
+
         monkeypatch.setattr(fitting, "least_squares", counting_engine)
-        # the refinement's model takes transmon's name when it is made,
-        # as levels and _f01 do when called
+        monkeypatch.setattr(fitting, "tuning_curve_model", no_closed_form)
+        # the exact model takes transmon's name when it is made, as levels
+        # and _f01 do when called
         monkeypatch.setattr(transmon, "_at_q", counting_kernel)
         res = fit_tuning_curve(data, fixed_e_c=e_c if fixed else None, use_diagonalization=True)
-        (_, _, closed_form_calls), (nfev, njev, total_calls) = stages
-        assert closed_form_calls == 0
+        [(nfev, njev, total_calls)] = walks
         assert res.iterations == nfev
         # one level-kernel call per residual evaluation (f01 alone) and one
         # per Jacobian (f01 and its slope), and none for the standard
@@ -928,6 +934,32 @@ class TestTuningInU:
         assert njev and njev == [1] * len(njev)
         assert len(kernel_calls) == total_calls == nfev + len(njev)
         assert kernel_calls.count("slope") == len(njev) and kernel_calls.count(None) == nfev
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["free-ec", "fixed-ec"])
+    @pytest.mark.parametrize("ratio", [0.24, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99])
+    def test_one_walk_reaches_the_two_stage_optimum(self, monkeypatch, ratio, fixed):
+        # the exact fit once walked the closed form first and started the
+        # exact levels from its result: from the shared start guess, the one
+        # walk on the exact levels lands on the same optimum
+        data, e_c = bench_like_tuning(ratio, np.random.default_rng([SEED, int(round(100 * ratio))]))
+        fixed_e_c = e_c if fixed else None
+        starts, fit_in_u = [], fitting._fit_in_u
+
+        def recording(model, data, theta0, fixed_e_c):
+            starts.append(list(theta0))
+            return fit_in_u(model, data, theta0, fixed_e_c)
+
+        monkeypatch.setattr(fitting, "_fit_in_u", recording)
+        one = fit_tuning_curve(data, fixed_e_c=fixed_e_c, use_diagonalization=True)
+        [theta0] = starts
+        closed = fit_in_u(tuning_curve_model(), data, theta0, fixed_e_c)
+        start = [closed.params.get(name, fixed_e_c) for name in fitting._TUNING_NAMES]
+        two = fit_in_u(fitting._levels_tuning_model(), data, start, fixed_e_c)
+        params, errs = _normalize_tuning(two.params, two.std_errors)
+        assert one.converged == two.converged
+        assert abs(one.residual_norm - two.residual_norm) <= 1e-8 * two.residual_norm
+        for name, value in params.items():
+            assert abs(one.params[name] - value) <= 1e-3 * errs[name], name
 
     @pytest.mark.parametrize("make", [tuning_curve_model, fitting._levels_tuning_model],
                              ids=["closed-form", "exact-levels"])
@@ -951,7 +983,7 @@ class TestTuningInU:
                 assert np.isnan(make().fn(x, zero)).all()
 
     def test_closed_form_stage_budget(self, monkeypatch):
-        # the ratio of the shipped devices, where the closed-form stage
+        # the ratio of the shipped devices, where the closed-form fit
         # walked a long curved E_C-E_J valley in the energies: these eight
         # took 34-78 evaluations there from the top rfft bin's period, and
         # take 6-7 in U from the best-fitting sinusoid's period and phase

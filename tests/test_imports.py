@@ -127,7 +127,7 @@ def test_fitting_module_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("kind", FIT_FIXTURES)
 def test_fit_loads_no_scipy(tmp_path, kind):
-    # the tuning fit runs without the diagonalization refinement, as the CLI does
+    # the tuning fit runs on the closed form, as the CLI does
     assert loaded_by(cli_run(*fit_argv(kind)), tmp_path) == set()
 
 

@@ -1,6 +1,7 @@
 """Transmon spectrum module: closed forms against the exact diagonalization."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -452,10 +453,34 @@ class TestLevels:
                         fn(q0, phi)
                 assert caught == []
 
+    @pytest.mark.parametrize(
+        "params,message,fns",
+        [
+            (TransmonParams(e_c=1e-306, e_j1=1e3, e_j2=1e4), "E_C = 1e-306, E_J1 = 1000.0, E_J2 = 10000.0",
+             (levels, transmon._f01)),
+            (TransmonParams(e_c=180.0, e_j1=1e308, e_j2=1e308), "E_C = 180.0, E_J1 = 1e+308, E_J2 = 1e+308",
+             (levels, transmon._f01, effective_ej, f01_asymptotic)),
+            (TransmonParams(e_c=180.0, e_j1=2000.0, e_j2=np.inf), "E_C = 180.0, E_J1 = 2000.0, E_J2 = inf",
+             (levels, transmon._f01, effective_ej, f01_asymptotic)),
+        ],
+        ids=["q-overflows", "ej-sum-overflows", "infinite-ej"],
+    )
+    def test_overflowing_energies_named_without_warnings(self, params, message, fns):
+        # pi phi is finite, so the energies are named, not the flux: a tiny
+        # E_C overflows only q = E_J/(2 E_C), which the levels take, and
+        # E_J1 + E_J2 = inf overflows E_J itself
+        for fn in fns:
+            for phi in (0.1, [0.1, 0.2], np.array(0.1), np.full(20, 0.1)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ValueError, match=rf"^energies {re.escape(message)} MHz overflow at phi = 0\.1$"):
+                        fn(params, phi)
+                assert caught == []
+
 
 class TestF01Only:
     """The private f01-only path of the oracle, the level kernel's call that
-    the tuning refinement's residuals make on q."""
+    the exact-levels tuning fit's residuals make on q."""
 
     # symmetric SQUIDs at E_C = 0.5: q = E_J(phi) = E_Jsum cos(pi phi).  Up to
     # q = 1100 (past q = 1000, where scipy's values stop holding), and dense
