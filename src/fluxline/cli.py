@@ -56,9 +56,9 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _write_csv(path: str | None, header: list[str], rows) -> None:
+def _write_csv(path: str | None, header: list[str], columns) -> None:
     # fmt's cells in one % format; adding 0.0 turns -0.0 into 0, as fmt does
-    table = np.array(list(rows), dtype=float) + 0.0
+    table = np.column_stack(columns) + 0.0
     row = ",".join(["%.12g"] * len(header)) + "\n"
     _write(path, ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
@@ -119,7 +119,7 @@ def cmd_spectrum(args) -> int:
     _write_csv(
         args.out,
         ["phi", "f01_asymptotic_mhz", "f01_diag_mhz", "anharmonicity_mhz"],
-        zip(grid, f01_asymptotic(q.params, grid), f01, f12 - f01),
+        [grid, f01_asymptotic(q.params, grid), f01, f12 - f01],
     )
     (f_max, f_min), (f12_top, _), _ = levels(q.params, np.array([0.0, 0.5]))
     eta = f12_top - f_max
@@ -141,9 +141,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_modulate(args) -> int:
-    from .modulation import DEFAULT_ORDER, FluxDrive, avg_frequency, second_order_shift, time_average_oracle
+    from .modulation import FluxDrive, avg_frequency, second_order_shift, time_average_oracle
 
-    order = DEFAULT_ORDER if args.order is None else args.order
     cfg = _load(args)
     q = cfg.qubit(args.qubit)
     if args.points < 1:
@@ -152,8 +151,8 @@ def cmd_modulate(args) -> int:
         FluxDrive(args.phi_dc, amp)  # checks the end points before linspace spreads them
     amps = np.linspace(args.amp_min, args.amp_max, args.points)
     drive = FluxDrive(args.phi_dc, amps)
-    f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0), order)
-    f_series = avg_frequency(q.params, drive, order)
+    f_ref = avg_frequency(q.params, FluxDrive(args.phi_dc, 0.0))
+    f_series = avg_frequency(q.params, drive)
     header, columns = ["phi_ac", "f_avg_series_mhz"], [amps, f_series]
     if args.with_oracle:
         f_oracle = time_average_oracle(q.params, drive, args.oracle_steps)
@@ -161,7 +160,7 @@ def cmd_modulate(args) -> int:
         columns.append(f_oracle)
     header += ["shift_series_hz", "shift_2nd_order_hz"]
     columns += [(f_series - f_ref) * 1e6, second_order_shift(q.params, amps)]
-    _write_csv(args.out, header, zip(*columns))
+    _write_csv(args.out, header, columns)
     lines = [f"qubit {q.name}: f_avg at zero drive = {fmt(f_ref)} MHz"]
     payload = {"qubit": q.name, "f_ref_mhz": f_ref}
     if args.with_oracle:
@@ -209,8 +208,8 @@ def cmd_diplexer(args) -> int:
     grid = rf.default_frequency_grid(args.points)
     resp = rf.diplexer_eval(lp, bp, dpx.z0, grid)
     report = rf.check_spec(resp, dpx.spec)  # may raise: check before writing anything
-    rows = zip(resp.frequencies_mhz, rf._db(resp.s31), rf._db(resp.s32), rf._db(resp.s12))
-    _write_csv(args.out, ["frequency_mhz", "s31_db", "s32_db", "s12_db"], rows)
+    columns = [resp.frequencies_mhz, rf._db(resp.s31), rf._db(resp.s32), rf._db(resp.s12)]
+    _write_csv(args.out, ["frequency_mhz", "s31_db", "s32_db", "s12_db"], columns)
     payload = {
         "passed": report.passed,
         "items": [dataclasses.asdict(item) for item in report.items],
@@ -281,8 +280,8 @@ def cmd_fit(args) -> int:
 
     if args.residuals_out:
         curve = result.curve(data.x)
-        rows = zip(data.x, data.y, curve, data.y - curve)
-        _write_csv(args.residuals_out, [data.x_unit, data.y_unit, "model", "residual"], rows)
+        columns = [data.x, data.y, curve, data.y - curve]
+        _write_csv(args.residuals_out, [data.x_unit, data.y_unit, "model", "residual"], columns)
 
     if not result.converged:
         sys.stderr.write(
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp-min", type=float, default=0.0)
     p.add_argument("--amp-max", type=float, default=0.25)
     p.add_argument("--points", type=int, default=26)
-    p.add_argument("--order", type=int, default=None)  # None: modulation.DEFAULT_ORDER
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--oracle-steps", type=int, default=512)
     p.add_argument("--out", default=None)

@@ -376,9 +376,11 @@ def fit_t1(data: DataSeries) -> FitResult:
     b0 = float(y.min())
     w = y - b0
     keep = w > 0.05 * w.max()
-    # log-linear regression on the shifted decay for (A, T1)
-    slope, intercept = np.polyfit(t[keep], np.log(w[keep] + 1e-300), 1)
-    t1_0 = -1.0 / slope if slope < 0 else float(t[-1] - t[0]) or 1.0
+    # log-linear regression on the shifted decay for (A, T1), in t / span
+    # so that its sums stay finite at any time scale
+    span = float(t[-1] - t[0])
+    slope, intercept = np.polyfit(t[keep] / span, np.log(w[keep] + 1e-300), 1)
+    t1_0 = -span / slope if slope < 0 else span
     a0 = math.exp(intercept)
     return _flag_nonpositive(least_squares(T1_MODEL, data, [a0, t1_0, b0]), "T1")
 
@@ -735,13 +737,13 @@ def fit_tuning_curve(
 
 def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta, from
-    the harmonic series of order DEFAULT_ORDER.  An evaluation takes J0 of
-    its arguments and the Jacobian J1, each in its own kernel pass."""
-    from .modulation import DEFAULT_ORDER, _harmonic_phases, harmonic_series
+    the harmonic series s_0..s_ORDER of `modulation`.  An evaluation takes
+    J0 of its arguments and the Jacobian J1, each in its own kernel pass."""
+    from .modulation import ORDER, _harmonic_phases, harmonic_series
     from .specfun import bessel_j0, bessel_j1
 
-    wn = 2.0 * np.pi * np.arange(DEFAULT_ORDER + 1)
-    cn = np.array(harmonic_series(params, DEFAULT_ORDER)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
+    wn = 2.0 * np.pi * np.arange(ORDER + 1)
+    cn = np.array(harmonic_series(params)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
 
     # the harmonics n along axis 0, the samples along the last; the sums
     # over axis 0 add the harmonics in order, one row at a time.  beta may

@@ -8,10 +8,10 @@ where the coefficients s_n are the Fourier cosine coefficients of the
 nine-term perturbation series F(phi) = E_C sum_k C_k xi(phi)^(k-1) in
 xi(phi) = sqrt(2 E_C / E_J(phi)), taken from one rfft of F on a uniform
 flux grid (the paper's hypergeometric form of the same coefficients is
-the tests' reference).  A brute-force
-time-averaging oracle built on the exact f01 at n_g = 0 (that of
-:func:`transmon.levels`, the Mathieu values from numpy tables) is provided
-to validate the truncated series.
+the tests' reference).  The sum stops at n = ORDER = 8, as in the
+paper.  A brute-force time-averaging oracle built on the exact f01 at
+n_g = 0 (that of :func:`transmon.levels`, the Mathieu values from numpy
+tables) is provided to validate the truncated series.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "time_average_oracle",
 ]
 
-DEFAULT_ORDER = 8
-MAX_ORDER = 12
+# the top harmonic of the series, as in the paper: s_0..s_8
+ORDER = 8
 
 
 class SymmetricSquidError(ValueError):
@@ -99,12 +99,12 @@ C_VECTOR = (
 MAX_SAMPLES = 2**18
 
 
-def _sample_count(params: TransmonParams, order: int) -> int:
-    """The rfft size for harmonics 0..order: a power of two set by E_J1/E_J2."""
+def _sample_count(params: TransmonParams) -> int:
+    """The rfft size for harmonics 0..ORDER: a power of two set by E_J1/E_J2."""
     r = params.e_j1 / params.e_j2  # the constructor orders e_j1 <= e_j2
     # harmonic n carries the alias s_(M-n) ~ r^(M-n) s_0, which M - n >=
-    # ln(1e-18)/ln r puts below rounding; M >= 2n puts n on the grid at all
-    need = max(64, 2 * order, order + math.log(1e-18) / math.log(r))
+    # ln(1e-18)/ln r puts below rounding
+    need = max(64, ORDER + math.log(1e-18) / math.log(r))
     m = 1 << (math.ceil(need) - 1).bit_length()
     if m > MAX_SAMPLES:
         raise ConvergenceError(
@@ -115,13 +115,17 @@ def _sample_count(params: TransmonParams, order: int) -> int:
 
 
 @lru_cache(maxsize=128)
-def _harmonic_tuple(params: TransmonParams, order: int) -> tuple[float, ...]:
+def harmonic_series(params: TransmonParams) -> tuple[float, ...]:
+    """The coefficients s_0..s_ORDER of the flux-harmonic expansion (MHz), cached.
+
+    SymmetricSquidError at E_J1 = E_J2, ConvergenceError past MAX_SAMPLES.
+    """
     if params.e_j1 == params.e_j2:
         raise SymmetricSquidError(
             "symmetric SQUID: harmonic series boundary z=1; use "
             "time_average_oracle instead"
         )
-    m = _sample_count(params, order)
+    m = _sample_count(params)
     xi = np.sqrt(2.0 * params.e_c / effective_ej(params, np.arange(m) / m))
     # sum_k C_k xi^(k-1) = (sum_k C_k xi^k) / xi, by Horner
     total = np.full(m, C_VECTOR[-1])
@@ -129,58 +133,48 @@ def _harmonic_tuple(params: TransmonParams, order: int) -> tuple[float, ...]:
         total = total * xi + ck
     # F is real and even: its coefficients are the real parts, and the
     # harmonics +n and -n pair up for n >= 1
-    c = np.fft.rfft(params.e_c * total / xi)[: order + 1].real / m
+    c = np.fft.rfft(params.e_c * total / xi)[: ORDER + 1].real / m
     c[1:] *= 2.0
     return tuple(c.tolist())
 
 
 def s_coeff(params: TransmonParams, n: int) -> float:
-    """Harmonic coefficient s_n in MHz, from the cached series of :func:`harmonic_series`.
+    """Harmonic coefficient s_n in MHz, n = 0..ORDER, from :func:`harmonic_series`.
 
     s_n is the n-th Fourier cosine coefficient of the nine-term series
     F(phi) = E_C sum_k C_k xi(phi)^(k-1), taken with the others from one
     rfft of F; the k = 1 entry, -E_C, enters s_0 alone.
     """
-    if n < 0:
-        raise ValueError(f"harmonic index must be >= 0, got {n}")
-    return _harmonic_tuple(params, max(n, DEFAULT_ORDER))[n]
-
-
-def harmonic_series(params: TransmonParams, order: int = DEFAULT_ORDER) -> tuple[float, ...]:
-    """The coefficients s_0..s_order of the flux-harmonic expansion (MHz), cached.
-
-    SymmetricSquidError at E_J1 = E_J2, ConvergenceError past MAX_SAMPLES.
-    """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {order}")
-    return _harmonic_tuple(params, order)
+    if not 0 <= n <= ORDER:
+        raise ValueError(f"harmonic index must be in [0, {ORDER}], got {n}")
+    return harmonic_series(params)[n]
 
 
 def _harmonic_phases(name: str, phi, wn: np.ndarray) -> np.ndarray:
-    """The phases wn * phi of the harmonics wn = 2 pi n, n = 0..p, along axis 0.
+    """The phases wn * phi of the harmonics wn = 2 pi n, n = 0..ORDER, along axis 0.
 
     A flux whose top harmonic's phase overflows raises ValueError naming
     it, before a cosine could warn on the infinite phase.
     """
     with np.errstate(over="ignore"):
         phase = wn * phi
-    _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {len(wn) - 1}")
+    _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {ORDER}")
     return phase
 
 
-def avg_frequency(params: TransmonParams, drive: FluxDrive, p: int = DEFAULT_ORDER) -> float | np.ndarray:
+def avg_frequency(params: TransmonParams, drive: FluxDrive) -> float | np.ndarray:
     """Time-averaged qubit frequency (MHz) from the truncated series.
 
     Elementwise over the drive's phi_dc and phi_ac; a scalar drive gives a
     float.  A flux whose harmonic phases 2 pi n phi overflow raises
     ValueError naming it.
     """
-    s = np.array(harmonic_series(params, p))
+    s = np.array(harmonic_series(params))
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
     # harmonics along the first axis; the cumulative sum adds them in order
     # at every shape, where a sum over a short axis would pair them up
     column = (-1,) + (1,) * phi_dc.ndim
-    wn = (2.0 * np.pi * np.arange(p + 1)).reshape(column)
+    wn = (2.0 * np.pi * np.arange(ORDER + 1)).reshape(column)
     phase_dc, phase_ac = _harmonic_phases("phi_dc", phi_dc, wn), _harmonic_phases("phi_ac", phi_ac, wn)
     terms = s.reshape(column) * np.cos(phase_dc) * bessel_j0(phase_ac)
     return _float_or_array(np.cumsum(terms, axis=0)[-1])

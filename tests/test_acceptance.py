@@ -109,7 +109,7 @@ def test_criterion_3_series_vs_time_average_oracle(device_params):
         span = f_max - f_min
         for phi_ac in (0.05, 0.10, 0.20, 0.25):
             drive = FluxDrive(0.0, phi_ac)
-            series = avg_frequency(p, drive, p=8)
+            series = avg_frequency(p, drive)
             oracle = time_average_oracle(p, drive, n_steps=512)
             rel = abs(series - oracle) / span
             worst_rel = max(worst_rel, rel)
@@ -138,9 +138,9 @@ def test_criterion_4_small_amplitude_consistency(device_params):
     failures = []
     worst = (1.0, "")
     for name, p in device_params.items():
-        f_ref = avg_frequency(p, FluxDrive(0.0, 0.0), p=8)
+        f_ref = avg_frequency(p, FluxDrive(0.0, 0.0))
         for phi_ac in (2e-4, 5e-4, 1e-3):
-            shift = (avg_frequency(p, FluxDrive(0.0, phi_ac), p=8) - f_ref) * 1e6
+            shift = (avg_frequency(p, FluxDrive(0.0, phi_ac)) - f_ref) * 1e6
             ratio = shift / second_order_shift(p, phi_ac)
             if abs(ratio - 1.0) > abs(worst[0] - 1.0):
                 worst = (ratio, f"{name}@{phi_ac}")

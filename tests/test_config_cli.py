@@ -250,6 +250,13 @@ class TestModulateCommand:
         err = capsys.readouterr().err
         assert "symmetric" in err and "oracle" in err
 
+    def test_no_order_option(self, capsys):
+        # the series stops at modulation.ORDER: no option picks another
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("modulate", str(EXAMPLE_CONFIG), "--qubit", "q0", "--order", "8")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --order 8" in capsys.readouterr().err
+
 
     def test_near_symmetric_squid_exits_0_with_finite_series(self, tmp_path):
         # E_J1/E_J2 = 0.99: the cold series takes an 8192-sample rfft of
@@ -634,6 +641,20 @@ class TestFitCommand:
         proc = self._run(kind, str(data))
         assert proc.returncode == 2
         assert proc.stderr == f"error: {column} column is constant: the fit needs distinct values\n"
+
+    @pytest.mark.parametrize("scale,code,message", [
+        (1e300, 3, "singular Jacobian at the optimum"),
+        (1e-300, 2, "r.r or J^T J is not finite at the initial guess: rescale the data or sigma"),
+    ], ids=["1e300", "1e-300"])
+    def test_t1_on_scaled_times_is_one_error_line(self, tmp_path, scale, code, message):
+        # the start guess regresses on t / span: no numpy warning and no
+        # LAPACK complaint comes before the engine's error
+        header, *lines = (FIXTURES / "t1_53us.csv").read_text().splitlines()
+        rows = [ln.split(",") for ln in lines]
+        data = tmp_path / "t1_scaled.csv"
+        data.write_text("".join(f"{ln}\n" for ln in [header] + [f"{float(t) * scale!r},{y}" for t, y in rows]))
+        proc = self._run("t1", str(data))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value", ["0", "-5", "nan"])
     def test_nonpositive_or_nonfinite_fixed_ec_exits_2(self, value):

@@ -541,7 +541,7 @@ class TestBeta:
     def test_zero_amplitude_point_is_f_max(self, q0):
         from fluxline.modulation import FluxDrive, avg_frequency
 
-        f_max = avg_frequency(q0, FluxDrive(0.0, 0.0), 8)
+        f_max = avg_frequency(q0, FluxDrive(0.0, 0.0))
         for beta in (0.1, 0.5, 1.0):
             val = beta_model(q0, 0.0).fn(np.array([0.0]), np.array([beta]))[0]
             assert val == pytest.approx(f_max, abs=1e-9)
@@ -681,8 +681,7 @@ class TestResultCarriesModel:
 class TestOverflowingInputs:
     """Finite data whose weighted cost or J^T J overflows, or whose start
     guess divides by an underflowed square: a typed error, never a fit that
-    "converges" at its start, and no numpy warning on the way.  fit_t1's
-    start guess fails on scaled times before the engine runs (see README)."""
+    "converges" at its start, and no numpy warning on the way."""
 
     FITS = {"t1_53us.csv": fit_t1, "ramsey_10us.csv": fit_ramsey, "rb_decay.csv": fit_rb,
             "tuning_q0.csv": fit_tuning_curve, "beta_q0.csv": "beta"}
@@ -694,10 +693,7 @@ class TestOverflowingInputs:
         "x-1e-300": lambda x, y: (x * 1e-300, y, None),
     }
 
-    @pytest.mark.parametrize("source,case", [
-        (source, case) for source, case in itertools.product(FITS, CASES)
-        if not (source == "t1_53us.csv" and case[0] == "x")
-    ])
+    @pytest.mark.parametrize("source,case", list(itertools.product(FITS, CASES)))
     def test_raises_without_warning(self, q0, source, case):
         x, y, sigma = self.CASES[case](*np.loadtxt(FIXTURES / source, delimiter=",", skiprows=1, unpack=True))
         data, fit = DataSeries(x=x, y=y, sigma=sigma), self.FITS[source]
@@ -771,7 +767,7 @@ class TestTuningNormalization:
 class TestBetaModelArrays:
     def test_equals_per_sample_harmonic_loop(self, q0):
         # the scalar loop the array model replaced, as the reference
-        s = harmonic_series(q0, 8)
+        s = harmonic_series(q0)
         amps = np.linspace(0.0, 1.4, 29)
         for phi_dc, beta in [(0.0, 0.51), (0.2, -0.3)]:
             model = beta_model(q0, phi_dc)

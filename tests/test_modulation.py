@@ -13,7 +13,7 @@ from fluxline.config import load_config
 from fluxline.modulation import (
     FluxDrive,
     MAX_SAMPLES,
-    _harmonic_tuple,
+    ORDER,
     _sample_count,
     SymmetricSquidError,
     C_VECTOR,
@@ -58,11 +58,11 @@ class TestHarmonicCoefficients:
         assert abs(f_min - 2981.0) < 15.0
 
     def test_leading_coefficient_dominates(self, q0):
-        s = harmonic_series(q0, 8)
+        s = harmonic_series(q0)
         assert all(abs(s[0]) > abs(v) for v in s[1:])
 
     def test_harmonics_decay(self, q0):
-        assert abs(s_coeff(q0, 9)) < abs(s_coeff(q0, 8))
+        assert abs(s_coeff(q0, 8)) < abs(s_coeff(q0, 7))
 
     def test_symmetric_squid_rejected(self):
         sym = TransmonParams(e_c=182.0, e_j1=5000.0, e_j2=5000.0)
@@ -75,17 +75,16 @@ class TestHarmonicCoefficients:
         # (a 2F1 power series per coefficient took seconds, or raised
         # ConvergenceError, from ratio 0.985 on)
         p = _device(ratio)
-        _harmonic_tuple.cache_clear()
+        harmonic_series.cache_clear()
         t0 = perf_counter()
-        s = harmonic_series(p, 8)
+        s = harmonic_series(p)
         assert perf_counter() - t0 < 0.05
         assert all(math.isfinite(v) for v in s)
 
-    def test_order_validation(self, q0):
-        with pytest.raises(ValueError):
-            harmonic_series(q0, 0)
-        with pytest.raises(ValueError):
-            avg_frequency(q0, FluxDrive(0.0, 0.0), 13)
+    @pytest.mark.parametrize("n", [9, -1])
+    def test_index_past_the_order_rejected(self, q0, n):
+        with pytest.raises(ValueError, match=rf"^harmonic index must be in \[0, 8\], got {n}$"):
+            s_coeff(q0, n)
 
 
 def _device(ratio: float, e_c: float = 185.0, e_j_sum: float = 11300.0) -> TransmonParams:
@@ -126,14 +125,24 @@ class TestHypergeometricReference:
         want = np.array(_hypergeometric_series(p, 8))
         tol = 1e-12 * np.abs(want).max()
         for params in (p, TransmonParams(e_c=p.e_c, e_j1=p.e_j2, e_j2=p.e_j1)):
-            _harmonic_tuple.cache_clear()
-            assert np.abs(np.array(harmonic_series(params, 8)) - want).max() <= tol
+            harmonic_series.cache_clear()
+            assert np.abs(np.array(harmonic_series(params)) - want).max() <= tol
             assert np.abs(np.array([s_coeff(params, n) for n in range(9)]) - want).max() <= tol
 
-    def test_twelve_harmonics(self, q0):
-        want = np.array(_hypergeometric_series(q0, 12))
-        got = np.array(harmonic_series(q0, 12))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    @pytest.mark.parametrize("ratio", [0.5, 0.9])
+    def test_more_harmonics_move_away_from_the_oracle(self, ratio):
+        # why the order is fixed at 8: adding s_9..s_12 (the closed form)
+        # to the order-8 sum moves f_avg further from the exact period
+        # average, taken at its worst over phi_dc, phi_ac in {0, 0.1, .., 0.5}
+        p = _device(ratio, e_c=182.0, e_j_sum=11256.0)
+        s = _hypergeometric_series(p, 12)
+        phi_dc, phi_ac = np.meshgrid(np.arange(6) / 10.0, np.arange(6) / 10.0, indexing="ij")
+        drive = FluxDrive(phi_dc, phi_ac)
+        oracle = time_average_oracle(p, drive, 4096)
+        f8 = avg_frequency(p, drive)
+        tail = sum(s[n] * np.cos(2.0 * np.pi * n * phi_dc) * bessel_j0(2.0 * np.pi * n * phi_ac)
+                   for n in range(ORDER + 1, 13))
+        assert np.abs(f8 + tail - oracle).max() > 1.2 * np.abs(f8 - oracle).max()
 
 
 class TestSampleCount:
@@ -141,7 +150,7 @@ class TestSampleCount:
 
     def test_rule(self):
         ratios = [0.01, 0.24, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999, 0.9998]
-        counts = [_sample_count(_device(r), 8) for r in ratios]
+        counts = [_sample_count(_device(r)) for r in ratios]
         assert all(m >= 64 and m & (m - 1) == 0 for m in counts)
         assert counts == sorted(counts)
         assert counts[:2] == [64, 64] and counts[-1] == MAX_SAMPLES
@@ -155,7 +164,7 @@ class TestSampleCount:
         def count(r):
             p = _device(r)
             try:
-                return _sample_count(p, 8)
+                return _sample_count(p)
             except ConvergenceError:
                 assert 8 + math.log(1e-18) / math.log(p.e_j1 / p.e_j2) > MAX_SAMPLES
                 return math.inf
@@ -164,17 +173,12 @@ class TestSampleCount:
         assert count(lo) <= count(hi)
 
     def test_past_the_cap_raises_naming_ratio_and_oracle(self):
-        _harmonic_tuple.cache_clear()
+        harmonic_series.cache_clear()
         message = r"^harmonic series of E_J1/E_J2 = 0\.9999 needs more than 262144 flux samples; use time_average_oracle instead$"
         with pytest.raises(ConvergenceError, match=message):
-            harmonic_series(_device(0.9999), 8)
+            harmonic_series(_device(0.9999))
         with pytest.raises(ConvergenceError, match=message):
             avg_frequency(_device(0.9999), FluxDrive(0.0, 0.1))
-
-    def test_large_harmonic_index(self, q0):
-        # s_coeff takes any n >= 0: past the aliasing bound (~29 harmonics
-        # here) its grid still holds 2n samples, so harmonic n is on it
-        assert abs(s_coeff(q0, 200)) < 1e-12 * abs(s_coeff(q0, 0))
 
 
 class TestFluxDrive:
@@ -237,8 +241,8 @@ class TestArrayDrive:
             warnings.simplefilter("error")  # and without a numpy warning
             with pytest.raises(ValueError, match=r"^phi_ac must keep 2 pi n phi_ac finite for n <= 8, got 1e\+308$"):
                 avg_frequency(q0, FluxDrive(0.0, np.array([0.1, 1e308])))
-            with pytest.raises(ValueError, match=r"^phi_dc must keep 2 pi n phi_dc finite for n <= 4, got -1e\+308$"):
-                avg_frequency(q0, FluxDrive(-1e308, self.AMPS), 4)
+            with pytest.raises(ValueError, match=r"^phi_dc must keep 2 pi n phi_dc finite for n <= 8, got -1e\+308$"):
+                avg_frequency(q0, FluxDrive(-1e308, self.AMPS))
             with pytest.raises(ValueError, match=r"^phi_ac must keep the second-order shift finite, got 1e\+200$"):
                 second_order_shift(q0, np.array([0.1, 1e200]))
             # huge but representable phases give finite values
@@ -270,31 +274,31 @@ class TestAvgFrequency:
     def test_zero_drive_matches_diagonalization(self, device_params):
         for p in device_params.values():
             for phi_dc in np.linspace(0.0, 0.5, 11):
-                series = avg_frequency(p, FluxDrive(float(phi_dc), 0.0), 8)
+                series = avg_frequency(p, FluxDrive(float(phi_dc), 0.0))
                 exact = diagonalize(p, FluxPoint(phi=float(phi_dc))).f01
                 assert abs(series - exact) < 15.0
 
     def test_published_max_and_min(self, q0):
-        assert abs(avg_frequency(q0, FluxDrive(0.0, 0.0), 8) - 3851.0) < 10.0
-        assert abs(avg_frequency(q0, FluxDrive(0.5, 0.0), 8) - 2981.0) < 15.0
+        assert abs(avg_frequency(q0, FluxDrive(0.0, 0.0)) - 3851.0) < 10.0
+        assert abs(avg_frequency(q0, FluxDrive(0.5, 0.0)) - 2981.0) < 15.0
 
     def test_pi_pulse_leakage_shift(self, q0):
         # the headline crosstalk number: ~ -79 Hz at phi_ac = 1.6e-4
-        ref = avg_frequency(q0, FluxDrive(0.0, 0.0), 8)
-        shifted = avg_frequency(q0, FluxDrive(0.0, 1.6e-4), 8)
+        ref = avg_frequency(q0, FluxDrive(0.0, 0.0))
+        shifted = avg_frequency(q0, FluxDrive(0.0, 1.6e-4))
         assert (shifted - ref) * 1e6 == pytest.approx(-79.0, abs=2.0)
 
 
     def test_equals_harmonic_loop(self, q0):
         # the scalar loop the one-call form replaced, as the reference
-        s = harmonic_series(q0, 8)
+        s = harmonic_series(q0)
         for phi_dc, phi_ac in [(0.0, 0.1), (0.3, 0.25), (0.5, 0.0)]:
             total = 0.0
             for n, sn in enumerate(s):
                 total += sn * math.cos(2.0 * math.pi * n * phi_dc) * bessel_j0(
                     2.0 * math.pi * n * phi_ac
                 )
-            got = avg_frequency(q0, FluxDrive(phi_dc, phi_ac), 8)
+            got = avg_frequency(q0, FluxDrive(phi_dc, phi_ac))
             assert got == pytest.approx(total, rel=1e-14)
 
 class TestSecondOrderShift:
@@ -333,7 +337,7 @@ class TestOracle:
     def test_matches_series_at_moderate_amplitude(self, q0):
         drive = FluxDrive(0.0, 0.1)
         assert time_average_oracle(q0, drive, 512) == pytest.approx(
-            avg_frequency(q0, drive, 8), abs=1.0
+            avg_frequency(q0, drive), abs=1.0
         )
 
     def test_bounded_by_extremes(self, q0):
@@ -387,16 +391,16 @@ class TestSeriesVsOracle:
         span = f_max - f_min
         for phi_ac in (0.05, 0.15, 0.25):
             drive = FluxDrive(0.0, phi_ac)
-            series = avg_frequency(q0, drive, 8)
+            series = avg_frequency(q0, drive)
             oracle = time_average_oracle(q0, drive, 512)
             assert abs(series - oracle) < 0.005 * span
             # the truncated series may only leave the static band marginally
             assert f_min - 1.0 <= series <= f_max + 1.0
 
     def test_small_amplitude_limit(self, q0):
-        f_ref = avg_frequency(q0, FluxDrive(0.0, 0.0), 8)
+        f_ref = avg_frequency(q0, FluxDrive(0.0, 0.0))
         for phi_ac in (1e-4, 5e-4, 1e-3):
-            shift = (avg_frequency(q0, FluxDrive(0.0, phi_ac), 8) - f_ref) * 1e6
+            shift = (avg_frequency(q0, FluxDrive(0.0, phi_ac)) - f_ref) * 1e6
             ratio = shift / second_order_shift(q0, phi_ac)
             assert 0.99 <= ratio <= 1.01
 
@@ -404,7 +408,7 @@ class TestSeriesVsOracle:
         # the cos(2 pi n phi_dc) factors carry the DC-bias dependence
         for phi_dc in (0.1, 0.25):
             drive = FluxDrive(phi_dc, 0.08)
-            series = avg_frequency(q0, drive, 8)
+            series = avg_frequency(q0, drive)
             oracle = time_average_oracle(q0, drive, 512)
             assert series == pytest.approx(oracle, abs=1.0)
 

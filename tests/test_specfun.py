@@ -289,11 +289,12 @@ class TestHyp2f1NearOne:
 
     @pytest.mark.parametrize("n", range(13))
     def test_modulation_series_arguments(self, n):
-        # every (a, b, c) that s_coeff passes up to MAX_ORDER = 12:
-        # c - a - b runs over 3/4, 1/2, ..., -5/4, integers 0 and -1 included
+        # every (a, b, c) of the paper's closed form for s_0..s_12, the
+        # reference of test_modulation: c - a - b runs over 3/4, 1/2, ...,
+        # -5/4, integers 0 and -1 included
         for k in range(9):
             if n and k == 1:
-                continue  # (0)_n = 0: s_coeff skips the term
+                continue  # (0)_n = 0: the closed form skips the term
             a = 0.5 * n + (k - 1) / 8.0
             for z in Z_NEAR_ONE:
                 want = mp_hyp2f1(a, a + 0.5, n + 1.0, z)
