@@ -115,13 +115,13 @@ def cmd_spectrum(args) -> int:
     if not math.isfinite(args.phi_max - args.phi_min):  # linspace would overflow its step
         raise ValueError(f"flux span must be finite, got phi = {args.phi_min} to {args.phi_max}")
     grid = np.linspace(args.phi_min, args.phi_max, args.points)
-    f01, f12, _ = levels(q.params, grid)
+    f01, f12 = levels(q.params, grid)
     _write_csv(
         args.out,
         ["phi", "f01_asymptotic_mhz", "f01_diag_mhz", "anharmonicity_mhz"],
         [grid, f01_asymptotic(q.params, grid), f01, f12 - f01],
     )
-    (f_max, f_min), (f12_top, _), _ = levels(q.params, np.array([0.0, 0.5]))
+    (f_max, f_min), (f12_top, _) = levels(q.params, np.array([0.0, 0.5]))
     eta = f12_top - f_max
     _summary(
         args,

@@ -65,11 +65,6 @@ class TransmonParams(_Validated, namedtuple("TransmonParams", "e_c e_j1 e_j2")):
     def e_j_sum(self) -> float:
         return self.e_j1 + self.e_j2
 
-    @property
-    def asymmetry(self) -> float:
-        """d = (e_j2 - e_j1)/(e_j1 + e_j2), in [0, 1)."""
-        return (self.e_j2 - self.e_j1) / self.e_j_sum
-
 
 class DiplexerSpec(_Validated, namedtuple(
         "DiplexerSpec", "lp_cutoff_mhz bp_low_mhz bp_high_mhz isolation_db isolation_max_freq_mhz")):

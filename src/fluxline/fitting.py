@@ -739,11 +739,12 @@ def beta_model(params: TransmonParams, phi_dc: float) -> Model:
     """Time-averaged frequency vs instrument amplitude, parameter beta, from
     the harmonic series s_0..s_ORDER of `modulation`.  An evaluation takes
     J0 of its arguments and the Jacobian J1, each in its own kernel pass."""
-    from .modulation import ORDER, _harmonic_phases, harmonic_series
+    from .modulation import ORDER, harmonic_series
     from .specfun import bessel_j0, bessel_j1
 
     wn = 2.0 * np.pi * np.arange(ORDER + 1)
-    cn = np.array(harmonic_series(params)) * np.cos(_harmonic_phases("phi_dc", phi_dc, wn))
+    # f01 is 1-periodic: phi_dc is taken modulo 1, exactly
+    cn = np.array(harmonic_series(params)) * np.cos(wn * math.fmod(phi_dc, 1.0))
 
     # the harmonics n along axis 0, the samples along the last; the sums
     # over axis 0 add the harmonics in order, one row at a time.  beta may

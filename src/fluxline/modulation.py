@@ -28,7 +28,6 @@ from .transmon import TransmonParams, _f01, effective_ej
 
 __all__ = [
     "FluxDrive",
-    "SymmetricSquidError",
     "C_VECTOR",
     "s_coeff",
     "harmonic_series",
@@ -39,10 +38,6 @@ __all__ = [
 
 # the top harmonic of the series, as in the paper: s_0..s_8
 ORDER = 8
-
-
-class SymmetricSquidError(ValueError):
-    """Perturbation series boundary for a fully symmetric SQUID."""
 
 
 class FluxDrive(_Validated, namedtuple("FluxDrive", "phi_dc phi_ac")):
@@ -95,7 +90,8 @@ C_VECTOR = (
 )
 
 
-# past this many flux samples (r = E_J1/E_J2 ~ 0.99984) the series raises
+# past this many flux samples (r = E_J1/E_J2 ~ 0.99984, and r = 1) the
+# series raises; a power of two, so need > MAX_SAMPLES iff M > MAX_SAMPLES
 MAX_SAMPLES = 2**18
 
 
@@ -103,28 +99,22 @@ def _sample_count(params: TransmonParams) -> int:
     """The rfft size for harmonics 0..ORDER: a power of two set by E_J1/E_J2."""
     r = params.e_j1 / params.e_j2  # the constructor orders e_j1 <= e_j2
     # harmonic n carries the alias s_(M-n) ~ r^(M-n) s_0, which M - n >=
-    # ln(1e-18)/ln r puts below rounding
-    need = max(64, ORDER + math.log(1e-18) / math.log(r))
-    m = 1 << (math.ceil(need) - 1).bit_length()
-    if m > MAX_SAMPLES:
+    # ln(1e-18)/ln r puts below rounding; no M does at r = 1
+    need = max(64, ORDER + math.log(1e-18) / math.log(r)) if r < 1 else math.inf
+    if need > MAX_SAMPLES:
         raise ConvergenceError(
             f"harmonic series of E_J1/E_J2 = {r:.6g} needs more than {MAX_SAMPLES} "
             "flux samples; use time_average_oracle instead"
         )
-    return m
+    return 1 << (math.ceil(need) - 1).bit_length()
 
 
 @lru_cache(maxsize=128)
 def harmonic_series(params: TransmonParams) -> tuple[float, ...]:
     """The coefficients s_0..s_ORDER of the flux-harmonic expansion (MHz), cached.
 
-    SymmetricSquidError at E_J1 = E_J2, ConvergenceError past MAX_SAMPLES.
+    ConvergenceError past MAX_SAMPLES, a symmetric SQUID (E_J1 = E_J2) included.
     """
-    if params.e_j1 == params.e_j2:
-        raise SymmetricSquidError(
-            "symmetric SQUID: harmonic series boundary z=1; use "
-            "time_average_oracle instead"
-        )
     m = _sample_count(params)
     xi = np.sqrt(2.0 * params.e_c / effective_ej(params, np.arange(m) / m))
     # sum_k C_k xi^(k-1) = (sum_k C_k xi^k) / xi, by Horner
@@ -150,24 +140,14 @@ def s_coeff(params: TransmonParams, n: int) -> float:
     return harmonic_series(params)[n]
 
 
-def _harmonic_phases(name: str, phi, wn: np.ndarray) -> np.ndarray:
-    """The phases wn * phi of the harmonics wn = 2 pi n, n = 0..ORDER, along axis 0.
-
-    A flux whose top harmonic's phase overflows raises ValueError naming
-    it, before a cosine could warn on the infinite phase.
-    """
-    with np.errstate(over="ignore"):
-        phase = wn * phi
-    _require(name, phi, lambda v: np.isfinite(phase[-1]), f"must keep 2 pi n {name} finite for n <= {ORDER}")
-    return phase
-
-
 def avg_frequency(params: TransmonParams, drive: FluxDrive) -> float | np.ndarray:
     """Time-averaged qubit frequency (MHz) from the truncated series.
 
     Elementwise over the drive's phi_dc and phi_ac; a scalar drive gives a
-    float.  A flux whose harmonic phases 2 pi n phi overflow raises
-    ValueError naming it.
+    float.  phi_dc is taken modulo 1 (np.fmod, exact, the identity on
+    (-1, 1)), as f01 is 1-periodic; an amplitude whose harmonic phases
+    2 pi n phi_ac overflow raises ValueError naming it, before the Bessel
+    kernel could warn on an infinite argument.
     """
     s = np.array(harmonic_series(params))
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
@@ -175,8 +155,10 @@ def avg_frequency(params: TransmonParams, drive: FluxDrive) -> float | np.ndarra
     # at every shape, where a sum over a short axis would pair them up
     column = (-1,) + (1,) * phi_dc.ndim
     wn = (2.0 * np.pi * np.arange(ORDER + 1)).reshape(column)
-    phase_dc, phase_ac = _harmonic_phases("phi_dc", phi_dc, wn), _harmonic_phases("phi_ac", phi_ac, wn)
-    terms = s.reshape(column) * np.cos(phase_dc) * bessel_j0(phase_ac)
+    with np.errstate(over="ignore"):
+        phase_ac = wn * phi_ac
+    _require("phi_ac", phi_ac, lambda v: np.isfinite(phase_ac[-1]), f"must keep 2 pi n phi_ac finite for n <= {ORDER}")
+    terms = s.reshape(column) * np.cos(wn * np.fmod(phi_dc, 1.0)) * bessel_j0(phase_ac)
     return _float_or_array(np.cumsum(terms, axis=0)[-1])
 
 
@@ -204,9 +186,10 @@ def time_average_oracle(params: TransmonParams, drive: FluxDrive, n_steps: int =
 
     Uniform sampling in drive phase theta_j = 2 pi j / n_steps (the
     periodic trapezoidal rule, which is spectrally accurate here); no
-    drive frequency enters.  The flux phi_dc + phi_ac cos theta_j is even
-    in theta, so only j = 0..n_steps // 2 are evaluated, and every sample
-    but theta = 0 and theta = pi (even n_steps only) counts twice.
+    drive frequency enters.  phi_dc is taken modulo 1 (np.fmod) before
+    phi_ac cos theta_j is added.  The flux phi_dc + phi_ac cos theta_j is
+    even in theta, so only j = 0..n_steps // 2 are evaluated, and every
+    sample but theta = 0 and theta = pi (even n_steps only) counts twice.
     All samples of every drive come from one call for the exact f01 (that
     of :func:`transmon.levels`, without its f12), with the drive phase
     along the last axis; each drive's weighted samples are summed by
@@ -224,5 +207,5 @@ def time_average_oracle(params: TransmonParams, drive: FluxDrive, n_steps: int =
     if n_steps % 2 == 0:
         weight[-1] = 1.0  # theta = pi is its own mirror
     phi_dc, phi_ac = np.broadcast_arrays(drive.phi_dc, drive.phi_ac)
-    phi = phi_dc[..., None] + phi_ac[..., None] * np.cos(theta)
+    phi = np.fmod(phi_dc, 1.0)[..., None] + phi_ac[..., None] * np.cos(theta)
     return _float_or_array(np.sum(_f01(params, phi) * weight, axis=-1) / n_steps)

@@ -13,6 +13,11 @@ the tuning fit from the derivative of each f01 polynomial, within 1e-12
 f01/q.  The test suite derives the tables again and keeps a charge-basis
 diagonalization as the oracle.
 
+E_J is 1-periodic in the flux, so every flux is taken modulo one period
+where it enters (math.fmod or np.fmod: exact, and the identity on
+(-1, 1)).  Any finite flux is valid, and a flux phi + k stored exactly
+gives the bits of phi; a NaN or infinite flux raises ValueError naming it.
+
 A 0-d flux (a Python or numpy number, or a 0-d array) goes through E_J,
 the closed form and the level tables on Python floats, with math's cos,
 sin and sqrt, free of numpy's per-call overhead, which costs more than the
@@ -157,8 +162,9 @@ def effective_ej(params: TransmonParams, phi):
 
     E_J(phi) = E_Jsum sqrt(cos^2(pi phi) + d^2 sin^2(pi phi)); 1-periodic
     and even in phi, maximal at phi = 0, minimal at phi = 0.5; elementwise,
-    a 0-d flux giving a numpy scalar.  A non-finite flux, or one whose
-    pi phi overflows, raises ValueError naming it.
+    a 0-d flux giving a numpy scalar.  Any finite flux is taken modulo one
+    period, exactly (fmod), so phi + k gives the value at phi for an
+    integer k; a NaN or infinite flux raises ValueError naming it.
     """
     return _numpy(_ej_over(params, phi, 1.0))
 
@@ -166,7 +172,7 @@ def effective_ej(params: TransmonParams, phi):
 def _squid_ej(a, b, phi, xp):
     """E_J(phi), cos pi phi and sin pi phi; junction energies a, b >= 0 in
     either order, phi an array with xp numpy or a Python float with xp
-    math; NaN where pi phi is not finite (with xp numpy)."""
+    math, as given: _ej_over reduces it modulo 1, the tuning models do not."""
     d = (b - a) / (a + b)
     x = xp.pi * phi
     c = xp.cos(x)
@@ -175,25 +181,26 @@ def _squid_ej(a, b, phi, xp):
 
 
 def _ej_over(params: TransmonParams, phi, per):
-    """E_J(phi)/per at the fluxes phi, with _reject's ValueError for the
-    first flux where that is not finite.  A 0-d flux (a Python or numpy
-    number, or a 0-d array) goes on Python floats and gives a Python float,
-    bit for bit the element of an array call at that flux (numpy's float64
-    cos and sin round as libm's do); any other gives a float array."""
+    """E_J(phi)/per at the fluxes phi, each taken modulo 1 (fmod, exact and
+    the identity on (-1, 1)), with _reject's ValueError for the first flux
+    where that is not finite.  A 0-d flux (a Python or numpy number, or a
+    0-d array) goes on Python floats and gives a Python float, bit for bit
+    the element of an array call at that flux (numpy's float64 cos and sin
+    round as libm's do); any other gives a float array."""
     if not isinstance(phi, (float, int)):
         phi = np.asarray(phi, dtype=float)
         if phi.ndim:
-            # a flux past ~5.7e307 overflows pi phi into a NaN E_J
+            # an infinite flux reduces to NaN; energies may overflow
             with np.errstate(over="ignore", invalid="ignore"):
-                value = _squid_ej(params.e_j1, params.e_j2, phi, np)[0] / per
+                value = _squid_ej(params.e_j1, params.e_j2, np.fmod(phi, 1.0), np)[0] / per
             # E_J >= 0, and its max is NaN or inf where any element is
             if not math.isfinite(value.max(initial=0.0)):
                 _reject(params, phi, np.flatnonzero(~np.isfinite(value.ravel()))[0])
             return value
     phi = float(phi)
-    # math.cos and math.sin raise on an infinite pi phi
-    if math.isfinite(math.pi * phi):
-        value = _squid_ej(params.e_j1, params.e_j2, phi, math)[0] / per
+    # math.fmod raises on an infinite flux
+    if math.isfinite(phi):
+        value = _squid_ej(params.e_j1, params.e_j2, math.fmod(phi, 1.0), math)[0] / per
         if math.isfinite(value):
             return value
     _reject(params, phi, 0)
@@ -227,20 +234,18 @@ def _closed_form_f01(ej, e_c, sqrt=np.sqrt):
 
 
 def levels(params: TransmonParams, phi):
-    """Exact f01, f12 (MHz) at n_g = 0 and a convergence flag, arrays of the shape of phi.
+    """Exact f01, f12 (MHz) at n_g = 0, arrays of the shape of phi.
 
     f01 = E_C (b_2 - a_0) and f12 = E_C (a_2 - b_2), Mathieu characteristic
     values at q = E_J(phi)/(2 E_C), from the module's polynomial tables:
     within 1e-13 relative of a 40-digit solve at every q >= 0, with no
-    basis to truncate, so the flag is always true.  A non-finite flux, or
-    one whose pi phi overflows, raises ValueError naming it.  A 0-d flux
-    goes through E_J and the tables on Python floats and gives numpy
-    scalars, each bit for bit the element of an array call at that flux.
+    basis to truncate.  The flux is :func:`effective_ej`'s: any finite
+    flux, taken modulo one period.  A 0-d flux goes through E_J and the
+    tables on Python floats and gives numpy scalars, each bit for bit the
+    element of an array call at that flux.
     """
     f01, f12 = _levels(params, phi, "f12")
-    if isinstance(f01, np.ndarray):
-        return f01, f12, np.ones(f01.shape, dtype=bool)
-    return np.float64(f01), np.float64(f12), np.True_
+    return _numpy(f01), _numpy(f12)
 
 
 def _f01(params: TransmonParams, phi):
@@ -260,10 +265,9 @@ def _levels(params: TransmonParams, phi, second):
 
 def _reject(params: TransmonParams, phi, i):
     value = float(np.ravel(phi)[i])
-    requirement = "keep pi phi finite" if math.isfinite(value) else "be finite"
-    if not math.isfinite(math.pi * value):
-        raise ValueError(f"flux must {requirement}, got phi = {value}")
-    # pi phi is finite, so the energies overflow (TransmonParams takes even inf)
+    if not math.isfinite(value):
+        raise ValueError(f"flux must be finite, got phi = {value}")
+    # the flux is finite, so the energies overflow (TransmonParams takes even inf)
     energies = f"E_C = {params.e_c}, E_J1 = {params.e_j1}, E_J2 = {params.e_j2} MHz"
     raise ValueError(f"energies {energies} overflow at phi = {value}")
 

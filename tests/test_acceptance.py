@@ -56,8 +56,8 @@ def test_criterion_1_device_table_joint_reproduction(device_params):
     rows = []
     for name, (e_c, e_j1, e_j2, f_max, f_min, eta) in DEVICE_TABLE.items():
         p = device_params[name]
-        top, top_f12, _ = levels(p, 0.0)
-        bottom, _, _ = levels(p, 0.5)
+        top, top_f12 = levels(p, 0.0)
+        bottom, _ = levels(p, 0.5)
         errs = []
         if abs(top - f_max) >= 10.0:
             errs.append(f"f_max {top:.2f} vs {f_max}±10")

@@ -55,6 +55,9 @@ INVOCATIONS = [
     ["fit", "beta", *BETA, "--qubit", "q2", "--phi-dc", "0.1"],
     # the oracle's even and odd step counts
     *(["modulate", CONFIG, "--qubit", "q0", "--with-oracle", "--oracle-steps", n] for n in ("256", "257", "512")),
+    # fluxes of whole periods and more: each enters modulo one period
+    ["modulate", CONFIG, "--qubit", "q0", "--points", "3", "--phi-dc", "1e12", "--with-oracle"],
+    ["spectrum", CONFIG, "--qubit", "q0", "--points", "3", "--phi-min", "1e15", "--phi-max", "1e15"],
     # exit 2: invalid input
     ["fit", "beta", *BETA],
     ["fit", "tuning", f"{FIXTURES}/tuning_q0.csv", "--fixed-ec", "1e308"],
@@ -121,6 +124,18 @@ def test_transcript(transcripts, argv):
     assert got["exit_code"] == want["exit_code"]
     for stream in ("stdout", "stderr"):
         differing_numbers(want[stream], got[stream])
+
+
+def test_whole_periods_read_as_zero_flux(transcripts):
+    # 1e12 and 1e15 are whole numbers of flux periods: the modulate bytes
+    # are those at --phi-dc 0, and every spectrum row's levels those at 0
+    modulate = ["modulate", CONFIG, "--qubit", "q0", "--points", "3", "--phi-dc"]
+    assert transcripts[shlex.join([*modulate, "1e12", "--with-oracle"])] == run([*modulate, "0", "--with-oracle"])
+    spectrum = transcripts[shlex.join(["spectrum", CONFIG, "--qubit", "q0", "--points", "3",
+                                       "--phi-min", "1e15", "--phi-max", "1e15"])]["stdout"].splitlines()
+    at_zero = run(["spectrum", CONFIG, "--qubit", "q0", "--points", "1", "--phi-min", "0", "--phi-max", "0"])
+    row = at_zero["stdout"].splitlines()[1]
+    assert [line.split(",", 1)[1] for line in spectrum[1:4]] == [row.split(",", 1)[1]] * 3
 
 
 @pytest.mark.parametrize("recorded,actual,differing", [
